@@ -282,12 +282,13 @@ def _cmd_derivatives(args) -> int:
 
     solution_map = lambda d: solve_residual(oracle, d, oracle.zero_state(), 1e-13)
     lines = ["key,norm,fd_norm,fd_error_indicator"]
-    for key, value in table.items():
-        label = "base" if key == () else "+".join(str(i + 1) for i in key)
+    for alpha, value in table.items():
+        slots = [k for k, e in alpha.entries for _ in range(e)]
+        label = "+".join(str(k) for k in slots) or "base"
         norm = oracle.state_norm(value)
         fd_norm, fd_ind = "", ""
-        if args.fd_check and key != () and len(key) <= 4:
-            dirs = [directions[i] for i in key]
+        if args.fd_check and 1 <= len(slots) <= 4:
+            dirs = [directions[k - 1] for k in slots]
             est, ind = finite_difference_check(solution_map, base, dirs, steps,
                                                norm=oracle.state_norm)
             fd_norm, fd_ind = _fmt(oracle.state_norm(est)), _fmt(ind)

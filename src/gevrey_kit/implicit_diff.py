@@ -2,32 +2,34 @@
 
 Given an oracle for a residual R(d, u) whose state linearization is
 invertible, the solution map S with R(d, S(d)) = 0 obeys a triangular
-recursion: the first derivative is the solve
+recursion.  Every derivative computed here is a mixed partial of
+t -> S(data(t)) for a data map t -> data(t): the first partial is the solve
 
-    DS(d)[h] = -(D2R)^{-1} [ D1R(d, S(d))[h] ],
+    d^{e_k} u = -(D2R)^{-1} [ D1R[d^{e_k} data] ],
 
-and the n-th derivative is -(D2R)^{-1} applied to a sum of lower-order
-terms.  That sum is assembled here over set partitions of the n direction
-slots, which is the collapsed form of the chain rule for a symmetric
-multilinear D^rR: a singleton block {k} contributes the pair
-(h_k, DS[h_k]) and a larger block B the pair (0, D^{|B|}S[h_B]).  A
-literal permutation-and-composition form is kept in
+and a partial of order |alpha| >= 2 follows from the multi-index
+composition recursion of the chain rule (`higher_derivative`).
+Directional mode is the affine data map t -> d + sum_k t_k h_k, whose
+mixed partial at e_{k_1} + ... + e_{k_n} is D^nS(d)[h_{k_1}, ..., h_{k_n}].
+A literal permutation-and-composition form is kept in
 `higher_derivative_reference` as a cross-check for small orders.
 
-Oracles must be safe for concurrent read-only use once constructed; a
-`DerivativeTable` is filled order by order and treated as immutable
-afterwards.
+An oracle may cache factorizations between calls (`PdeOracle` does), so
+use one oracle per thread.  A `DerivativeTable` is filled order by order
+and treated as immutable afterwards.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .combinatorics import MultiIndex, compositions, set_partitions
+from .combinatorics import MultiIndex, compositions, multi_index_compositions
 
 __all__ = [
     "ResidualOracle",
@@ -39,6 +41,7 @@ __all__ = [
     "first_derivative",
     "higher_derivative",
     "higher_derivative_reference",
+    "affine_data_map",
     "derivative_table",
     "finite_difference_check",
     "scalar_quadratic_oracle",
@@ -101,53 +104,39 @@ class ResidualOracle:
 
 
 class DerivativeTable:
-    """Memoized solution derivatives at a fixed base point.
+    """Memoized partials d^alpha u of t -> S(data(t)) at a fixed base point.
 
-    Keys are sorted tuples of direction indices (directional mode) or
-    MultiIndex values (parametric mode); the base entry, stored under the
-    empty key, is the solution itself.  Builders fill the table order by
-    order, so every stored key has all of its sub-keys present.
+    Keys are MultiIndex values; the base entry, stored under the zero
+    multi-index, is the solution u = S(d) itself.  `data_partial(alpha)`
+    returns d^alpha data at the base point.  Builders fill the table
+    order by order, so every stored key has all of its sub-keys present.
     """
 
-    def __init__(self, oracle: ResidualOracle, d, u, directions: Sequence | None = None):
+    def __init__(self, oracle: ResidualOracle, d, u,
+                 data_partial: Callable[[MultiIndex], object]):
         self.oracle = oracle
         self.d = d
         self.u = u
-        self.directions = list(directions) if directions is not None else None
-        base_key: object = () if directions is not None else MultiIndex()
-        self._entries: dict = {base_key: u}
+        self.data_partial = data_partial
+        self._entries: dict[MultiIndex, object] = {MultiIndex(): u}
 
-    @staticmethod
-    def canonical(key) -> object:
-        if isinstance(key, MultiIndex):
-            return key
-        return tuple(sorted(key))
-
-    def entry(self, key):
-        k = self.canonical(key)
+    def entry(self, alpha: MultiIndex):
         try:
-            return self._entries[k]
+            return self._entries[alpha]
         except KeyError:
             raise LookupError(
-                f"derivative table has no entry for {k!r}; lower orders must be computed first"
+                f"derivative table has no entry for {alpha.label()}; "
+                "lower orders must be computed first"
             ) from None
 
-    def put(self, key, value) -> None:
-        self._entries[self.canonical(key)] = value
-
-    def __contains__(self, key) -> bool:
-        return self.canonical(key) in self._entries
+    def put(self, alpha: MultiIndex, value) -> None:
+        self._entries[alpha] = value
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def items(self):
         return self._entries.items()
-
-    def direction(self, idx: int):
-        if self.directions is None:
-            raise LookupError("table was built in parametric mode; no direction list")
-        return self.directions[idx]
 
     def norms(self) -> dict:
         return {k: self.oracle.state_norm(v) for k, v in self._entries.items()}
@@ -158,8 +147,11 @@ def solve_residual(oracle: ResidualOracle, d, u0, tol: float,
     """Newton iteration with residual-norm step damping.
 
     Halves the step while the residual norm does not decrease (at most
-    `max_halvings` times per step) and raises NonConvergenceError after
-    `max_iter` iterations.
+    `max_halvings` times per step).  When no halving decreases it and the
+    step is round-off, at most 16 * eps * dim(u) * ||u|| (the P1 benchmark
+    stalls at about 0.1 * eps * dim(u) * ||u||), u is converged and is
+    returned although its residual norm sits above tol; otherwise, and
+    after `max_iter` iterations, NonConvergenceError is raised.
     """
     u = u0
     res = oracle.eval(d, u)
@@ -177,6 +169,9 @@ def solve_residual(oracle: ResidualOracle, d, u0, tol: float,
                 break
             lam *= 0.5
         else:
+            floor = 16.0 * np.finfo(float).eps * np.size(u) * oracle.state_norm(u)
+            if oracle.state_norm(step) <= floor:
+                return u
             raise NonConvergenceError(
                 f"line search stalled at residual norm {rnorm:.3e}", rnorm
             )
@@ -195,78 +190,85 @@ def first_derivative(oracle: ResidualOracle, d, u, h):
 
 
 def higher_derivative(oracle: ResidualOracle, table: DerivativeTable,
-                      indices: Sequence[int]):
-    """n-th solution derivative along table directions, n >= 2.
+                      alpha: MultiIndex):
+    """Mixed partial d^alpha u at the table's base point, |alpha| >= 2.
 
-    `indices` refer to the table's direction list and may repeat.  All
-    lower-order entries for sub-multisets must already be in the table.
-    The right-hand side sums over set partitions of the n slots with at
-    least two blocks (the all-singleton partition carries the pure D^nR
-    term); partitions needing more derivative slots than the oracle's
-    maximal order are skipped since those terms vanish identically.
+    Differentiating R(data(t), u(t)) = 0 with the multi-index chain rule
+    and isolating the single term that contains the unknown partial gives
+
+        d^alpha u = -(D2R)^{-1} [ D1R[d^alpha data]
+            + sum_{r>=2} sum_{compositions beta of alpha into r parts}
+              alpha!/(r! prod beta_j!) D^rR[(d^beta_j data, d^beta_j u)_j] ].
+
+    All partials of strictly smaller order must already be in the table.
+    Orders r above the oracle's maximal derivative order are skipped since
+    those terms vanish identically.
     """
-    idxs = tuple(indices)
-    n = len(idxs)
+    n = alpha.order()
     if n < 2:
-        raise ValueError("higher_derivative needs at least two directions")
+        raise ValueError("higher_derivative needs |alpha| >= 2")
+    rhs = oracle.apply_derivative(
+        1, table.d, table.u, [(table.data_partial(alpha), oracle.zero_state())]
+    )
     mdo = oracle.max_derivative_order()
-    total = None
-    for part in set_partitions(n, min_blocks=2):
-        r = part.n_blocks
-        if mdo is not None and r > mdo:
-            continue
-        args = []
-        for block in part.blocks:
-            if len(block) == 1:
-                k = idxs[block[0] - 1]
-                args.append((table.direction(k), table.entry((k,))))
-            else:
-                key = tuple(idxs[pos - 1] for pos in block)
-                args.append((oracle.zero_data(), table.entry(key)))
-        term = oracle.apply_derivative(r, table.d, table.u, args)
-        total = term if total is None else total + term
-    if total is None:
-        return oracle.zero_state()
-    return -oracle.solve_linearized(table.d, table.u, total)
+    r_max = n if mdo is None else min(n, mdo)
+    alpha_fact = alpha.factorial()
+    for r in range(2, r_max + 1):
+        for comb in multi_index_compositions(alpha, r):
+            denom = math.factorial(r)
+            for beta in comb.parts:
+                denom *= beta.factorial()
+            coeff = float(Fraction(alpha_fact, denom))
+            args = [(table.data_partial(beta), table.entry(beta)) for beta in comb.parts]
+            rhs = rhs + coeff * oracle.apply_derivative(r, table.d, table.u, args)
+    return -oracle.solve_linearized(table.d, table.u, rhs)
 
 
 def higher_derivative_reference(oracle: ResidualOracle, table: DerivativeTable,
-                                indices: Sequence[int]):
+                                alpha: MultiIndex):
     """Literal permutation-and-composition form of the recursion.
 
-    Sums 1/r! * prod(1/i_j!) * D^rR over all permutations of the slots and
-    all compositions (i_1, ..., i_r) of n with r >= 2, where a length-1
-    segment contributes (h, DS[h]) and a longer segment (0, D^|seg|S).
+    Writes alpha as n = |alpha| coordinate slots and sums
+    1/r! * prod(1/i_j!) * D^rR over all permutations of the slots and all
+    compositions (i_1, ..., i_r) of n with r >= 2, where a segment of the
+    permuted slots contributes the data and solution partials along its
+    coordinates; the r = 1 term contributes D1R[d^alpha data].
     Factorially expensive; intended for cross-checks with n <= 4.
     """
-    idxs = tuple(indices)
-    n = len(idxs)
+    slots = [k for k, e in alpha.entries for _ in range(e)]
+    n = len(slots)
     if n < 2:
-        raise ValueError("needs at least two directions")
-    mdo = oracle.max_derivative_order()
-    total = None
-    for sigma in itertools.permutations(range(n)):
+        raise ValueError("needs |alpha| >= 2")
+    total = oracle.apply_derivative(
+        1, table.d, table.u, [(table.data_partial(alpha), oracle.zero_state())]
+    )
+    for sigma in itertools.permutations(slots):
         for r in range(2, n + 1):
-            if mdo is not None and r > mdo:
-                continue
             for comp in compositions(n, r):
                 coeff = 1.0 / math.factorial(r)
                 args = []
                 pos = 0
                 for part in comp.parts:
-                    seg = sigma[pos:pos + part]
+                    seg = MultiIndex.make(Counter(sigma[pos:pos + part]))
                     pos += part
                     coeff /= math.factorial(part)
-                    du = table.entry(tuple(idxs[s] for s in seg))
-                    if part == 1:
-                        args.append((table.direction(idxs[seg[0]]), du))
-                    else:
-                        args.append((oracle.zero_data(), du))
-                term = coeff * oracle.apply_derivative(r, table.d, table.u, args)
-                total = term if total is None else total + term
-    if total is None:
-        return oracle.zero_state()
+                    args.append((table.data_partial(seg), table.entry(seg)))
+                total = total + coeff * oracle.apply_derivative(r, table.d, table.u, args)
     return -oracle.solve_linearized(table.d, table.u, total)
+
+
+def affine_data_map(oracle: ResidualOracle, d, directions: Sequence):
+    """Partials of the data map t -> d + sum_k t_k h_k, h_k = directions[k-1]."""
+    zero = oracle.zero_data()
+
+    def data_partial(alpha: MultiIndex):
+        if alpha.is_zero():
+            return d
+        if alpha.order() == 1:
+            return directions[alpha.support()[0] - 1]
+        return zero
+
+    return data_partial
 
 
 def derivative_table(oracle: ResidualOracle, d, directions: Sequence,
@@ -274,23 +276,23 @@ def derivative_table(oracle: ResidualOracle, d, directions: Sequence,
     """Solve the residual equation at d and fill all derivatives up to
     `max_order` along every sub-multiset of `directions`.
 
-    Deterministic for fixed inputs: multisets are visited in sorted order,
-    one order at a time.
+    Key coordinate k stands for directions[k-1].  Deterministic for fixed
+    inputs: multisets are visited in sorted order, one order at a time.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     if u0 is None:
         u0 = oracle.zero_state()
     u = solve_residual(oracle, d, u0, tol)
-    table = DerivativeTable(oracle, d, u, directions)
-    p = len(directions)
+    table = DerivativeTable(oracle, d, u, affine_data_map(oracle, d, directions))
     for k in range(1, max_order + 1):
-        for combo in itertools.combinations_with_replacement(range(p), k):
+        for combo in itertools.combinations_with_replacement(range(1, len(directions) + 1), k):
+            alpha = MultiIndex.make(Counter(combo))
             if k == 1:
-                value = first_derivative(oracle, d, u, directions[combo[0]])
+                value = first_derivative(oracle, d, u, directions[combo[0] - 1])
             else:
-                value = higher_derivative(oracle, table, combo)
-            table.put(combo, value)
+                value = higher_derivative(oracle, table, alpha)
+            table.put(alpha, value)
     return table
 
 

@@ -282,8 +282,9 @@ class Nonlinearity:
 
     Two families are supported: polynomials with vanishing constant term,
     and the shifted hyperbolic tangent 2 + tanh.  Construction verifies
-    monotonicity (nonnegative first derivative, checked by a sign sweep
-    and secant sampling) and the polynomial growth bound
+    monotonicity (nonnegative first derivative: exactly, from the critical
+    points of N', for polynomials; by a sign sweep and secant sampling for
+    tanh) and the polynomial growth bound
     |N(z)| <= c * (1 + |z|**(q-1)) on a sample grid; candidates without a
     polynomial bound are rejected.
     """
@@ -341,6 +342,16 @@ class Nonlinearity:
     # -- validation ----------------------------------------------------------
 
     def _check_monotone(self) -> None:
+        if self.kind == "polynomial":
+            # Exact: N' of even degree with positive leading coefficient (or a
+            # nonnegative constant), and N' >= 0 up to round-off at the real
+            # part of every root of N'' (a multiple root may come back complex).
+            d1 = npoly.polyder(self._coeffs)
+            crit = npoly.polyroots(npoly.polyder(d1)).real
+            floor = -1e-12 * npoly.polyval(np.abs(crit), np.abs(d1))
+            if (len(d1) - 1) % 2 or d1[-1] < 0.0 or np.any(npoly.polyval(crit, d1) < floor):
+                raise ValueError("nonlinearity is not monotone: N' < 0 somewhere on the real line")
+            return
         zs = np.linspace(-40.0, 40.0, 1601)
         if float(np.min(self.deriv(1, zs))) < -1e-10:
             raise ValueError("nonlinearity is not monotone: N' < 0 on the sample grid")

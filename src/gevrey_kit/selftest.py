@@ -126,7 +126,7 @@ def _scalar_operator_norm(oracle, d, u, r: int) -> float:
     return best
 
 
-def _shooting_midpoint() -> float:
+def shooting_midpoint() -> float:
     """Midpoint value of -u'' + u**3 = 1 on (0,1) with zero Dirichlet data,
     via shooting with a stiff-tolerance initial value solver."""
     from scipy.integrate import solve_ivp
@@ -286,14 +286,14 @@ def check_scalar_first_derivatives() -> None:
 def check_scalar_higher_derivatives() -> None:
     quad = scalar_quadratic_oracle()
     table = derivative_table(quad, np.array([3.0]), [np.array([1.0])], 2)
-    assert _close(table.entry((0, 0)), 2.0, rel=1e-12)
+    assert _close(table.entry(MultiIndex.make({1: 2})), 2.0, rel=1e-12)
 
     cubic = scalar_cubic_oracle()
     table = derivative_table(cubic, np.array([0.0]), [np.array([1.0])], 4)
     series = invert_cubic_series(4)
     for n in range(1, 5):
         expected = float(series[n] * math.factorial(n))
-        got = table.entry((0,) * n)
+        got = table.entry(MultiIndex.make({1: n}))
         assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected)), (n, got)
 
 
@@ -323,21 +323,22 @@ def check_collapsed_vs_literal() -> None:
     d = 0.05 * rng.standard_normal(3)
     dirs = [rng.standard_normal(3) for _ in range(3)]
     table = derivative_table(oracle, d, dirs, 4)
-    for idxs in [(0, 1), (0, 1, 2), (0, 0, 1, 2)]:
-        a = higher_derivative(oracle, table, idxs)
-        b = higher_derivative_reference(oracle, table, idxs)
-        assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b)), (idxs, a, b)
+    for counts in [{1: 1, 2: 1}, {1: 1, 2: 1, 3: 1}, {1: 2, 2: 1, 3: 1}]:
+        alpha = MultiIndex.make(counts)
+        a = higher_derivative(oracle, table, alpha)
+        b = higher_derivative_reference(oracle, table, alpha)
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b)), (alpha.label(), a, b)
 
 
 def check_scalar_envelope_compliance() -> None:
     cubic = scalar_cubic_oracle()
     d = np.array([0.0])
     table = derivative_table(cubic, d, [np.array([1.0])], 5)
-    u = table.entry(())
+    u = table.entry(MultiIndex())
     ms = [_scalar_operator_norm(cubic, d, u, r) for r in range(1, 4)]
     sigma = max([1.0] + [m / math.factorial(r + 1) for r, m in enumerate(ms)])
     env = implicit_envelope(StabilityConstant(1.0), GevreyEnvelope(1.0, sigma, 1.0))
-    norms = {n: abs(table.entry((0,) * n)) for n in range(1, 6)}
+    norms = {n: abs(table.entry(MultiIndex.make({1: n}))) for n in range(1, 6)}
     report = envelope_check(norms, env, tolerance=1e-9)
     assert report.passed, report.summary()
 
@@ -418,7 +419,7 @@ def check_newton_benchmark() -> None:
     assert float(np.min(u)) > 0.0
     assert np.allclose(u, u[::-1], atol=1e-10)
     midpoint = u[mesh.n_free // 2]
-    assert abs(midpoint - _shooting_midpoint()) < 1e-4
+    assert abs(midpoint - shooting_midpoint()) < 1e-4
 
 
 def check_poincare_convergence() -> None:

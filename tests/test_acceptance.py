@@ -10,7 +10,6 @@ and hand-evaluated closed formulas.
 import itertools
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -56,6 +55,7 @@ from gevrey_kit.pde1d import (
     newton_solve,
     solution_bound_check,
 )
+from gevrey_kit.selftest import invert_cubic_series
 
 
 class budget:
@@ -113,36 +113,15 @@ def test_criterion_3_identity_suite():
                 assert len(compositions(n, r)) == math.comb(n - 1, r - 1)
 
 
-def _cubic_inverse_series(order):
-    def mul(a, b):
-        out = [Fraction(0)] * (order + 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if i + j > order:
-                    break
-                out[i + j] += ai * bj
-        return out
-
-    u = [Fraction(0)] * (order + 1)
-    u[1] = Fraction(1)
-    for _ in range(order):
-        cube = mul(mul(u, u), u)
-        u = [Fraction(0)] + [-c for c in cube[1:]]
-        u[1] += Fraction(1)
-    return u
-
-
 def test_criterion_4_scalar_recursion_vs_series():
     with budget(1.0, "4 scalar recursion vs series"):
         oracle = scalar_cubic_oracle()
         table = derivative_table(oracle, np.array([0.0]), [np.array([1.0])], 5)
-        series = _cubic_inverse_series(5)
+        series = invert_cubic_series(5)
         expected = [float(series[n] * math.factorial(n)) for n in range(1, 6)]
         assert expected[:3] == [1.0, 0.0, -6.0]
         for n in range(1, 6):
-            got = table.entry((0,) * n)
+            got = table.entry(MultiIndex.make({1: n}))
             assert abs(got - expected[n - 1]) <= 1e-10 * max(1.0, abs(expected[n - 1]))
 
 
@@ -156,9 +135,9 @@ def test_criterion_5_collapsed_vs_literal():
         d = 0.05 * rng.standard_normal(3)
         dirs = [rng.standard_normal(3) for _ in range(3)]
         table = derivative_table(oracle, d, dirs, 4)
-        for idxs in [(0, 1), (0, 2), (0, 1, 2), (0, 0, 1), (0, 1, 2, 2), (0, 0, 1, 2)]:
-            collapsed = higher_derivative(oracle, table, idxs)
-            literal = higher_derivative_reference(oracle, table, idxs)
+        for counts in [[1, 1], [1, 0, 1], [1, 1, 1], [2, 1], [1, 1, 2], [2, 1, 1]]:
+            collapsed = higher_derivative(oracle, table, MultiIndex.make(counts))
+            literal = higher_derivative_reference(oracle, table, MultiIndex.make(counts))
             assert abs(collapsed - literal) <= 1e-12 * max(1.0, abs(collapsed), abs(literal))
 
 
@@ -237,7 +216,7 @@ def test_criterion_9_degenerate_and_affine_cases():
         oracle = PolynomialOracle(1, {(0, 1): 2.0, (1, 0): -3.0, (0, 0): -1.0})
         table = derivative_table(oracle, np.array([1.0]), [np.array([1.0])], 4)
         for n in range(2, 5):
-            assert table.entry((0,) * n) == 0.0
+            assert table.entry(MultiIndex.make({1: n})) == 0.0
 
         # polynomial degree J: residual derivatives of order >= J + 2 vanish
         mesh = Mesh1D.uniform(16)

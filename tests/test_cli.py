@@ -120,6 +120,17 @@ class TestSolve:
         assert values[0] == 0.0 and values[-1] == 0.0
         assert max(values) == pytest.approx(0.1248, abs=2e-3)
 
+    @pytest.mark.parametrize("mesh_n,f", [(256, 1e5), (1024, 1e4)])
+    def test_residual_round_off_floor_converges(self, tmp_path, mesh_n, f):
+        # the residual norm stalls near 1.2e-12 > tol with a round-off Newton step
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps({
+            "mesh_n": mesh_n, "a": 1.0, "b": 1.0, "f": f,
+            "nonlinearity": {"kind": "cubic"},
+        }))
+        out = tmp_path / "u.csv"
+        assert run_cli(["solve", "--config", str(cfg), "--output", str(out)]) == 0
+
     def test_exponential_nonlinearity_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "solve.json"
         cfg.write_text(json.dumps({
@@ -171,6 +182,17 @@ class TestDerivatives:
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 4  # header, base, order 1, order 2
+
+    def test_pde_directional_row_order(self, tmp_path):
+        dirs = tmp_path / "dirs.json"
+        dirs.write_text(json.dumps([{"f": 1.0}, {"a": 0.2, "b": 0.1}]))
+        out = tmp_path / "deriv.csv"
+        code = run_cli(["derivatives", "--problem", "pde1d", "--order", "3",
+                        "--mesh-n", "24", "--directions", str(dirs), "--output", str(out)])
+        assert code == 0
+        labels = [line.split(",")[0] for line in out.read_text().strip().splitlines()[1:]]
+        assert labels == ["base", "1", "2", "1+1", "1+2", "2+2",
+                          "1+1+1", "1+1+2", "1+2+2", "2+2+2"]
 
     def test_invalid_order(self):
         assert run_cli(["derivatives", "--problem", "scalar-cubic", "--order", "0"]) == 1

@@ -7,17 +7,18 @@ and Richardson finite differences.
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gevrey_kit.combinatorics import MultiIndex
 from gevrey_kit.envelopes import GevreyEnvelope, StabilityConstant, envelope_check, implicit_envelope
 from gevrey_kit.implicit_diff import (
     DerivativeTable,
     LinearizationError,
     NonConvergenceError,
     PolynomialOracle,
+    affine_data_map,
     derivative_table,
     finite_difference_check,
     first_derivative,
@@ -27,30 +28,7 @@ from gevrey_kit.implicit_diff import (
     scalar_quadratic_oracle,
     solve_residual,
 )
-
-
-def cubic_inverse_series(order):
-    """Exact Taylor coefficients of the inverse of d = u + u**3 at 0,
-    via fixed-point iteration u <- d - u**3 on truncated series."""
-
-    def mul(a, b):
-        out = [Fraction(0)] * (order + 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if i + j > order:
-                    break
-                out[i + j] += ai * bj
-        return out
-
-    u = [Fraction(0)] * (order + 1)
-    u[1] = Fraction(1)
-    for _ in range(order):
-        cube = mul(mul(u, u), u)
-        u = [Fraction(0)] + [-c for c in cube[1:]]
-        u[1] += Fraction(1)
-    return u
+from gevrey_kit.selftest import invert_cubic_series
 
 
 # Frozen from the series oracle: derivatives n! * c_n for n = 1..5.
@@ -58,7 +36,7 @@ CUBIC_DERIVATIVES = [1.0, 0.0, -6.0, 0.0, 360.0]
 
 
 def test_series_oracle_consistency():
-    series = cubic_inverse_series(5)
+    series = invert_cubic_series(5)
     assert series[:6] == [0, 1, 0, -1, 0, 3]
     got = [float(series[n] * math.factorial(n)) for n in range(1, 6)]
     assert got == CUBIC_DERIVATIVES
@@ -111,29 +89,29 @@ class TestHigherDerivative:
     def test_quadratic_second(self):
         oracle = scalar_quadratic_oracle()
         table = derivative_table(oracle, np.array([3.0]), [np.array([1.0])], 2)
-        assert abs(table.entry((0, 0)) - 2.0) < 1e-12
+        assert abs(table.entry(MultiIndex.make({1: 2})) - 2.0) < 1e-12
 
     def test_cubic_series_match(self):
         oracle = scalar_cubic_oracle()
         table = derivative_table(oracle, np.array([0.0]), [np.array([1.0])], 5)
         for n, expected in enumerate(CUBIC_DERIVATIVES, start=1):
-            got = table.entry((0,) * n)
+            got = table.entry(MultiIndex.make({1: n}))
             assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
 
     def test_affine_residual_vanishes_exactly(self):
         # R(d, u) = 2u - 3d - 1: every derivative of S beyond order 1 is zero
         oracle = PolynomialOracle(1, {(0, 1): 2.0, (1, 0): -3.0, (0, 0): -1.0})
         table = derivative_table(oracle, np.array([1.0]), [np.array([1.0])], 4)
-        assert abs(table.entry((0,)) - 1.5) < 1e-12
+        assert abs(table.entry(MultiIndex.unit(1)) - 1.5) < 1e-12
         for n in range(2, 5):
-            assert table.entry((0,) * n) == 0.0
+            assert table.entry(MultiIndex.make({1: n})) == 0.0
 
     def test_vanishing_tail_is_finite(self):
         oracle = scalar_cubic_oracle()
         table = derivative_table(oracle, np.array([0.0]), [np.array([1.0])], 6)
-        series = cubic_inverse_series(6)
+        series = invert_cubic_series(6)
         for n in range(1, 7):
-            value = table.entry((0,) * n)
+            value = table.entry(MultiIndex.make({1: n}))
             assert math.isfinite(value)
             expected = float(series[n] * math.factorial(n))
             assert abs(value - expected) <= 1e-9 * max(1.0, abs(expected))
@@ -142,15 +120,15 @@ class TestHigherDerivative:
         oracle = scalar_quadratic_oracle()
         table = derivative_table(oracle, np.array([3.0]), [np.array([1.0])], 1)
         with pytest.raises(ValueError):
-            higher_derivative(oracle, table, (0,))
+            higher_derivative(oracle, table, MultiIndex.unit(1))
 
     def test_missing_entry_is_contract_violation(self):
         oracle = scalar_quadratic_oracle()
         d = np.array([3.0])
         u = solve_residual(oracle, d, 0.0, 1e-14)
-        table = DerivativeTable(oracle, d, u, [np.array([1.0])])
+        table = DerivativeTable(oracle, d, u, affine_data_map(oracle, d, [np.array([1.0])]))
         with pytest.raises(LookupError):
-            higher_derivative(oracle, table, (0, 0))
+            higher_derivative(oracle, table, MultiIndex.make({1: 2}))
 
 
 def random_polynomial_oracle(rng, n_data=3, degree=3):
@@ -169,9 +147,9 @@ class TestCollapsedVsLiteral:
         d = 0.05 * rng.standard_normal(3)
         directions = [rng.standard_normal(3) for _ in range(3)]
         table = derivative_table(oracle, d, directions, 4)
-        for idxs in [(0, 1), (1, 2), (0, 1, 2), (0, 0, 2), (0, 1, 2, 2), (0, 0, 1, 2)]:
-            collapsed = higher_derivative(oracle, table, idxs)
-            literal = higher_derivative_reference(oracle, table, idxs)
+        for counts in [[1, 1], [0, 1, 1], [1, 1, 1], [2, 0, 1], [1, 1, 2], [2, 1, 1]]:
+            collapsed = higher_derivative(oracle, table, MultiIndex.make(counts))
+            literal = higher_derivative_reference(oracle, table, MultiIndex.make(counts))
             assert abs(collapsed - literal) <= 1e-12 * max(1.0, abs(collapsed))
 
     def test_symmetry_under_direction_permutation(self):
@@ -181,11 +159,11 @@ class TestCollapsedVsLiteral:
         dirs = [rng.standard_normal(3) for _ in range(3)]
         table_fwd = derivative_table(oracle, d, dirs, 3)
         table_rev = derivative_table(oracle, d, dirs[::-1], 3)
-        remap = {0: 2, 1: 1, 2: 0}
+        remap = {1: 3, 2: 2, 3: 1}
         for key, value in table_fwd.items():
-            if key == ():
+            if key.is_zero():
                 continue
-            swapped = tuple(sorted(remap[i] for i in key))
+            swapped = MultiIndex.make({remap[k]: e for k, e in key.entries})
             other = table_rev.entry(swapped)
             assert abs(value - other) <= 1e-12 * max(1.0, abs(value))
 
@@ -240,7 +218,7 @@ class TestDerivativeTable:
         oracle = scalar_cubic_oracle()
         table = derivative_table(oracle, np.array([0.0]), [np.array([1.0])], 3)
         norms = table.norms()
-        assert norms[(0, 0, 0)] == pytest.approx(6.0)
+        assert norms[MultiIndex.make({1: 3})] == pytest.approx(6.0)
 
 
 class TestFiniteDifferenceCheck:
@@ -288,7 +266,7 @@ class TestTableEnvelopeCompliance:
         oracle = scalar_cubic_oracle()
         d = np.array([0.0])
         table = derivative_table(oracle, d, [np.array([1.0])], 5)
-        u = table.entry(())
+        u = table.entry(MultiIndex())
         # exact multilinear norms: extreme points of the unit max-norm balls
         corners = list(itertools.product((-1.0, 1.0), repeat=2))
         norms_r = []
@@ -300,5 +278,5 @@ class TestTableEnvelopeCompliance:
             norms_r.append(best)
         sigma = max([1.0] + [m / math.factorial(r + 1) for r, m in enumerate(norms_r)])
         env = implicit_envelope(StabilityConstant(1.0), GevreyEnvelope(1.0, sigma, 1.0))
-        measured = {n: abs(table.entry((0,) * n)) for n in range(1, 6)}
+        measured = {n: abs(table.entry(MultiIndex.make({1: n}))) for n in range(1, 6)}
         assert envelope_check(measured, env, tolerance=1e-9).passed

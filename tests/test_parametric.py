@@ -10,13 +10,13 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from gevrey_kit.combinatorics import MultiIndex, multi_indices_up_to
 from gevrey_kit.envelopes import GevreyEnvelope, ParametricEnvelope
 from gevrey_kit.implicit_diff import (
     derivative_table,
     finite_difference_check,
+    higher_derivative_reference,
     solve_residual,
 )
 from gevrey_kit.parametric import (
@@ -39,6 +39,7 @@ from gevrey_kit.pde1d import (
     data_norm,
     newton_solve,
 )
+from gevrey_kit.selftest import linear_leibniz_partials
 
 
 def closed_form_reciprocal_partial(tilde, alpha):
@@ -193,28 +194,6 @@ class TestDataPartials:
         assert np.array_equal(via_fn.a, via_obj.a)
 
 
-def leibniz_linear_partials(mesh, tilde, p, max_order):
-    """Independent recursion for the purely linear problem (b = 0):
-    differentiate the bilinear form by the product rule and solve with the
-    frozen stiffness matrix."""
-    lu = spla.splu(mesh.stiffness_matrix(tilde.data.a).tocsc())
-    entries = {MultiIndex(): lu.solve(
-        mesh.assemble_load(None, tilde.data.f, boundary=tilde.data.g))}
-    for alpha in multi_indices_up_to(p, max_order):
-        if alpha.is_zero():
-            continue
-        d_alpha = tilde.partial(alpha)
-        rhs = mesh.assemble_load(None, d_alpha.f, boundary=d_alpha.g)
-        for beta in alpha.sub_indices():
-            if beta.is_zero():
-                continue
-            grad = mesh.grad_at_quad(entries[alpha - beta])
-            rhs = rhs - alpha.binom(beta) * mesh.assemble_load(
-                tilde.partial(beta).a * grad, None)
-        entries[alpha] = lu.solve(rhs)
-    return entries
-
-
 class TestSolutionPartials:
     def test_zero_order_is_solution(self):
         mesh = Mesh1D.uniform(32)
@@ -235,7 +214,7 @@ class TestSolutionPartials:
         tilde = TildeData(dmap, hat, mesh, np.array([0.25, -0.25]))
         oracle = PdeOracle(mesh, nl)
         table = parametric_derivative_table(oracle, tilde, 3)
-        reference = leibniz_linear_partials(mesh, tilde, 2, 3)
+        reference = linear_leibniz_partials(mesh, tilde.partial, 2, 3)
         for alpha, expected in reference.items():
             got = table.entry(alpha)
             scale = max(1e-14, float(np.max(np.abs(expected))))
@@ -260,12 +239,27 @@ class TestSolutionPartials:
         directional = derivative_table(oracle, tilde.data, [d1, d2], 2, tol=1e-13)
         from gevrey_kit.implicit_diff import first_derivative
 
-        cross = directional.entry((0, 1))
-        correction = first_derivative(oracle, tilde.data, directional.entry(()),
+        cross = directional.entry(MultiIndex.make({1: 1, 2: 1}))
+        correction = first_derivative(oracle, tilde.data, directional.entry(MultiIndex()),
                                       tilde.partial(mixed))
         combined = cross + correction
         assert np.allclose(engine, combined, rtol=1e-9,
                            atol=1e-12 * max(1.0, float(np.max(np.abs(engine)))))
+
+    def test_engine_matches_literal_chain_rule(self):
+        # the pullback data map is not affine: its partials of order >= 2 are nonzero
+        mesh = Mesh1D.uniform(16)
+        dmap = DomainMap1D(p=2)
+        hat = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
+        tilde = TildeData(dmap, hat, mesh, np.array([0.3, -0.2]))
+        oracle = PdeOracle(mesh, Nonlinearity.cubic())
+        table = parametric_derivative_table(oracle, tilde, 3)
+        for alpha in multi_indices_up_to(2, 3):
+            if alpha.order() < 2:
+                continue
+            engine = table.entry(alpha)
+            literal = higher_derivative_reference(oracle, table, alpha)
+            assert mesh.h1_norm(engine - literal) <= 1e-12 * mesh.h1_norm(engine), alpha.label()
 
     def test_mixed_fd_match(self):
         mesh = Mesh1D.uniform(64)
@@ -295,7 +289,7 @@ class TestSolutionPartials:
         u = solve_residual(oracle, tilde.data, oracle.zero_state(), 1e-12)
         from gevrey_kit.implicit_diff import DerivativeTable
 
-        table = DerivativeTable(oracle, tilde.data, u, directions=None)
+        table = DerivativeTable(oracle, tilde.data, u, tilde.partial)
         with pytest.raises(LookupError):
             parametric_solution_derivative(oracle, tilde, table,
                                            MultiIndex.make({1: 2}))
@@ -404,7 +398,7 @@ class TestRateFit:
 
             data = property(lambda self: self.partial(MultiIndex()))
 
-        entries = leibniz_linear_partials(mesh, AffineData(), 2, 5)
+        entries = linear_leibniz_partials(mesh, AffineData().partial, 2, 5)
         norms = {a: mesh.h1_norm(v) for a, v in entries.items() if not a.is_zero()}
         fit = gevrey_rate_fit(norms, dmap.gammas())
         assert fit.s <= 1.2

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gevrey_kit.combinatorics import MultiIndex
 from gevrey_kit.envelopes import GevreyEnvelope, StabilityConstant, envelope_check, implicit_envelope
 from gevrey_kit.implicit_diff import derivative_table, finite_difference_check, solve_residual
 from gevrey_kit.pde1d import (
@@ -23,25 +24,9 @@ from gevrey_kit.pde1d import (
     solution_bound_check,
     validate_admissible,
 )
+from gevrey_kit.selftest import shooting_midpoint
 
 CONTINUOUS_POINCARE = math.sqrt(1.0 + math.pi**2) / math.pi
-
-
-def shooting_midpoint():
-    """Independent midpoint value for -u'' + u**3 = 1, u(0) = u(1) = 0."""
-    from scipy.integrate import solve_ivp
-    from scipy.optimize import brentq
-
-    def rhs(_, z):
-        return [z[1], z[0] ** 3 - 1.0]
-
-    def end_value(slope):
-        sol = solve_ivp(rhs, (0.0, 1.0), [0.0, slope], rtol=1e-10, atol=1e-12)
-        return sol.y[0, -1]
-
-    slope = brentq(end_value, 0.2, 0.8, xtol=1e-12)
-    sol = solve_ivp(rhs, (0.0, 0.5), [0.0, slope], rtol=1e-10, atol=1e-12)
-    return float(sol.y[0, -1])
 
 
 class TestMesh:
@@ -106,6 +91,13 @@ class TestNonlinearity:
     def test_non_monotone_rejected(self):
         with pytest.raises(ValueError):
             Nonlinearity.polynomial([0.0, 1.0])  # z**2 decreases left of zero
+
+    def test_monotonicity_decided_on_whole_line(self):
+        # N'(z) = (z - 50)**2 - 1 dips below zero only on (49, 51)
+        with pytest.raises(ValueError, match="monotone"):
+            Nonlinearity.polynomial([2499.0, -50.0, 1.0 / 3.0])
+        # N'(z) = 3 (z - 1)**2 touches zero at a double root
+        Nonlinearity.polynomial([3.0, -3.0, 1.0])
 
     def test_exponential_rejected_with_growth_message(self):
         with pytest.raises(ValueError, match="growth"):
@@ -422,7 +414,7 @@ class TestMonotonicityAndBound:
                                                [0.1, 0.05, 0.025],
                                                norm=oracle.state_norm,
                                                eval_noise=2e-13)
-            gap = oracle.state_norm(table.entry((0,) * n) - est)
+            gap = oracle.state_norm(table.entry(MultiIndex.make({1: n})) - est)
             assert gap <= ind, (n, gap, ind)
 
     def test_pde_table_envelope_compliance(self):
@@ -434,10 +426,10 @@ class TestMonotonicityAndBound:
         fnorm = data_norm(mesh, PdeData(0 * raw.a, 0 * raw.b, raw.f, 0.0))
         h = raw * (1.0 / max(0.2, 0.1, fnorm))
         table = derivative_table(oracle, base, [h], 4, tol=1e-13)
-        consts = estimate_constants(mesh, base, nl, table.entry(()))
+        consts = estimate_constants(mesh, base, nl, table.entry(MultiIndex()))
         env = implicit_envelope(
             StabilityConstant(consts.alpha),
             GevreyEnvelope(1.0, consts.sigma, consts.digamma),
         )
-        norms = {n: oracle.state_norm(table.entry((0,) * n)) for n in range(1, 5)}
+        norms = {n: oracle.state_norm(table.entry(MultiIndex.make({1: n}))) for n in range(1, 5)}
         assert envelope_check(norms, env, tolerance=1e-6).passed
