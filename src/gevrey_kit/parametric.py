@@ -256,10 +256,16 @@ def data_envelope(dmap: DomainMap1D, hat: PdeData, mesh: Mesh1D) -> ParametricEn
     )
 
 
-def _solve_at(dmap, hat, mesh, nl, y, tol):
-    tilde = TildeData(dmap, hat, mesh, y)
-    u = newton_solve(mesh, tilde.data, nl, tol=tol)
-    return tilde, u
+def _solve_at(dmap, hat, mesh, nl, ys, tol):
+    """(tilde data, solution) at each parameter point; raises ValueError when
+    there is none, since constants measured on no point certify nothing."""
+    solves = []
+    for y in ys:
+        tilde = TildeData(dmap, hat, mesh, y)
+        solves.append((tilde, newton_solve(mesh, tilde.data, nl, tol=tol)))
+    if not solves:
+        raise ValueError("need at least one parameter point")
+    return solves
 
 
 def _envelope_from_solves(dmap, hat, mesh, nl, solves):
@@ -304,9 +310,9 @@ def solution_envelope(dmap: DomainMap1D, hat: PdeData, mesh: Mesh1D,
     Chains the constructive data envelope with the implicit-solution
     envelope built from constants measured at the sampled parameter
     points (stability bound, residual-derivative constants).  Returns
-    (envelope, constants detail).
+    (envelope, constants detail); raises ValueError when ys is empty.
     """
-    solves = [_solve_at(dmap, hat, mesh, nl, y, tol) for y in ys]
+    solves = _solve_at(dmap, hat, mesh, nl, ys, tol)
     return _envelope_from_solves(dmap, hat, mesh, nl, solves)
 
 
@@ -345,8 +351,9 @@ def verify_derivative_bounds(dmap: DomainMap1D, hat: PdeData, mesh: Mesh1D,
     When no envelope is passed, the composed-envelope pipeline of
     `solution_envelope` is used with constants measured on the same
     samples.  An entry passes when measured <= bound, with no slack.
+    Raises ValueError when ys is empty.
     """
-    solves = [_solve_at(dmap, hat, mesh, nl, y, tol) for y in ys]
+    solves = _solve_at(dmap, hat, mesh, nl, ys, tol)
     constants: dict = {}
     if envelope is None:
         envelope, constants = _envelope_from_solves(dmap, hat, mesh, nl, solves)

@@ -5,7 +5,10 @@ The weak problem on the unit interval reads: find u with
     <a u', v'> + <b N(u), v> = <f, v> + g v(1)   for all test v,
 
 where N is a pointwise monotone nonlinearity, the left endpoint is always
-Dirichlet and the right endpoint Dirichlet or Neumann.  Nodal fields are
+Dirichlet and the right endpoint Dirichlet or Neumann.  N and each of its
+derivatives is a polynomial in an inner function, N^(n)(z) = P_n(g(z)) with
+g the identity or tanh; its monotonicity and growth bound are decided
+exactly from the coefficients of P_1 and P_0.  Nodal fields are
 numpy vectors over the free nodes (Dirichlet nodes eliminated); coefficient
 and forcing fields live at the 3-point Gauss nodes of each element, shape
 (n_elements, 3).  Discrete norms use the full H1 inner product
@@ -38,7 +41,6 @@ __all__ = [
     "PdeConstants",
     "BoundCheck",
     "MonotonicityProbe",
-    "nemyckii_derivative",
     "assemble_residual",
     "apply_residual_derivative",
     "newton_solve",
@@ -278,41 +280,53 @@ class PdeData:
 
 
 class Nonlinearity:
-    """Pointwise scalar nonlinearity with exact derivatives of every order.
+    """Pointwise scalar nonlinearity N(z) = P_0(g(z)) with exact derivatives.
 
-    Two families are supported: polynomials with vanishing constant term,
-    and the shifted hyperbolic tangent 2 + tanh.  Construction verifies
-    monotonicity (nonnegative first derivative: exactly, from the critical
-    points of N', for polynomials; by a sign sweep and secant sampling for
-    tanh) and the polynomial growth bound
-    |N(z)| <= c * (1 + |z|**(q-1)) on a sample grid; candidates without a
-    polynomial bound are rejected.
+    P_0 is a polynomial and g an inner function whose derivative is itself
+    a polynomial in g, so every derivative has the same form:
+    N^(n)(z) = P_n(g(z)) with P_{n+1} = P_n' * g'.  Two families exist:
+
+    * polynomials with vanishing constant term: g(z) = z, g' = 1;
+    * the shifted hyperbolic tangent 2 + tanh: g = tanh, P_0(t) = 2 + t,
+      g' = 1 - t**2.
+
+    Admissibility is decided exactly, with no sample grid.  Monotonicity:
+    P_1 >= 0 on the closure of g's range (the real line, or [-1, 1]), from
+    its limits at infinite ends and its values at the ends and critical
+    points.  Growth: deg P_0 <= q - 1, and since |g(z)| <= max(1, |z|) the
+    sum of |P_0 coefficients| is a constant c with
+    |N(z)| <= c * (1 + |z|**(q-1)) for all real z.  Candidates without a
+    polynomial bound (exp) are rejected.
     """
 
     def __init__(self, kind: str, coeffs: np.ndarray | None, q: float):
         self.kind = kind
         self.q = float(q)
         if kind == "polynomial":
-            c = np.asarray(coeffs, dtype=float)
-            while len(c) > 1 and c[-1] == 0.0:
-                c = c[:-1]
-            self._coeffs = c
-            self.degree = int(len(c) - 1)
-            if c[0] != 0.0:
+            p0 = np.asarray(coeffs, dtype=float)
+            while len(p0) > 1 and p0[-1] == 0.0:
+                p0 = p0[:-1]
+            if p0[0] != 0.0:
                 raise ValueError("polynomial nonlinearity must vanish at zero")
-            if self.degree > math.floor(self.q - 1.0):
-                raise ValueError(
-                    f"degree {self.degree} exceeds floor(q-1) = {math.floor(self.q - 1.0)}"
-                )
-            self._deriv_coeffs = [c]
+            self.degree = int(len(p0) - 1)
+            self._g = self._g_scalar = _identity
+            self._g_range, self._dg = (-math.inf, math.inf), np.array([1.0])
         elif kind == "tanh_shifted":
-            self._coeffs = None
+            p0 = np.array([2.0, 1.0])
             self.degree = None
-            self._tanh_polys = [np.array([1.0, 0.0, -1.0])]  # d/dz tanh = 1 - tanh^2
+            # Arrays go through np.tanh and interval ends through math.tanh;
+            # the two differ in the last bit for some arguments.
+            self._g, self._g_scalar = np.tanh, math.tanh
+            self._g_range, self._dg = (-1.0, 1.0), np.array([1.0, 0.0, -1.0])
         else:
             raise ValueError(f"unknown nonlinearity kind {kind!r}")
+        if len(p0) - 1 > math.floor(self.q - 1.0):
+            raise ValueError(
+                f"degree {len(p0) - 1} exceeds floor(q-1) = {math.floor(self.q - 1.0)}"
+            )
+        self._polys = [p0]
         self._check_monotone()
-        self.growth_constant = self._growth_constant(lambda z: self.deriv(0, z), self.q)
+        self.growth_constant = float(np.sum(np.abs(p0)))
 
     # -- factories ----------------------------------------------------------
 
@@ -336,70 +350,38 @@ class Nonlinearity:
     @classmethod
     def exponential(cls, q: float = 6.0) -> "Nonlinearity":
         """Always rejected: exp admits no polynomial growth bound."""
-        cls._growth_constant(np.exp, q)
-        raise AssertionError("growth check unexpectedly passed for exp")
+        raise ValueError(
+            "polynomial growth bound |N(z)| <= c*(1+|z|**(q-1)) cannot be satisfied "
+            f"for q={q:g}: exp(z) / |z|**k is unbounded for every k"
+        )
 
     # -- validation ----------------------------------------------------------
 
     def _check_monotone(self) -> None:
-        if self.kind == "polynomial":
-            # Exact: N' of even degree with positive leading coefficient (or a
-            # nonnegative constant), and N' >= 0 up to round-off at the real
-            # part of every root of N'' (a multiple root may come back complex).
-            d1 = npoly.polyder(self._coeffs)
-            crit = npoly.polyroots(npoly.polyder(d1)).real
-            floor = -1e-12 * npoly.polyval(np.abs(crit), np.abs(d1))
-            if (len(d1) - 1) % 2 or d1[-1] < 0.0 or np.any(npoly.polyval(crit, d1) < floor):
-                raise ValueError("nonlinearity is not monotone: N' < 0 somewhere on the real line")
-            return
-        zs = np.linspace(-40.0, 40.0, 1601)
-        if float(np.min(self.deriv(1, zs))) < -1e-10:
-            raise ValueError("nonlinearity is not monotone: N' < 0 on the sample grid")
-        vals = self.deriv(0, zs)
-        secants = (vals[1:] - vals[:-1]) * (zs[1:] - zs[:-1])
-        if float(np.min(secants)) < -1e-10:
-            raise ValueError("nonlinearity is not monotone: secant test failed")
-
-    @staticmethod
-    def _growth_constant(fn: Callable, q: float) -> float:
-        grid = np.linspace(0.0, 80.0, 321)
-        zs = np.concatenate([-grid[:0:-1], grid])
-        ratios = np.abs(fn(zs)) / (1.0 + np.abs(zs) ** (q - 1.0))
-        inner = float(np.max(ratios[np.abs(zs) <= 40.0]))
-        outer = float(np.max(ratios[np.abs(zs) > 40.0]))
-        if outer > 5.0 * max(inner, 1e-300):
-            raise ValueError(
-                "polynomial growth bound |N(z)| <= c*(1+|z|**(q-1)) cannot be "
-                f"satisfied for q={q:g}: sampled ratio grows from {inner:.3g} "
-                f"(|z| <= 40) to {outer:.3g} (|z| <= 80)"
-            )
-        return float(np.max(ratios))
+        # N' = P_1(g) >= 0 iff P_1 >= 0 on the closure of g's range: at an
+        # infinite end the leading term decides the sign, elsewhere the values
+        # at the ends and critical points, up to evaluation round-off.
+        p1 = self._poly(1)
+        lo, hi = self._g_range
+        limits = [p1[-1] * x ** (len(p1) - 1) for x in (lo, hi) if math.isinf(x)]
+        pts = _critical_points(p1, lo, hi)
+        floor = -1e-12 * npoly.polyval(np.abs(pts), np.abs(p1))
+        if min(limits, default=0.0) < 0.0 or np.any(npoly.polyval(pts, p1) < floor):
+            raise ValueError("nonlinearity is not monotone: N' < 0 somewhere on the real line")
 
     # -- evaluation ----------------------------------------------------------
+
+    def _poly(self, n: int) -> np.ndarray:
+        """Coefficients of P_n, with N^(n)(z) = P_n(g(z))."""
+        while len(self._polys) <= n:
+            self._polys.append(npoly.polymul(npoly.polyder(self._polys[-1]), self._dg))
+        return self._polys[n]
 
     def deriv(self, n: int, z):
         """Values of the n-th derivative, broadcasting over z."""
         if n < 0:
             raise ValueError("derivative order must be >= 0")
-        z = np.asarray(z, dtype=float)
-        if self.kind == "polynomial":
-            if n > self.degree:
-                return np.zeros_like(z)
-            while len(self._deriv_coeffs) <= n:
-                self._deriv_coeffs.append(npoly.polyder(self._deriv_coeffs[-1]))
-            return npoly.polyval(z, self._deriv_coeffs[n])
-        if n == 0:
-            return 2.0 + np.tanh(z)
-        return npoly.polyval(np.tanh(z), self._tanh_poly(n))
-
-    def _tanh_poly(self, n: int) -> np.ndarray:
-        # n-th tanh derivative as a polynomial in t = tanh(z):
-        # P_1 = 1 - t^2, P_{k+1} = P_k' * (1 - t^2)
-        while len(self._tanh_polys) < n:
-            nxt = npoly.polymul(npoly.polyder(self._tanh_polys[-1]),
-                                np.array([1.0, 0.0, -1.0]))
-            self._tanh_polys.append(nxt)
-        return self._tanh_polys[n - 1]
+        return npoly.polyval(self._g(np.asarray(z, dtype=float)), self._poly(n))
 
     def __call__(self, z):
         return self.deriv(0, z)
@@ -413,42 +395,29 @@ class Nonlinearity:
         return float(self.deriv(0, 0.0))
 
     def deriv_sup(self, n: int, lo: float, hi: float) -> float:
-        """Exact max of |N^(n)| on [lo, hi] (via critical points)."""
+        """Exact max of |N^(n)| on [lo, hi]: max of |P_n| on [g(lo), g(hi)]
+        (g is increasing), attained at an end or a critical point."""
         if lo > hi:
             raise ValueError("empty interval")
-        if self.kind == "polynomial":
-            if n > self.degree:
-                return 0.0
-            self.deriv(n, 0.0)  # materialize coefficient row
-            return _poly_abs_max(self._deriv_coeffs[n], lo, hi)
-        if n == 0:
-            return max(abs(2.0 + math.tanh(lo)), abs(2.0 + math.tanh(hi)))
-        return _poly_abs_max(self._tanh_poly(n), math.tanh(lo), math.tanh(hi))
+        coeffs = self._poly(n)
+        pts = _critical_points(coeffs, self._g_scalar(lo), self._g_scalar(hi))
+        return float(np.max(np.abs(npoly.polyval(pts, coeffs))))
 
 
-def _poly_abs_max(coeffs_le: np.ndarray, lo: float, hi: float) -> float:
-    candidates = [lo, hi]
-    if len(coeffs_le) > 2:
-        der = npoly.polyder(coeffs_le)
-        if np.any(der != 0.0):
-            for root in npoly.polyroots(der):
-                if abs(root.imag) < 1e-9 and lo < root.real < hi:
-                    candidates.append(float(root.real))
-    return float(np.max(np.abs(npoly.polyval(np.asarray(candidates), coeffs_le))))
+def _identity(z):
+    return z
+
+
+def _critical_points(coeffs: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The finite ends of [lo, hi] and the real part of every critical point
+    of the polynomial strictly inside.  Imaginary parts are dropped rather
+    than filtered, since a multiple root may come back as a complex pair."""
+    crit = npoly.polyroots(npoly.polyder(coeffs)).real
+    ends = [x for x in (lo, hi) if math.isfinite(x)]
+    return np.concatenate([ends, crit[(lo < crit) & (crit < hi)]])
 
 
 # -- residual and derivatives -------------------------------------------------
-
-
-def nemyckii_derivative(mesh: Mesh1D, nl: Nonlinearity, n: int,
-                        u: np.ndarray, args: Sequence[np.ndarray]) -> np.ndarray:
-    """Quadrature values of N^(n)(u) * args_1 * ... * args_n."""
-    if len(args) != n:
-        raise ValueError("need exactly n argument fields")
-    out = nl.deriv(n, mesh.at_quad(u))
-    for w in args:
-        out = out * mesh.at_quad(w)
-    return out
 
 
 def assemble_residual(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
@@ -720,22 +689,15 @@ def estimate_constants(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
         2: 2.0 + b_sup * sup(2) * ce + 2.0 * sup(1),
     }
     degree = nl.max_order()
-    if degree is not None:
-        for r in range(3, degree + 2):
-            bounds[r] = (b_sup * sup(r) * ce ** (r - 1)
-                         + r * sup(r - 1) * ce ** (r - 2))
-        digamma = 1.0
-        sigma = max([1.0] + [m / math.factorial(r) for r, m in bounds.items()])
-    else:
-        for r in range(3, 7):
-            bounds[r] = (b_sup * sup(r) * ce ** (r - 1)
-                         + r * sup(r - 1) * ce ** (r - 2))
+    for r in range(3, 7 if degree is None else degree + 2):
+        bounds[r] = (b_sup * sup(r) * ce ** (r - 1)
+                     + r * sup(r - 1) * ce ** (r - 2))
+    digamma, tail = 1.0, []
+    if degree is None:
         # Cauchy bound on a width-1 strip: sup_R |tanh^(n)| <= n! * tan(1),
         # so the composition term admits r! * K * ce**(r-1) for all r.
-        tail = math.tan(1.0) * (b_sup + 1.0)
         digamma = max(1.0, ce)
-        sigma = max(
-            [1.0, tail / digamma]
-            + [m / (math.factorial(r) * digamma**r) for r, m in bounds.items()]
-        )
+        tail = [math.tan(1.0) * (b_sup + 1.0) / digamma]
+    sigma = max([1.0] + tail
+                + [m / (math.factorial(r) * digamma**r) for r, m in bounds.items()])
     return PdeConstants(alpha, alpha_measured, c_pf, c_a, sigma, digamma, ce)

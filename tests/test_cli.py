@@ -246,6 +246,15 @@ class TestVerifyBounds:
         cfg = self.config(tmp_path, mystery=1)
         assert run_cli(["verify-bounds", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("y_samples", [0, -2])
+    def test_no_parameter_points_rejected(self, tmp_path, y_samples):
+        cfg = self.config(tmp_path, y_samples=y_samples)
+        out, rep = tmp_path / "bounds.csv", tmp_path / "bounds.json"
+        code = run_cli(["verify-bounds", "--config", str(cfg), "--output", str(out),
+                        "--report", str(rep)])
+        assert code == 1
+        assert not out.exists() and not rep.exists()
+
 
 class TestGlobalBehavior:
     def test_version_flag(self, capsys):

@@ -19,7 +19,6 @@ from gevrey_kit.pde1d import (
     estimate_constants,
     linearization_matrix,
     monotonicity_probe,
-    nemyckii_derivative,
     newton_solve,
     solution_bound_check,
     validate_admissible,
@@ -123,9 +122,19 @@ class TestNonlinearity:
                 assert exact >= dense - 1e-9
                 assert exact <= dense * (1.0 + 1e-3) + 1e-9
 
-    def test_growth_constant_cubic(self):
-        nl = Nonlinearity.cubic()
-        assert 0.9 <= nl.growth_constant <= 1.1
+    @pytest.mark.parametrize("name", ["cubic", "shifted_cubic", "tanh_shifted"])
+    def test_growth_constant_cubic(self, name):
+        nl = {
+            "cubic": Nonlinearity.cubic,
+            "shifted_cubic": lambda: Nonlinearity.polynomial([3.0, -3.0, 1.0]),
+            "tanh_shifted": Nonlinearity.tanh_shifted,
+        }[name]()
+        # the growth bound must hold on the whole line, not only on a grid
+        zs = np.concatenate([[100.0, -1.1322], np.linspace(-200.0, 200.0, 400001)])
+        bound = nl.growth_constant * (1.0 + np.abs(zs) ** (nl.q - 1.0))
+        assert np.all(np.abs(nl.deriv(0, zs)) <= bound)
+        if name == "cubic":
+            assert 0.9 <= nl.growth_constant <= 1.1
 
 
 class TestNemyckii:
@@ -134,7 +143,7 @@ class TestNemyckii:
         nl = Nonlinearity.cubic()
         u = mesh.interpolate(lambda x: 2.0)
         ones = mesh.interpolate(lambda x: 1.0)
-        field = nemyckii_derivative(mesh, nl, 1, u, [ones])
+        field = nl.deriv(1, mesh.at_quad(u)) * mesh.at_quad(ones)
         # interior elements see u = 2: N'(2) * 1 = 12
         assert np.allclose(field[mesh.n_elements // 2], 12.0)
 
@@ -142,8 +151,8 @@ class TestNemyckii:
         mesh = Mesh1D.uniform(8)
         nl = Nonlinearity.cubic()
         u = mesh.interpolate(lambda x: x)
-        args = [u, u, u, u]
-        assert np.all(nemyckii_derivative(mesh, nl, 4, u, args) == 0.0)
+        uq = mesh.at_quad(u)
+        assert np.all(nl.deriv(4, uq) * uq * uq * uq * uq == 0.0)
 
 
 class TestResidual:
