@@ -26,7 +26,6 @@ __all__ = [
     "set_partitions",
     "schroeder_hipparchus",
     "schroeder_hipparchus_sequence",
-    "schroeder_hipparchus_by_composition_sum",
     "factorial_inequality_check",
     "composition_identity_check",
     "multi_indices_up_to",
@@ -307,29 +306,6 @@ def schroeder_hipparchus_sequence(n: int) -> list[int]:
 def schroeder_hipparchus(n: int) -> int:
     """The n-th little Schroeder number (1-based), exact integer."""
     return schroeder_hipparchus_sequence(n)[-1]
-
-
-def schroeder_hipparchus_by_composition_sum(n: int) -> int:
-    """Independent evaluation of the defining recursion.
-
-    k_1 = 1 and, for m >= 2,
-    k_m = sum over r = 2..m and compositions (i_1, ..., i_r) of m
-          of the product k_{i_1} * ... * k_{i_r}.
-    Exponential in n; intended for cross-checks at desk scale.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    kappa = [0, 1]
-    for m in range(2, n + 1):
-        total = 0
-        for r in range(2, m + 1):
-            for comp in compositions(m, r):
-                prod = 1
-                for i in comp.parts:
-                    prod *= kappa[i]
-                total += prod
-        kappa.append(total)
-    return kappa[n]
 
 
 def factorial_inequality_check(comp: Composition) -> bool:

@@ -11,8 +11,8 @@ and a partial of order |alpha| >= 2 follows from the multi-index
 composition recursion of the chain rule (`higher_derivative`).
 Directional mode is the affine data map t -> d + sum_k t_k h_k, whose
 mixed partial at e_{k_1} + ... + e_{k_n} is D^nS(d)[h_{k_1}, ..., h_{k_n}].
-A literal permutation-and-composition form is kept in
-`higher_derivative_reference` as a cross-check for small orders.
+The literal permutation-and-composition form that cross-checks this
+recursion at small orders is an independent oracle in `selftest`.
 
 An oracle may cache factorizations between calls (`PdeOracle` does), so
 use one oracle per thread.  A `DerivativeTable` is filled order by order
@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .combinatorics import MultiIndex, compositions, multi_index_compositions
+from .combinatorics import MultiIndex, multi_index_compositions
 
 __all__ = [
     "ResidualOracle",
@@ -40,7 +40,6 @@ __all__ = [
     "solve_residual",
     "first_derivative",
     "higher_derivative",
-    "higher_derivative_reference",
     "affine_data_map",
     "derivative_table",
     "finite_difference_check",
@@ -222,39 +221,6 @@ def higher_derivative(oracle: ResidualOracle, table: DerivativeTable,
             args = [(table.data_partial(beta), table.entry(beta)) for beta in comb.parts]
             rhs = rhs + coeff * oracle.apply_derivative(r, table.d, table.u, args)
     return -oracle.solve_linearized(table.d, table.u, rhs)
-
-
-def higher_derivative_reference(oracle: ResidualOracle, table: DerivativeTable,
-                                alpha: MultiIndex):
-    """Literal permutation-and-composition form of the recursion.
-
-    Writes alpha as n = |alpha| coordinate slots and sums
-    1/r! * prod(1/i_j!) * D^rR over all permutations of the slots and all
-    compositions (i_1, ..., i_r) of n with r >= 2, where a segment of the
-    permuted slots contributes the data and solution partials along its
-    coordinates; the r = 1 term contributes D1R[d^alpha data].
-    Factorially expensive; intended for cross-checks with n <= 4.
-    """
-    slots = [k for k, e in alpha.entries for _ in range(e)]
-    n = len(slots)
-    if n < 2:
-        raise ValueError("needs |alpha| >= 2")
-    total = oracle.apply_derivative(
-        1, table.d, table.u, [(table.data_partial(alpha), oracle.zero_state())]
-    )
-    for sigma in itertools.permutations(slots):
-        for r in range(2, n + 1):
-            for comp in compositions(n, r):
-                coeff = 1.0 / math.factorial(r)
-                args = []
-                pos = 0
-                for part in comp.parts:
-                    seg = MultiIndex.make(Counter(sigma[pos:pos + part]))
-                    pos += part
-                    coeff /= math.factorial(part)
-                    args.append((table.data_partial(seg), table.entry(seg)))
-                total = total + coeff * oracle.apply_derivative(r, table.d, table.u, args)
-    return -oracle.solve_linearized(table.d, table.u, total)
 
 
 def affine_data_map(oracle: ResidualOracle, d, directions: Sequence):

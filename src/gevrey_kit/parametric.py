@@ -51,7 +51,6 @@ __all__ = [
     "BILIPSCHITZ_CONSTANT",
     "DomainMap1D",
     "TildeData",
-    "pullback",
     "data_map_partials",
     "parametric_solution_derivative",
     "parametric_derivative_table",
@@ -134,8 +133,9 @@ class TildeData:
     """Pulled-back data at a fixed parameter point, with cached partials.
 
     In one dimension the pullback is a -> a/W, b -> W b, f -> W f with the
-    flux value unchanged.  W is affine in y, so the only nonlinearity in y
-    sits in 1/W, whose mixed partials satisfy the reciprocal recursion
+    flux value unchanged (`data`), and ellipticity survives: on the box
+    inf a/W >= min(1, inf a) / 8.  W is affine in y, so all nonlinearity
+    in y sits in 1/W, whose mixed partials obey the reciprocal recursion
 
         W * d^alpha (1/W) = -sum_k alpha_k w_k d^(alpha - e_k) (1/W),
 
@@ -184,14 +184,6 @@ class TildeData:
             wk = self.mode_grads[k - 1]
             return PdeData(a_part, wk * self.hat.b, wk * self.hat.f, 0.0)
         return PdeData(a_part, self._zero, self._zero, 0.0)
-
-
-def pullback(dmap: DomainMap1D, hat: PdeData, mesh: Mesh1D, y) -> PdeData:
-    """Pulled-back data tuple (a/W, W b, W f, g) at the parameter point y.
-
-    Ellipticity survives: on the box, inf a/W >= min(1, inf a) / 8.
-    """
-    return TildeData(dmap, hat, mesh, y).data
 
 
 def data_map_partials(dmap: DomainMap1D, hat: PdeData, mesh: Mesh1D, y,

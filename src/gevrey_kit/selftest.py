@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,6 @@ from .combinatorics import (
     multi_index_compositions,
     multi_indices_up_to,
     schroeder_hipparchus,
-    schroeder_hipparchus_by_composition_sum,
     schroeder_hipparchus_sequence,
     set_partitions,
 )
@@ -46,7 +46,6 @@ from .implicit_diff import (
     finite_difference_check,
     first_derivative,
     higher_derivative,
-    higher_derivative_reference,
     scalar_cubic_oracle,
     scalar_quadratic_oracle,
     solve_residual,
@@ -56,7 +55,6 @@ from .parametric import (
     TildeData,
     gevrey_rate_fit,
     parametric_derivative_table,
-    pullback,
     verify_derivative_bounds,
 )
 from .pde1d import (
@@ -124,6 +122,61 @@ def _scalar_operator_norm(oracle, d, u, r: int) -> float:
         args = [(np.asarray(c[:m]), c[m]) for c in combo]
         best = max(best, abs(oracle.apply_derivative(r, d, u, args)))
     return best
+
+
+def schroeder_hipparchus_by_composition_sum(n: int) -> int:
+    """Independent evaluation of the defining recursion.
+
+    k_1 = 1 and, for m >= 2,
+    k_m = sum over r = 2..m and compositions (i_1, ..., i_r) of m
+          of the product k_{i_1} * ... * k_{i_r}.
+    Exponential in n; intended for cross-checks at desk scale.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    kappa = [0, 1]
+    for m in range(2, n + 1):
+        total = 0
+        for r in range(2, m + 1):
+            for comp in compositions(m, r):
+                prod = 1
+                for i in comp.parts:
+                    prod *= kappa[i]
+                total += prod
+        kappa.append(total)
+    return kappa[n]
+
+
+def higher_derivative_reference(oracle, table, alpha: MultiIndex):
+    """Literal permutation-and-composition form of the recursion.
+
+    Writes alpha as n = |alpha| coordinate slots and sums
+    1/r! * prod(1/i_j!) * D^rR over all permutations of the slots and all
+    compositions (i_1, ..., i_r) of n with r >= 2, where a segment of the
+    permuted slots contributes the data and solution partials along its
+    coordinates; the r = 1 term contributes D1R[d^alpha data].
+    Factorially expensive; intended for cross-checks with n <= 4.
+    """
+    slots = [k for k, e in alpha.entries for _ in range(e)]
+    n = len(slots)
+    if n < 2:
+        raise ValueError("needs |alpha| >= 2")
+    total = oracle.apply_derivative(
+        1, table.d, table.u, [(table.data_partial(alpha), oracle.zero_state())]
+    )
+    for sigma in itertools.permutations(slots):
+        for r in range(2, n + 1):
+            for comp in compositions(n, r):
+                coeff = 1.0 / math.factorial(r)
+                args = []
+                pos = 0
+                for part in comp.parts:
+                    seg = MultiIndex.make(Counter(sigma[pos:pos + part]))
+                    pos += part
+                    coeff /= math.factorial(part)
+                    args.append((table.data_partial(seg), table.entry(seg)))
+                total = total + coeff * oracle.apply_derivative(r, table.d, table.u, args)
+    return -oracle.solve_linearized(table.d, table.u, total)
 
 
 def shooting_midpoint() -> float:
@@ -427,12 +480,9 @@ def check_poincare_convergence() -> None:
     c128 = Mesh1D.uniform(128).poincare_constant
     assert c128 <= continuous + 1e-12
     assert abs(c128 - continuous) < 1e-3
-    consts = estimate_constants(
-        Mesh1D.uniform(64), PdeData.from_spec(Mesh1D.uniform(64), a=1.0, b=0.0, f=1.0),
-        Nonlinearity.cubic(),
-        newton_solve(Mesh1D.uniform(64), PdeData.from_spec(Mesh1D.uniform(64), a=1.0, b=0.0, f=1.0),
-                     Nonlinearity.cubic()),
-    )
+    mesh, nl = Mesh1D.uniform(64), Nonlinearity.cubic()
+    data = PdeData.from_spec(mesh, a=1.0, b=0.0, f=1.0)
+    consts = estimate_constants(mesh, data, nl, newton_solve(mesh, data, nl))
     assert consts.alpha_measured <= consts.alpha * (1.0 + 1e-9)
 
 
@@ -440,12 +490,12 @@ def check_pullback_closed_form() -> None:
     mesh = Mesh1D.uniform(16)
     dmap = DomainMap1D(p=1)
     hat = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
-    tilde = pullback(dmap, hat, mesh, np.array([0.5]))
+    tilde = TildeData(dmap, hat, mesh, np.array([0.5])).data
     expected = 1.0 / (1.0 + 0.5 * dmap.gamma(1) * np.cos(math.pi * mesh.quad_x))
     assert np.allclose(tilde.a, expected, rtol=1e-14)
     assert float(np.min(tilde.a)) >= 1.0 / 8.0
 
-    at_zero = pullback(dmap, hat, mesh, np.array([0.0]))
+    at_zero = TildeData(dmap, hat, mesh, np.array([0.0])).data
     assert np.array_equal(at_zero.a, hat.a) and np.array_equal(at_zero.f, hat.f)
 
 

@@ -22,7 +22,6 @@ from gevrey_kit.combinatorics import (
     composition_identity_check,
     kappa_asymptotic_log,
     multi_indices_up_to,
-    schroeder_hipparchus_by_composition_sum,
     schroeder_hipparchus_sequence,
 )
 from gevrey_kit.envelopes import (
@@ -39,7 +38,6 @@ from gevrey_kit.implicit_diff import (
     derivative_table,
     finite_difference_check,
     higher_derivative,
-    higher_derivative_reference,
     scalar_cubic_oracle,
 )
 from gevrey_kit.parametric import DomainMap1D, TildeData, parametric_derivative_table
@@ -55,7 +53,11 @@ from gevrey_kit.pde1d import (
     newton_solve,
     solution_bound_check,
 )
-from gevrey_kit.selftest import invert_cubic_series
+from gevrey_kit.selftest import (
+    higher_derivative_reference,
+    invert_cubic_series,
+    schroeder_hipparchus_by_composition_sum,
+)
 
 
 class budget:

@@ -131,6 +131,20 @@ class TestSolve:
         out = tmp_path / "u.csv"
         assert run_cli(["solve", "--config", str(cfg), "--output", str(out)]) == 0
 
+    def test_report_is_deterministic(self, tmp_path):
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps({
+            "mesh_n": 1500, "a": 1.0, "b": 1.0, "f": 1.0,
+            "nonlinearity": {"kind": "cubic"},
+        }))
+        reports = []
+        for run in range(2):
+            rep = tmp_path / f"report{run}.json"
+            assert run_cli(["solve", "--config", str(cfg), "--output",
+                            str(tmp_path / f"u{run}.csv"), "--report", str(rep)]) == 0
+            reports.append(rep.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_exponential_nonlinearity_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "solve.json"
         cfg.write_text(json.dumps({

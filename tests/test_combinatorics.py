@@ -17,10 +17,10 @@ from gevrey_kit.combinatorics import (
     multi_index_compositions,
     multi_indices_up_to,
     schroeder_hipparchus,
-    schroeder_hipparchus_by_composition_sum,
     schroeder_hipparchus_sequence,
     set_partitions,
 )
+from gevrey_kit.selftest import schroeder_hipparchus_by_composition_sum
 
 # B_0..B_7, for partition-count cross-checks.
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]

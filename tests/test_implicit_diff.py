@@ -23,12 +23,11 @@ from gevrey_kit.implicit_diff import (
     finite_difference_check,
     first_derivative,
     higher_derivative,
-    higher_derivative_reference,
     scalar_cubic_oracle,
     scalar_quadratic_oracle,
     solve_residual,
 )
-from gevrey_kit.selftest import invert_cubic_series
+from gevrey_kit.selftest import higher_derivative_reference, invert_cubic_series
 
 
 # Frozen from the series oracle: derivatives n! * c_n for n = 1..5.

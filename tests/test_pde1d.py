@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gevrey_kit.combinatorics import MultiIndex
 from gevrey_kit.envelopes import GevreyEnvelope, StabilityConstant, envelope_check, implicit_envelope
@@ -363,6 +364,43 @@ class TestConstants:
         func[-1] = 1.0
         assert math.isclose(mesh.dual_norm(func), mesh.trace_constant, rel_tol=1e-12)
         assert Mesh1D.uniform(32).trace_constant == 0.0
+
+    def test_constants_are_deterministic(self):
+        first, second = Mesh1D.uniform(1500), Mesh1D.uniform(1500)
+        assert first.poincare_constant == second.poincare_constant
+        assert first.embedding_constant == second.embedding_constant
+
+    @pytest.mark.parametrize("mesh", [
+        Mesh1D.uniform(2),
+        Mesh1D.uniform(2, "neumann"),
+        Mesh1D.uniform(64),
+        Mesh1D(np.concatenate([[0.0], np.sort(np.random.default_rng(8).uniform(0, 1, 40)),
+                               [1.0]]), "neumann"),
+    ], ids=["one-free-node", "two-free-neumann", "uniform64", "random-neumann"])
+    def test_inverse_diag_matches_dense_inverse(self, mesh):
+        dense = np.diag(np.linalg.inv(mesh.h1_gram.toarray()))
+        assert np.allclose(mesh._h1_inverse_diag, dense, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("n", [2, 16, 256])
+    def test_poincare_eigenvalue_closed_form(self, n):
+        # the first discrete sine mode: K and M are its stiffness and mass values
+        h = 1.0 / n
+        s = math.sin(math.pi * h / 2.0) ** 2
+        stiff, mass = 4.0 * s / h, h * (3.0 - 2.0 * s) / 3.0
+        lam = Mesh1D.uniform(n).poincare_constant ** -2
+        assert math.isclose(lam, stiff / (stiff + mass), rel_tol=1e-11)
+
+    @pytest.mark.parametrize("nl", [Nonlinearity.cubic(), Nonlinearity.tanh_shifted()],
+                             ids=["cubic", "tanh"])
+    def test_alpha_measured_matches_dense_eigh(self, nl):
+        mesh = Mesh1D.uniform(64)
+        data = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
+        u = newton_solve(mesh, data, nl)
+        lam = scipy.linalg.eigh(linearization_matrix(mesh, data, nl, u).toarray(),
+                                mesh.h1_gram.toarray(), eigvals_only=True,
+                                subset_by_index=[0, 0])[0]
+        consts = estimate_constants(mesh, data, nl, u)
+        assert math.isclose(consts.alpha_measured, 1.0 / lam, rel_tol=1e-10)
 
     def test_residual_envelope_certifies_operator_norms(self):
         # randomized probe: (r!)^s * sigma * digamma^r dominates |D^r R| action
