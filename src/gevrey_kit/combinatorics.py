@@ -136,9 +136,6 @@ class MultiIndex:
         parts = [f"e{k}" if e == 1 else f"{e}e{k}" for k, e in self.entries]
         return "+".join(parts)
 
-    def sort_key(self) -> tuple:
-        return (self.order(), self.entries)
-
 
 @dataclass(frozen=True)
 class Composition:

@@ -51,7 +51,6 @@ __all__ = [
     "BILIPSCHITZ_CONSTANT",
     "DomainMap1D",
     "TildeData",
-    "data_map_partials",
     "parametric_solution_derivative",
     "parametric_derivative_table",
     "data_envelope",
@@ -154,6 +153,7 @@ class TildeData:
         self.winv = 1.0 / self.w
         self.data = PdeData(hat.a * self.winv, self.w * hat.b, self.w * hat.f, hat.g)
         self._winv_partials: dict[MultiIndex, np.ndarray] = {MultiIndex(): self.winv}
+        self._partials: dict[MultiIndex, PdeData] = {MultiIndex(): self.data}
         self._zero = np.zeros_like(self.w)
 
     def winv_partial(self, alpha: MultiIndex) -> np.ndarray:
@@ -173,24 +173,17 @@ class TildeData:
         return out
 
     def partial(self, alpha: MultiIndex) -> PdeData:
-        """Mixed partial of the data tuple at this parameter point."""
-        if alpha.is_zero():
-            return self.data
-        a_part = self.hat.a * self.winv_partial(alpha)
-        if alpha.order() == 1:
-            k = alpha.support()[0]
-            if k > self.dmap.p:
-                return PdeData(self._zero, self._zero, self._zero, 0.0)
-            wk = self.mode_grads[k - 1]
-            return PdeData(a_part, wk * self.hat.b, wk * self.hat.f, 0.0)
-        return PdeData(a_part, self._zero, self._zero, 0.0)
-
-
-def data_map_partials(dmap: DomainMap1D, hat: PdeData, mesh: Mesh1D, y,
-                      alpha: MultiIndex) -> PdeData:
-    """Mixed partial of the parameters-to-data map; alpha = 0 gives the
-    pullback itself.  Prefer TildeData when many partials are needed."""
-    return TildeData(dmap, hat, mesh, y).partial(alpha)
+        """Mixed partial of the data tuple at this parameter point, computed
+        once per alpha."""
+        cached = self._partials.get(alpha)
+        if cached is None:
+            b_part = f_part = self._zero
+            if alpha.order() == 1 and (k := alpha.support()[0]) <= self.dmap.p:
+                wk = self.mode_grads[k - 1]
+                b_part, f_part = wk * self.hat.b, wk * self.hat.f
+            cached = PdeData(self.hat.a * self.winv_partial(alpha), b_part, f_part, 0.0)
+            self._partials[alpha] = cached
+        return cached
 
 
 def parametric_solution_derivative(oracle: PdeOracle, tilde: TildeData,

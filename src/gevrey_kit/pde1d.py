@@ -14,6 +14,11 @@ and forcing fields live at the 3-point Gauss nodes of each element, shape
 (n_elements, 3).  Discrete norms use the full H1 inner product
 (mass + stiffness); dual norms go through the corresponding Riesz map.
 
+Every P1 matrix is held as its bands (diag, off) over the free nodes, in
+O(n) memory, and one tridiagonal LDL^T (LAPACK's dpttrf/dpttrs) serves every
+solve and mesh constant.  A state linearization that is not positive
+definite, so no longer elliptic, raises LinearizationError.
+
 Assembly is deterministic and single-threaded per call; distinct data and
 field values may be processed concurrently.
 """
@@ -21,15 +26,13 @@ field values may be processed concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg.lapack import dpttrf
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .implicit_diff import LinearizationError, ResidualOracle, solve_residual
 
@@ -158,44 +161,43 @@ class Mesh1D:
             full[-1] += boundary
         return full[self.free]
 
-    def _tridiag(self, diag: np.ndarray, off: np.ndarray) -> sp.csc_matrix:
-        d = diag[self.free]
-        o = off[self.free[:-1]] if self.n_free > 1 else np.zeros(0)
-        return sp.diags([o, d, o], [-1, 0, 1], format="csc")
-
-    def mass_matrix(self, weight=None) -> sp.csc_matrix:
-        wq = self.quad_w if weight is None else self.quad_w * weight
-        mll = np.sum(wq * self.phi_left * self.phi_left, axis=1)
-        mlr = np.sum(wq * self.phi_left * self.phi_right, axis=1)
-        mrr = np.sum(wq * self.phi_right * self.phi_right, axis=1)
+    def bilinear_form(self, stiffness=None, mass=None) -> tuple[np.ndarray, np.ndarray]:
+        """Bands (diag, off) over the free nodes of the matrix of
+        (w, v) -> <stiffness w', v'> + <mass w, v>; a weight is a quadrature
+        field or scalar, None leaves its term out."""
+        ell = rr = lr = np.zeros(self.n_elements)
+        if stiffness is not None:
+            ke = np.sum(self.quad_w * stiffness, axis=1) / self.h**2
+            ell, rr, lr = ell + ke, rr + ke, lr - ke
+        if mass is not None:
+            wq = self.quad_w * mass
+            ell = ell + np.sum(wq * self.phi_left * self.phi_left, axis=1)
+            rr = rr + np.sum(wq * self.phi_right * self.phi_right, axis=1)
+            lr = lr + np.sum(wq * self.phi_left * self.phi_right, axis=1)
         diag = np.zeros(self.n_nodes)
-        diag[:-1] += mll
-        diag[1:] += mrr
-        return self._tridiag(diag, mlr)
-
-    def stiffness_matrix(self, weight=None) -> sp.csc_matrix:
-        wq = self.quad_w if weight is None else self.quad_w * weight
-        ke = np.sum(wq, axis=1) / self.h**2
-        diag = np.zeros(self.n_nodes)
-        diag[:-1] += ke
-        diag[1:] += ke
-        return self._tridiag(diag, -ke)
+        diag[:-1] += ell
+        diag[1:] += rr
+        return diag[self.free], lr[self.free[:-1]]
 
     # -- norms and constants ------------------------------------------------
 
     @cached_property
-    def h1_gram(self) -> sp.csc_matrix:
-        return (self.mass_matrix() + self.stiffness_matrix()).tocsc()
+    def h1_gram(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.bilinear_form(stiffness=1.0, mass=1.0)
 
     @cached_property
-    def _h1_solver(self):
-        return spla.splu(self.h1_gram)
+    def _h1_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        return _ldl(*self.h1_gram)
 
     def h1_norm(self, v: np.ndarray) -> float:
-        return math.sqrt(max(float(v @ (self.h1_gram @ v)), 0.0))
+        diag, off = self.h1_gram
+        gram_v = diag * v  # row by row, so no cancellation between band sums
+        gram_v[1:] += off * v[:-1]
+        gram_v[:-1] += off * v[1:]
+        return math.sqrt(max(float(v @ gram_v), 0.0))
 
     def riesz(self, functional: np.ndarray) -> np.ndarray:
-        return self._h1_solver.solve(functional)
+        return _ldl_solve(self._h1_factors, functional)
 
     def dual_norm(self, functional: np.ndarray) -> float:
         return math.sqrt(max(float(functional @ self.riesz(functional)), 0.0))
@@ -203,8 +205,8 @@ class Mesh1D:
     @cached_property
     def _h1_inverse_diag(self) -> np.ndarray:
         """1 / (top + bottom - diag), from two LDL^T pivot sweeps (Meurant, SIMAX 1992)."""
-        diag, off = self.h1_gram.diagonal(), self.h1_gram.diagonal(1)
-        top, bottom = _ldl_pivots(diag, off), _ldl_pivots(diag[::-1], off[::-1])[::-1]
+        diag, off = self.h1_gram
+        top, bottom = self._h1_factors[0], _ldl(diag[::-1], off[::-1])[0][::-1]
         return 1.0 / (top + bottom - diag)
 
     @cached_property
@@ -226,31 +228,39 @@ class Mesh1D:
         """Smallest c with ||v||_H1^2 <= c^2 <v', v'> on the free space, by the
         bisection of `_smallest_generalized_eigenvalue` (O(n) memory, the same
         value on every run); it rounds the eigenvalue down, so c_pf up."""
-        lam = _smallest_generalized_eigenvalue(self.stiffness_matrix(), self.h1_gram)
+        lam = _smallest_generalized_eigenvalue(self.bilinear_form(stiffness=1.0), self.h1_gram)
         return 1.0 / math.sqrt(lam)
 
 
-def _ldl_pivots(diag: np.ndarray, off: np.ndarray) -> np.ndarray | None:
-    """LDL^T pivots of the symmetric tridiagonal matrix (diag, off), or None
-    when it is not positive definite (dpttrf stops at a pivot <= 0)."""
+def _ldl(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """LDL^T factors (pivots, multipliers) of the symmetric tridiagonal matrix
+    (diag, off), or None when it is not positive definite (dpttrf stops at a
+    pivot <= 0)."""
     if len(diag) == 1:  # the dpttrf wrapper rejects an empty off-diagonal
-        return diag if diag[0] > 0.0 else None
-    pivots, _, info = dpttrf(diag, off)
-    return pivots if info == 0 else None
+        return (diag, off) if diag[0] > 0.0 else None
+    pivots, multipliers, info = dpttrf(diag, off)
+    return (pivots, multipliers) if info == 0 else None
 
 
-def _smallest_generalized_eigenvalue(a_mat: sp.spmatrix, b_mat: sp.spmatrix) -> float:
-    """Smallest eigenvalue of a positive definite tridiagonal pencil (A, B) by
+def _ldl_solve(factors: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """Solution of L D L^T x = rhs from the factors of `_ldl`."""
+    pivots, multipliers = factors
+    if len(pivots) == 1:
+        return rhs / pivots
+    return dpttrs(pivots, multipliers, rhs)[0]
+
+
+def _smallest_generalized_eigenvalue(a_bands: tuple, b_bands: tuple) -> float:
+    """Smallest eigenvalue of a positive definite pencil of bands (A, B) by
     inertia bisection (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)): A - tB
     is positive definite exactly when t is below it.  From lo = 0 and the
     Rayleigh quotient hi = min A_ii/B_ii, lo moves only where the LDL^T succeeds,
     until no midpoint lies strictly between (55-60 steps).  Returns lo, a lower
     bound up to round-off, in O(n) time and memory and the same on every run."""
-    a_diag, a_off = a_mat.diagonal(), a_mat.diagonal(1)
-    b_diag, b_off = b_mat.diagonal(), b_mat.diagonal(1)
+    (a_diag, a_off), (b_diag, b_off) = a_bands, b_bands
     lo, hi = 0.0, float(np.min(a_diag / b_diag))
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if _ldl_pivots(a_diag - mid * b_diag, a_off - mid * b_off) is None:
+        if _ldl(a_diag - mid * b_diag, a_off - mid * b_off) is None:
             hi = mid
         else:
             lo = mid
@@ -495,10 +505,9 @@ def apply_residual_derivative(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
 
 
 def linearization_matrix(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
-                         u: np.ndarray) -> sp.csc_matrix:
-    """Matrix of the state linearization v -> <a v', .'> + <b N'(u) v, .>."""
-    weight = data.b * nl.deriv(1, mesh.at_quad(u))
-    return (mesh.stiffness_matrix(data.a) + mesh.mass_matrix(weight)).tocsc()
+                         u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bands of the state linearization v -> <a v', .'> + <b N'(u) v, .>."""
+    return mesh.bilinear_form(stiffness=data.a, mass=data.b * nl.deriv(1, mesh.at_quad(u)))
 
 
 class PdeOracle(ResidualOracle):
@@ -506,7 +515,9 @@ class PdeOracle(ResidualOracle):
 
     Data vectors are PdeData values, states free-node numpy vectors, and
     residuals free-node dual vectors; norms are the discrete H1 norm and
-    its dual.  The linearization factorization is cached per base point.
+    its dual.  The LDL^T factors of the linearization are cached per base
+    point; a linearization that is not positive definite raises
+    LinearizationError.
     """
 
     def __init__(self, mesh: Mesh1D, nl: Nonlinearity):
@@ -523,13 +534,11 @@ class PdeOracle(ResidualOracle):
     def solve_linearized(self, d: PdeData, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         cache = self._lin_cache
         if cache is None or cache[0] is not d or cache[1] is not u:
-            try:
-                lu = spla.splu(linearization_matrix(self.mesh, d, self.nl, u))
-            except RuntimeError as exc:
-                raise LinearizationError(str(exc)) from exc
-            cache = (d, u, lu)
-            self._lin_cache = cache
-        return cache[2].solve(rhs)
+            factors = _ldl(*linearization_matrix(self.mesh, d, self.nl, u))
+            if factors is None:
+                raise LinearizationError("state linearization is not positive definite")
+            cache = self._lin_cache = (d, u, factors)
+        return _ldl_solve(cache[2], rhs)
 
     def max_derivative_order(self) -> int | None:
         degree = self.nl.max_order()
@@ -662,15 +671,7 @@ class PdeConstants:
     embedding: float
 
     def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "alpha_measured": self.alpha_measured,
-            "c_pf": self.c_pf,
-            "c_a": self.c_a,
-            "sigma": self.sigma,
-            "digamma": self.digamma,
-            "embedding": self.embedding,
-        }
+        return asdict(self)
 
 
 def estimate_constants(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,

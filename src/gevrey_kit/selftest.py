@@ -15,6 +15,7 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .combinatorics import (
@@ -200,9 +201,11 @@ def shooting_midpoint() -> float:
 def linear_leibniz_partials(mesh: Mesh1D, partial_of_data, p: int, max_order: int):
     """Mixed solution partials of the purely linear problem (b = 0) by the
     product-rule recursion on the bilinear form, independent of the
-    chain-rule engine.  `partial_of_data` maps a MultiIndex to a PdeData."""
+    chain-rule engine, and factorized by SuperLU rather than the library's
+    LDL^T.  `partial_of_data` maps a MultiIndex to a PdeData."""
     base = partial_of_data(MultiIndex())
-    lu = spla.splu(mesh.stiffness_matrix(base.a).tocsc())
+    diag, off = mesh.bilinear_form(stiffness=base.a)
+    lu = spla.splu(sp.diags([off, diag, off], [-1, 0, 1], format="csc"))
     load0 = mesh.assemble_load(None, base.f, boundary=base.g)
     entries = {MultiIndex(): lu.solve(load0)}
     for alpha in multi_indices_up_to(p, max_order):

@@ -211,6 +211,16 @@ class TestDerivatives:
     def test_invalid_order(self):
         assert run_cli(["derivatives", "--problem", "scalar-cubic", "--order", "0"]) == 1
 
+    def test_indefinite_linearization_exit_code(self, tmp_path, capsys):
+        # a = 1 - 30 t loses ellipticity at the finite-difference points
+        dirs = tmp_path / "dirs.json"
+        dirs.write_text(json.dumps([{"a": -30}]))
+        code = run_cli(["derivatives", "--problem", "pde1d", "--order", "2", "--mesh-n", "32",
+                        "--directions", str(dirs), "--fd-check",
+                        "--output", str(tmp_path / "deriv.csv")])
+        assert code == 2
+        assert "not positive definite" in capsys.readouterr().err
+
 
 class TestVerifyBounds:
     def config(self, tmp_path, **overrides):

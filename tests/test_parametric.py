@@ -22,7 +22,6 @@ from gevrey_kit.parametric import (
     DomainMap1D,
     TildeData,
     data_envelope,
-    data_map_partials,
     solution_envelope,
     gevrey_rate_fit,
     parametric_derivative_table,
@@ -184,12 +183,12 @@ class TestDataPartials:
                 exact = tilde.partial(alpha)
                 assert dnorm(est - exact) <= 1e-6 * max(1.0, dnorm(exact))
 
-    def test_wrapper_function(self):
-        alpha = MultiIndex.unit(1)
-        y = np.full(3, 0.1)
-        via_fn = data_map_partials(self.dmap, self.hat, self.mesh, y, alpha)
-        via_obj = TildeData(self.dmap, self.hat, self.mesh, y).partial(alpha)
-        assert np.array_equal(via_fn.a, via_obj.a)
+    def test_partials_are_memoized(self):
+        tilde = TildeData(self.dmap, self.hat, self.mesh, np.full(3, 0.1))
+        alpha = MultiIndex.make({1: 2, 3: 1})
+        assert tilde.partial(alpha) is tilde.partial(alpha)
+        inactive = tilde.partial(MultiIndex.unit(4))  # beyond p = 3
+        assert not any(np.any(getattr(inactive, name)) for name in "abf")
 
 
 class TestSolutionPartials:

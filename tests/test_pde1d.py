@@ -8,7 +8,12 @@ import scipy.linalg
 
 from gevrey_kit.combinatorics import MultiIndex
 from gevrey_kit.envelopes import GevreyEnvelope, StabilityConstant, envelope_check, implicit_envelope
-from gevrey_kit.implicit_diff import derivative_table, finite_difference_check, solve_residual
+from gevrey_kit.implicit_diff import (
+    LinearizationError,
+    derivative_table,
+    finite_difference_check,
+    solve_residual,
+)
 from gevrey_kit.pde1d import (
     Mesh1D,
     Nonlinearity,
@@ -27,6 +32,24 @@ from gevrey_kit.pde1d import (
 from gevrey_kit.selftest import shooting_midpoint
 
 CONTINUOUS_POINCARE = math.sqrt(1.0 + math.pi**2) / math.pi
+
+MESHES = pytest.mark.parametrize("mesh", [
+    Mesh1D.uniform(2),
+    Mesh1D.uniform(2, "neumann"),
+    Mesh1D.uniform(64),
+    Mesh1D(np.concatenate([[0.0], np.sort(np.random.default_rng(8).uniform(0, 1, 40)),
+                           [1.0]]), "neumann"),
+], ids=["one-free-node", "two-free-neumann", "uniform64", "random-neumann"])
+
+
+def dense(bands):
+    """Dense matrix of a symmetric tridiagonal band pair (diag, off)."""
+    diag, off = bands
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def relative_error(got, expected):
+    return float(np.linalg.norm(got - expected) / np.linalg.norm(expected))
 
 
 class TestMesh:
@@ -200,7 +223,7 @@ class TestResidualDerivative:
         w = np.random.default_rng(1).standard_normal(mesh.n_free)
         got = apply_residual_derivative(mesh, data, self.nl, np.zeros(mesh.n_free),
                                         1, [(PdeData.zeros(mesh), w)])
-        expected = mesh.stiffness_matrix(data.a) @ w
+        expected = dense(mesh.bilinear_form(stiffness=data.a)) @ w
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-14)
 
     def test_first_derivative_matches_finite_difference(self):
@@ -281,7 +304,7 @@ class TestNewton:
         oracle.solve_linearized = counting
         u = solve_residual(oracle, data, oracle.zero_state(), 1e-12)
         assert solves == 1
-        direct = np.linalg.solve(mesh.stiffness_matrix(data.a).toarray(),
+        direct = np.linalg.solve(dense(mesh.bilinear_form(stiffness=data.a)),
                                  mesh.assemble_load(None, data.f))
         assert np.allclose(u, direct, rtol=1e-12)
 
@@ -370,16 +393,34 @@ class TestConstants:
         assert first.poincare_constant == second.poincare_constant
         assert first.embedding_constant == second.embedding_constant
 
-    @pytest.mark.parametrize("mesh", [
-        Mesh1D.uniform(2),
-        Mesh1D.uniform(2, "neumann"),
-        Mesh1D.uniform(64),
-        Mesh1D(np.concatenate([[0.0], np.sort(np.random.default_rng(8).uniform(0, 1, 40)),
-                               [1.0]]), "neumann"),
-    ], ids=["one-free-node", "two-free-neumann", "uniform64", "random-neumann"])
+    @MESHES
     def test_inverse_diag_matches_dense_inverse(self, mesh):
-        dense = np.diag(np.linalg.inv(mesh.h1_gram.toarray()))
-        assert np.allclose(mesh._h1_inverse_diag, dense, rtol=1e-10, atol=0.0)
+        expected = np.diag(np.linalg.inv(dense(mesh.h1_gram)))
+        assert np.allclose(mesh._h1_inverse_diag, expected, rtol=1e-10, atol=0.0)
+
+    @MESHES
+    def test_riesz_and_h1_norm_match_dense(self, mesh):
+        gram = dense(mesh.h1_gram)
+        v = np.random.default_rng(3).standard_normal(mesh.n_free)
+        assert relative_error(mesh.riesz(v), np.linalg.solve(gram, v)) <= 1e-12
+        assert math.isclose(mesh.h1_norm(v) ** 2, v @ gram @ v, rel_tol=1e-12)
+
+    @MESHES
+    def test_solve_linearized_matches_dense(self, mesh):
+        rng = np.random.default_rng(4)
+        nl = Nonlinearity.cubic()
+        data = PdeData.from_spec(mesh, a=lambda x: 1.0 + x, b=2.0, f=1.0)
+        u, rhs = rng.standard_normal(mesh.n_free), rng.standard_normal(mesh.n_free)
+        got = PdeOracle(mesh, nl).solve_linearized(data, u, rhs)
+        expected = np.linalg.solve(dense(linearization_matrix(mesh, data, nl, u)), rhs)
+        assert relative_error(got, expected) <= 1e-12
+
+    def test_indefinite_linearization_raises(self):
+        mesh = Mesh1D.uniform(8)
+        data = PdeData.from_spec(mesh, a=-1.0, b=0.0, f=1.0)
+        oracle = PdeOracle(mesh, Nonlinearity.cubic())
+        with pytest.raises(LinearizationError, match="not positive definite"):
+            oracle.solve_linearized(data, oracle.zero_state(), np.ones(mesh.n_free))
 
     @pytest.mark.parametrize("n", [2, 16, 256])
     def test_poincare_eigenvalue_closed_form(self, n):
@@ -396,8 +437,8 @@ class TestConstants:
         mesh = Mesh1D.uniform(64)
         data = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
         u = newton_solve(mesh, data, nl)
-        lam = scipy.linalg.eigh(linearization_matrix(mesh, data, nl, u).toarray(),
-                                mesh.h1_gram.toarray(), eigvals_only=True,
+        lam = scipy.linalg.eigh(dense(linearization_matrix(mesh, data, nl, u)),
+                                dense(mesh.h1_gram), eigvals_only=True,
                                 subset_by_index=[0, 0])[0]
         consts = estimate_constants(mesh, data, nl, u)
         assert math.isclose(consts.alpha_measured, 1.0 / lam, rel_tol=1e-10)
