@@ -1,11 +1,11 @@
 """Exact combinatorial kernels behind the derivative recursion and its bounds.
 
-Integer compositions, multi-index compositions, set partitions and the
-little Schroeder numbers, all in exact (arbitrary-precision) integer
-arithmetic.  Enumeration orders are deterministic, so enumerated objects
-can serve as stable memoization keys elsewhere.  Everything here is a pure
-function over immutable values; the enumeration generators are
-single-consumer.
+Integer compositions, multi-index compositions and their unordered form,
+set partitions and the little Schroeder numbers, all in exact
+(arbitrary-precision) integer arithmetic.  Enumeration orders are
+deterministic, so enumerated objects can serve as stable memoization keys
+elsewhere.  Everything here is a pure function over immutable values; the
+enumeration generators are single-consumer.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "SetPartition",
     "compositions",
     "multi_index_compositions",
+    "multi_index_partitions",
     "set_partitions",
     "schroeder_hipparchus",
     "schroeder_hipparchus_sequence",
@@ -124,10 +125,16 @@ class MultiIndex:
 
     def sub_indices(self) -> Iterator["MultiIndex"]:
         """All beta with 0 <= beta <= self, in a fixed lexicographic order."""
-        coords = self.support()
-        ranges = [range(self[k] + 1) for k in coords]
-        for combo in itertools.product(*ranges):
-            yield MultiIndex.make({k: c for k, c in zip(coords, combo)})
+        for beta, _ in self.splits():
+            yield beta
+
+    def splits(self) -> Iterator[tuple["MultiIndex", "MultiIndex"]]:
+        """All pairs (beta, self - beta) with 0 <= beta <= self, beta in the
+        order of `sub_indices`."""
+        entries = self.entries
+        for combo in itertools.product(*(range(e + 1) for _, e in entries)):
+            yield (MultiIndex(tuple((k, c) for (k, _), c in zip(entries, combo) if c)),
+                   MultiIndex(tuple((k, e - c) for (k, e), c in zip(entries, combo) if c < e)))
 
     def label(self) -> str:
         """Human-readable form such as '0', 'e2' or '2e1+e3'."""
@@ -221,6 +228,40 @@ def multi_index_compositions(alpha: MultiIndex, r: int) -> list[MultiIndexCompos
             rec(prefix + (beta,), rest, slots - 1)
 
     rec((), alpha, r)
+    return out
+
+
+def multi_index_partitions(alpha: MultiIndex, r: int) -> list[tuple[MultiIndex, ...]]:
+    """All multisets of r nonzero multi-indices summing to alpha, each once.
+
+    A multiset is listed as its parts in the order of
+    `alpha.sub_indices()`, and the list is lexicographic in that order.
+    Each multiset with part multiplicities m_i stands for r!/prod m_i!
+    of the ordered compositions of `multi_index_compositions`.  Empty when
+    r < 1 or r > |alpha|.
+    """
+    if alpha.is_zero() or r < 1 or r > alpha.order():
+        return []
+    candidates = [beta for beta in alpha.sub_indices() if not beta.is_zero()]
+    rank = {beta: i for i, beta in enumerate(candidates)}
+    out: list[tuple[MultiIndex, ...]] = []
+
+    def rec(prefix: tuple[MultiIndex, ...], remaining: MultiIndex, slots: int,
+            start: int) -> None:
+        if slots == 1:
+            if not remaining.is_zero() and rank[remaining] >= start:
+                out.append(prefix + (remaining,))
+            return
+        for i in range(start, len(candidates)):
+            beta = candidates[i]
+            if not beta <= remaining:
+                continue
+            rest = remaining - beta
+            if rest.order() < slots - 1:
+                continue
+            rec(prefix + (beta,), rest, slots - 1, i)
+
+    rec((), alpha, r, 0)
     return out
 
 

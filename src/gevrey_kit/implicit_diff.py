@@ -8,11 +8,24 @@ t -> S(data(t)) for a data map t -> data(t): the first partial is the solve
     d^{e_k} u = -(D2R)^{-1} [ D1R[d^{e_k} data] ],
 
 and a partial of order |alpha| >= 2 follows from the multi-index
-composition recursion of the chain rule (`higher_derivative`).
+composition recursion of the chain rule (`higher_derivative`), a sum over
+the unordered compositions of alpha with multiplicity weights.
 Directional mode is the affine data map t -> d + sum_k t_k h_k, whose
 mixed partial at e_{k_1} + ... + e_{k_n} is D^nS(d)[h_{k_1}, ..., h_{k_n}].
-The literal permutation-and-composition form that cross-checks this
-recursion at small orders is an independent oracle in `selftest`.
+
+`fill_table` fills a table order by order in one of two forms, and the
+oracle decides which.  An oracle whose `taylor_expansion` returns an
+expansion (`PdeOracle`) propagates normalized coefficients
+u_alpha = d^alpha u / alpha!: the alpha-coefficient of
+t -> R(data(t), u(t)) is affine in u_alpha with the state linearization as
+its slope, so with u_alpha set to zero it gives the right-hand side of one
+linearized solve per entry (Taylor arithmetic; Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  Every other
+oracle, such as the scalar `PolynomialOracle` problems, runs the
+composition sum, which also serves the tests as the independent oracle
+for the Taylor tables.  The literal permutation-and-composition form that
+cross-checks the composition sum at small orders is an independent oracle
+in `selftest`.
 
 An oracle may cache factorizations between calls (`PdeOracle` does), so
 use one oracle per thread.  A `DerivativeTable` is filled order by order
@@ -25,11 +38,11 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .combinatorics import MultiIndex, multi_index_compositions
+from .combinatorics import MultiIndex, multi_index_partitions
 
 __all__ = [
     "ResidualOracle",
@@ -40,6 +53,7 @@ __all__ = [
     "solve_residual",
     "first_derivative",
     "higher_derivative",
+    "fill_table",
     "affine_data_map",
     "derivative_table",
     "finite_difference_check",
@@ -89,6 +103,18 @@ class ResidualOracle:
         """Largest r with D^rR not identically zero, or None if unbounded."""
         raise NotImplementedError
 
+    def taylor_expansion(self, table: "DerivativeTable"):
+        """Taylor-coefficient form of the table's fill, or None.
+
+        An expansion has `residual_coefficient(alpha)`, the
+        alpha-coefficient of t -> R(data(t), u(t)) with u_alpha set to zero
+        (u_alpha = d^alpha u / alpha!), and `record(alpha, u_alpha)`, which
+        takes the solved coefficient.  `fill_table` asks for alpha only
+        after every sub-index of alpha is recorded.  With None the table
+        is filled by the composition sum.
+        """
+        return None
+
     def zero_data(self):
         raise NotImplementedError
 
@@ -107,17 +133,26 @@ class DerivativeTable:
 
     Keys are MultiIndex values; the base entry, stored under the zero
     multi-index, is the solution u = S(d) itself.  `data_partial(alpha)`
-    returns d^alpha data at the base point.  Builders fill the table
+    returns d^alpha data at the base point and `data_coefficient(alpha)`
+    the normalized d^alpha data / alpha!; when no coefficient map is
+    given, it is the partial divided by alpha!.  Builders fill the table
     order by order, so every stored key has all of its sub-keys present.
     """
 
     def __init__(self, oracle: ResidualOracle, d, u,
-                 data_partial: Callable[[MultiIndex], object]):
+                 data_partial: Callable[[MultiIndex], object],
+                 data_coefficient: Callable[[MultiIndex], object] | None = None):
         self.oracle = oracle
         self.d = d
         self.u = u
         self.data_partial = data_partial
+        self.data_coefficient = data_coefficient or self._scaled_partial
         self._entries: dict[MultiIndex, object] = {MultiIndex(): u}
+
+    def _scaled_partial(self, alpha: MultiIndex):
+        fact = alpha.factorial()
+        value = self.data_partial(alpha)
+        return value if fact == 1 else (1.0 / fact) * value
 
     def entry(self, alpha: MultiIndex):
         try:
@@ -199,9 +234,12 @@ def higher_derivative(oracle: ResidualOracle, table: DerivativeTable,
             + sum_{r>=2} sum_{compositions beta of alpha into r parts}
               alpha!/(r! prod beta_j!) D^rR[(d^beta_j data, d^beta_j u)_j] ].
 
-    All partials of strictly smaller order must already be in the table.
-    Orders r above the oracle's maximal derivative order are skipped since
-    those terms vanish identically.
+    D^rR is symmetric, so the sum runs over unordered compositions (multisets
+    of parts), each weighted by its r!/prod m_i! orderings, m_i the
+    multiplicities of its distinct parts: the weight becomes
+    alpha!/(prod m_i! prod beta_j!).  All partials of strictly smaller order
+    must already be in the table.  Orders r above the oracle's maximal
+    derivative order are skipped since those terms vanish identically.
     """
     n = alpha.order()
     if n < 2:
@@ -213,14 +251,41 @@ def higher_derivative(oracle: ResidualOracle, table: DerivativeTable,
     r_max = n if mdo is None else min(n, mdo)
     alpha_fact = alpha.factorial()
     for r in range(2, r_max + 1):
-        for comb in multi_index_compositions(alpha, r):
-            denom = math.factorial(r)
-            for beta in comb.parts:
+        for parts in multi_index_partitions(alpha, r):
+            denom = 1
+            for m in Counter(parts).values():
+                denom *= math.factorial(m)
+            for beta in parts:
                 denom *= beta.factorial()
             coeff = float(Fraction(alpha_fact, denom))
-            args = [(table.data_partial(beta), table.entry(beta)) for beta in comb.parts]
+            args = [(table.data_partial(beta), table.entry(beta)) for beta in parts]
             rhs = rhs + coeff * oracle.apply_derivative(r, table.d, table.u, args)
     return -oracle.solve_linearized(table.d, table.u, rhs)
+
+
+def fill_table(table: DerivativeTable, alphas: Iterable[MultiIndex]) -> DerivativeTable:
+    """Put d^alpha u into the table for every nonzero alpha of `alphas`,
+    which lists each alpha after all of its sub-indices.
+
+    When the oracle has a Taylor expansion, each entry is alpha! u_alpha
+    with u_alpha = -(D2R)^{-1} [residual coefficient]; otherwise order one
+    is `first_derivative` and higher orders are `higher_derivative`.
+    """
+    oracle, d, u = table.oracle, table.d, table.u
+    taylor = oracle.taylor_expansion(table)
+    for alpha in alphas:
+        if alpha.is_zero():
+            continue
+        if taylor is not None:
+            u_alpha = -oracle.solve_linearized(d, u, taylor.residual_coefficient(alpha))
+            taylor.record(alpha, u_alpha)
+            value = alpha.factorial() * u_alpha
+        elif alpha.order() == 1:
+            value = first_derivative(oracle, d, u, table.data_partial(alpha))
+        else:
+            value = higher_derivative(oracle, table, alpha)
+        table.put(alpha, value)
+    return table
 
 
 def affine_data_map(oracle: ResidualOracle, d, directions: Sequence):
@@ -251,15 +316,12 @@ def derivative_table(oracle: ResidualOracle, d, directions: Sequence,
         u0 = oracle.zero_state()
     u = solve_residual(oracle, d, u0, tol)
     table = DerivativeTable(oracle, d, u, affine_data_map(oracle, d, directions))
-    for k in range(1, max_order + 1):
-        for combo in itertools.combinations_with_replacement(range(1, len(directions) + 1), k):
-            alpha = MultiIndex.make(Counter(combo))
-            if k == 1:
-                value = first_derivative(oracle, d, u, directions[combo[0] - 1])
-            else:
-                value = higher_derivative(oracle, table, alpha)
-            table.put(alpha, value)
-    return table
+    coords = range(1, len(directions) + 1)
+    return fill_table(table, (
+        MultiIndex.make(Counter(combo))
+        for k in range(1, max_order + 1)
+        for combo in itertools.combinations_with_replacement(coords, k)
+    ))
 
 
 def finite_difference_check(solution_map: Callable, d, directions: Sequence,

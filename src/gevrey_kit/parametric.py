@@ -6,13 +6,18 @@ sin(k pi x)/(k pi) deforms the interval; pulling the weak problem back to
 the reference interval turns the deformation into coefficient data
 (a/W, W b, W f, g) with W = V'[y].  Because W is affine in y, every mixed
 partial of the data is available in closed form through a reciprocal
-recursion, and mixed partials of the solution follow from the chain rule
-applied to the residual equation: the term containing the unknown partial
-is isolated and everything else moves to the right-hand side of a
-linearized solve.
+recursion, and mixed partials of the solution follow from the residual
+equation: the term containing the unknown partial is isolated and
+everything else moves to the right-hand side of a linearized solve.
 
-Tables are filled order by order (see implicit_diff) and treated as
-immutable once complete.
+`parametric_derivative_table` fills its tables by Taylor-coefficient
+propagation (`implicit_diff.fill_table` with `PdeOracle`'s expansion): the
+data enter as the normalized coefficients of `TildeData.coefficient`, and
+each u_alpha = d^alpha u / alpha! costs Cauchy products at the Gauss
+points and one solve.  The composition sum of the chain rule
+(`parametric_solution_derivative`) still gives single entries and is the
+oracle the tests compare the tables with.  Tables are treated as immutable
+once complete.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .envelopes import (
 )
 from .implicit_diff import (
     DerivativeTable,
+    fill_table,
     first_derivative,
     higher_derivative,
     solve_residual,
@@ -134,12 +140,14 @@ class TildeData:
     In one dimension the pullback is a -> a/W, b -> W b, f -> W f with the
     flux value unchanged (`data`), and ellipticity survives: on the box
     inf a/W >= min(1, inf a) / 8.  W is affine in y, so all nonlinearity
-    in y sits in 1/W, whose mixed partials obey the reciprocal recursion
+    in y sits in 1/W.  Its normalized coefficients
+    c_alpha = d^alpha (1/W) / alpha! obey the reciprocal recursion
 
-        W * d^alpha (1/W) = -sum_k alpha_k w_k d^(alpha - e_k) (1/W),
+        W * c_alpha = -sum_k w_k c_(alpha - e_k),
 
-    with w_k the mode gradients; partials of W b and W f have exactly one
-    Leibniz term and vanish beyond order one.
+    with w_k the mode gradients, and so do those of a/W, a being constant
+    in y; the coefficients of W b and W f have exactly one Leibniz term and
+    vanish beyond order one.
     """
 
     def __init__(self, dmap: DomainMap1D, hat: PdeData, mesh: Mesh1D, y):
@@ -152,36 +160,37 @@ class TildeData:
         self.w = dmap.deformation_gradient(self.y, x)
         self.winv = 1.0 / self.w
         self.data = PdeData(hat.a * self.winv, self.w * hat.b, self.w * hat.f, hat.g)
-        self._winv_partials: dict[MultiIndex, np.ndarray] = {MultiIndex(): self.winv}
+        self._coefficients: dict[MultiIndex, PdeData] = {MultiIndex(): self.data}
         self._partials: dict[MultiIndex, PdeData] = {MultiIndex(): self.data}
         self._zero = np.zeros_like(self.w)
 
-    def winv_partial(self, alpha: MultiIndex) -> np.ndarray:
-        cached = self._winv_partials.get(alpha)
+    def coefficient(self, alpha: MultiIndex) -> PdeData:
+        """Normalized partial d^alpha data / alpha! at this parameter point,
+        computed once per alpha."""
+        cached = self._coefficients.get(alpha)
         if cached is not None:
             return cached
-        acc = self._zero
-        for k, e in alpha.entries:
-            if k > self.dmap.p:
-                self._winv_partials[alpha] = self._zero
-                return self._zero
-            acc = acc + e * self.mode_grads[k - 1] * self.winv_partial(
-                alpha - MultiIndex.unit(k)
-            )
-        out = -self.winv * acc
-        self._winv_partials[alpha] = out
-        return out
+        zero = self._zero
+        a_part = b_part = f_part = zero
+        if alpha.support()[-1] <= self.dmap.p:
+            acc = zero
+            for k in alpha.support():
+                acc = acc + self.mode_grads[k - 1] * self.coefficient(alpha - MultiIndex.unit(k)).a
+            a_part = -self.winv * acc
+            if alpha.order() == 1:
+                wk = self.mode_grads[alpha.support()[0] - 1]
+                b_part, f_part = wk * self.hat.b, wk * self.hat.f
+        cached = self._coefficients[alpha] = PdeData(a_part, b_part, f_part, 0.0)
+        return cached
 
     def partial(self, alpha: MultiIndex) -> PdeData:
         """Mixed partial of the data tuple at this parameter point, computed
         once per alpha."""
         cached = self._partials.get(alpha)
         if cached is None:
-            b_part = f_part = self._zero
-            if alpha.order() == 1 and (k := alpha.support()[0]) <= self.dmap.p:
-                wk = self.mode_grads[k - 1]
-                b_part, f_part = wk * self.hat.b, wk * self.hat.f
-            cached = PdeData(self.hat.a * self.winv_partial(alpha), b_part, f_part, 0.0)
+            fact = alpha.factorial()
+            coefficient = self.coefficient(alpha)
+            cached = coefficient if fact == 1 else fact * coefficient
             self._partials[alpha] = cached
         return cached
 
@@ -189,11 +198,13 @@ class TildeData:
 def parametric_solution_derivative(oracle: PdeOracle, tilde: TildeData,
                                    table: DerivativeTable,
                                    alpha: MultiIndex) -> np.ndarray:
-    """Mixed partial of the parameters-to-solution map at the table's base.
+    """Mixed partial of the parameters-to-solution map at the table's base,
+    by the composition sum of `implicit_diff.higher_derivative`.
 
-    The table's data map is the pullback y -> tilde data; see
-    `implicit_diff.higher_derivative` for the recursion.  All partials of
-    strictly smaller order must already be in the table.
+    The table's data map is the pullback y -> tilde data.  All partials of
+    strictly smaller order must already be in the table.  The tables of
+    `parametric_derivative_table` come from the Taylor-coefficient fill
+    instead; this form is the independent oracle they are tested against.
     """
     if alpha.is_zero():
         return table.u
@@ -206,15 +217,12 @@ def parametric_derivative_table(oracle: PdeOracle, tilde: TildeData,
                                 max_order: int, *, tol: float = 1e-12,
                                 u: np.ndarray | None = None) -> DerivativeTable:
     """Fill d^alpha u for every alpha with |alpha| <= max_order over the
-    active coordinates, order by order."""
+    active coordinates, order by order, with `implicit_diff.fill_table`
+    (the Taylor-coefficient fill for a `PdeOracle`)."""
     if u is None:
         u = solve_residual(oracle, tilde.data, oracle.zero_state(), tol)
-    table = DerivativeTable(oracle, tilde.data, u, tilde.partial)
-    for alpha in multi_indices_up_to(tilde.dmap.p, max_order):
-        if alpha.is_zero():
-            continue
-        table.put(alpha, parametric_solution_derivative(oracle, tilde, table, alpha))
-    return table
+    table = DerivativeTable(oracle, tilde.data, u, tilde.partial, tilde.coefficient)
+    return fill_table(table, multi_indices_up_to(tilde.dmap.p, max_order))
 
 
 # -- envelope construction and verification ------------------------------------

@@ -34,6 +34,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.linalg.lapack import dpttrf, dpttrs
 
+from .combinatorics import MultiIndex
 from .implicit_diff import LinearizationError, ResidualOracle, solve_residual
 
 __all__ = [
@@ -546,6 +547,9 @@ class PdeOracle(ResidualOracle):
             return None
         return max(2, degree + 1)
 
+    def taylor_expansion(self, table) -> "_TaylorExpansion":
+        return _TaylorExpansion(self.mesh, self.nl, table)
+
     def zero_data(self) -> PdeData:
         return PdeData.zeros(self.mesh)
 
@@ -557,6 +561,131 @@ class PdeOracle(ResidualOracle):
 
     def state_norm(self, value: np.ndarray) -> float:
         return self.mesh.h1_norm(value)
+
+
+class _TaylorExpansion:
+    """Normalized Taylor coefficients u_alpha = d^alpha u / alpha! of a table's
+    solution map, with the series of N(u) at the Gauss points, for the
+    Cauchy-product fill of `implicit_diff.fill_table`.
+
+    Along the table's data map, data(t) = sum d_alpha t^alpha, where
+    d_alpha = (a_alpha, b_alpha, f_alpha, g_alpha) is the table's data
+    coefficient, and u(t) = sum u_alpha t^alpha.  The residual coefficient is
+
+        <(a u')_alpha, v'> + <(b N(u))_alpha - f_alpha, v> - g_alpha v(1),
+
+    with the products expanded as Cauchy sums over beta <= alpha.  With
+    N = P_0(q) for the inner function q, q' = G(q), the series of the powers
+    q^j (j = 1..m, m the larger degree of P_0 and G) are Cauchy products,
+    and the inner series follows from q' = G(q):
+
+        alpha_k q_alpha = sum_{beta <= alpha, beta_k >= 1} beta_k u_beta G(q)_(alpha-beta).
+
+    For q the identity (polynomial N) this is u's own series, which is then
+    stored once.  Every alpha-coefficient is affine in u_alpha, with the
+    state linearization as the slope of the residual's, so it is computed
+    with u_alpha = 0 first; `record` then adds the part linear in u_alpha,
+    G(q_0) u_alpha to q_alpha and j q_0^(j-1) times that to (q^j)_alpha.
+    Data coefficients that vanish identically are skipped.
+    """
+
+    def __init__(self, mesh: Mesh1D, nl: Nonlinearity, table):
+        self.mesh = mesh
+        self._p0, self._dg = nl._poly(0), nl._dg
+        self._data_coefficient = table.data_coefficient
+        self._data: dict = {}
+        zero = self._zero = MultiIndex()
+        uq = mesh.at_quad(table.u)
+        q0 = nl._g(uq)
+        self._n0 = nl.deriv(0, uq)
+        self._slope = {zero: self._nodal_slope(table.u)}
+        self._powers = [None, {zero: q0}]
+        for _ in range(2, max(len(self._p0), len(self._dg), 2)):
+            self._powers.append({zero: self._powers[-1][zero] * q0})
+        if nl._g is _identity:
+            self._u, self._dq0 = self._powers[1], None
+        else:
+            self._u, self._dq0 = {zero: uq}, npoly.polyval(q0, self._dg)
+
+    def _nodal_slope(self, v: np.ndarray) -> np.ndarray:
+        return np.diff(self.mesh.expand(v)) / self.mesh.h
+
+    def _data_at(self, gamma: MultiIndex) -> tuple:
+        """(a, b, f, g) of the data coefficient, None for a vanishing field."""
+        cached = self._data.get(gamma)
+        if cached is None:
+            d = self._data_coefficient(gamma)
+            cached = self._data[gamma] = tuple(
+                v if np.any(v) else None for v in (d.a, d.b, d.f)) + (d.g,)
+        return cached
+
+    def _composed(self, coeffs: np.ndarray, beta: MultiIndex):
+        """beta-coefficient of the series of P(q) for the polynomial P with
+        `coeffs` and nonzero beta: sum_{j >= 1} coeffs[j] (q^j)_beta, or None
+        when it vanishes."""
+        acc = None
+        for j in range(1, len(coeffs)):
+            term = self._powers[j].get(beta)
+            if coeffs[j] != 0.0 and term is not None:
+                acc = coeffs[j] * term if acc is None else acc + coeffs[j] * term
+        return acc
+
+    def residual_coefficient(self, alpha: MultiIndex) -> np.ndarray:
+        pairs = list(alpha.splits())
+        powers = self._powers
+        if self._dq0 is not None:
+            k = alpha.support()[0]
+            acc = None
+            for beta, rest in pairs:
+                if beta[k] == 0 or rest.is_zero():
+                    continue
+                dq_rest = self._composed(self._dg, rest)
+                if dq_rest is not None:
+                    term = (beta[k] / alpha[k]) * self._u[beta] * dq_rest
+                    acc = term if acc is None else acc + term
+            if acc is not None:
+                powers[1][alpha] = acc
+        for j in range(2, len(powers)):
+            acc = None
+            for beta, rest in pairs:
+                left, right = powers[1].get(beta), powers[j - 1].get(rest)
+                if left is not None and right is not None:
+                    acc = left * right if acc is None else acc + left * right
+            if acc is not None:
+                powers[j][alpha] = acc
+
+        mass = grad = None
+        b0 = self._data_at(self._zero)[1]
+        n_alpha = self._composed(self._p0, alpha)
+        if b0 is not None and n_alpha is not None:
+            mass = b0 * n_alpha
+        for gamma, rest in pairs:
+            if gamma.is_zero():
+                continue
+            a, b, _, _ = self._data_at(gamma)
+            if a is not None:
+                term = a * self._slope[rest][:, None]
+                grad = term if grad is None else grad + term
+            n_rest = self._n0 if rest.is_zero() else self._composed(self._p0, rest)
+            if b is not None and n_rest is not None:
+                term = b * n_rest
+                mass = term if mass is None else mass + term
+        _, _, f, g = self._data_at(alpha)
+        if f is not None:
+            mass = -f if mass is None else mass - f
+        return self.mesh.assemble_load(grad, mass, boundary=-g)
+
+    def record(self, alpha: MultiIndex, u_alpha: np.ndarray) -> None:
+        delta = self.mesh.at_quad(u_alpha)
+        self._slope[alpha] = self._nodal_slope(u_alpha)
+        q_lin = delta if self._dq0 is None else self._dq0 * delta
+        powers = self._powers
+        for j in range(1, len(powers)):
+            lin = q_lin if j == 1 else j * powers[j - 1][self._zero] * q_lin
+            tilde = powers[j].get(alpha)
+            powers[j][alpha] = lin if tilde is None else tilde + lin
+        if self._u is not powers[1]:
+            self._u[alpha] = delta
 
 
 # -- solving and measured constants --------------------------------------------

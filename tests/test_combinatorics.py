@@ -15,6 +15,7 @@ from gevrey_kit.combinatorics import (
     composition_identity_check,
     kappa_asymptotic_log,
     multi_index_compositions,
+    multi_index_partitions,
     multi_indices_up_to,
     schroeder_hipparchus,
     schroeder_hipparchus_sequence,
@@ -58,6 +59,7 @@ class TestMultiIndex:
         subs = list(a.sub_indices())
         assert len(subs) == (2 + 1) * (1 + 1)
         assert sum(a.binom(b) for b in subs) == 2 ** a.order()
+        assert [(b, c) for b, c in a.splits()] == [(b, a - b) for b in subs]
 
     def test_make_from_dense_list(self):
         assert MultiIndex.make([1, 0, 2]).entries == ((1, 1), (3, 2))
@@ -133,6 +135,27 @@ class TestMultiIndexCompositions:
         alpha = MultiIndex.make({1: 2, 2: 2})
         for comb in multi_index_compositions(alpha, 3):
             assert comb.total() == alpha
+
+    def test_unordered_partitions_cover_compositions_once(self):
+        # each multiset stands for r!/prod m_i! orderings: together exactly
+        # the brute-force ordered compositions, each multiset listed once
+        for alpha in [
+            MultiIndex.make({1: 4}),
+            MultiIndex.make({1: 2, 2: 1}),
+            MultiIndex.make({1: 1, 2: 1, 3: 1}),
+            MultiIndex.make({1: 2, 3: 2}),
+        ]:
+            for r in range(1, alpha.order() + 1):
+                parts = multi_index_partitions(alpha, r)
+                multisets = [tuple(sorted(p, key=lambda b: b.entries)) for p in parts]
+                assert len(set(multisets)) == len(multisets)
+                expected = {tuple(sorted(c, key=lambda b: b.entries))
+                            for c in brute_force_multi_index_compositions(alpha, r)}
+                assert set(multisets) == expected
+                weighted = sum(math.factorial(r) // math.prod(
+                    math.factorial(p.count(b)) for b in set(p)) for p in parts)
+                assert weighted == len(brute_force_multi_index_compositions(alpha, r))
+        assert multi_index_partitions(MultiIndex.unit(1), 2) == []
 
 
 class TestSetPartitions:

@@ -14,8 +14,14 @@ import pytest
 from gevrey_kit.combinatorics import MultiIndex, multi_indices_up_to
 from gevrey_kit.envelopes import GevreyEnvelope, ParametricEnvelope
 from gevrey_kit.implicit_diff import (
+    DerivativeTable,
+    LinearizationError,
+    affine_data_map,
     derivative_table,
+    fill_table,
     finite_difference_check,
+    first_derivative,
+    higher_derivative,
     solve_residual,
 )
 from gevrey_kit.parametric import (
@@ -290,6 +296,89 @@ class TestSolutionPartials:
         with pytest.raises(LookupError):
             parametric_solution_derivative(oracle, tilde, table,
                                            MultiIndex.make({1: 2}))
+
+
+def composition_table(oracle, d, u, data_partial, alphas):
+    """Table filled by the composition sum of the chain rule, the independent
+    oracle for the Taylor-coefficient fill."""
+    table = DerivativeTable(oracle, d, u, data_partial)
+    for alpha in alphas:
+        if alpha.order() == 1:
+            table.put(alpha, first_derivative(oracle, d, u, data_partial(alpha)))
+        elif alpha.order() > 1:
+            table.put(alpha, higher_derivative(oracle, table, alpha))
+    return table
+
+
+def largest_relative_h1_gap(mesh, table, reference):
+    return max(mesh.h1_norm(value - table.entry(alpha)) / mesh.h1_norm(value)
+               for alpha, value in reference.items() if not alpha.is_zero())
+
+
+NONLINEARITIES = pytest.mark.parametrize("nl", [
+    Nonlinearity.cubic(),
+    Nonlinearity.tanh_shifted(),
+    Nonlinearity.polynomial([3.0, -3.0, 1.0]),
+], ids=["cubic", "tanh", "poly-3-3-1"])
+
+
+class TestTaylorFill:
+    @NONLINEARITIES
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_parametric_table_matches_composition_sum(self, nl, p):
+        mesh = Mesh1D.uniform(32)
+        dmap = DomainMap1D(p=p)
+        hat = PdeData.from_spec(mesh, a=lambda x: 1.0 + 0.5 * x, b=1.0, f=1.0)
+        y = np.random.default_rng(p).uniform(-0.5, 0.5, p)
+        tilde = TildeData(dmap, hat, mesh, y)
+        u = newton_solve(mesh, tilde.data, nl)
+        table = parametric_derivative_table(PdeOracle(mesh, nl), tilde, 5, u=u)
+        fresh = TildeData(dmap, hat, mesh, y)
+        reference = composition_table(PdeOracle(mesh, nl), fresh.data, u, fresh.partial,
+                                      multi_indices_up_to(p, 5))
+        assert len(table) == len(reference)
+        assert largest_relative_h1_gap(mesh, table, reference) <= 1e-10
+
+    @pytest.mark.parametrize("nl", [Nonlinearity.cubic(), Nonlinearity.tanh_shifted()],
+                             ids=["cubic", "tanh"])
+    def test_directional_neumann_table_matches_composition_sum(self, nl):
+        # directions carry a, b, f and the flux g, which enters the boundary term
+        mesh = Mesh1D.uniform(32, "neumann")
+        base = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0, g=0.5)
+        directions = [
+            PdeData.from_spec(mesh, a=lambda x: 0.3 * x, f=1.0),
+            PdeData.from_spec(mesh, b=0.5, g=1.0),
+            PdeData.from_spec(mesh, a=-0.2, b=lambda x: x, f=lambda x: np.sin(x), g=-0.4),
+        ]
+        oracle = PdeOracle(mesh, nl)
+        table = derivative_table(oracle, base, directions, 4)
+        reference = composition_table(PdeOracle(mesh, nl), base, table.u,
+                                      affine_data_map(oracle, base, directions),
+                                      [alpha for alpha, _ in table.items()])
+        assert largest_relative_h1_gap(mesh, table, reference) <= 1e-10
+
+    def test_fill_is_deterministic(self):
+        mesh = Mesh1D.uniform(48)
+        dmap = DomainMap1D(p=3)
+        hat = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
+        y = np.array([0.3, -0.1, 0.45])
+        nl = Nonlinearity.tanh_shifted()
+        tables = [parametric_derivative_table(PdeOracle(mesh, nl),
+                                              TildeData(dmap, hat, mesh, y), 4)
+                  for _ in range(2)]
+        first, second = ([(alpha, value.tobytes()) for alpha, value in t.items()]
+                         for t in tables)
+        assert first == second
+
+    def test_indefinite_linearization_raises(self):
+        mesh = Mesh1D.uniform(16)
+        base = PdeData.from_spec(mesh, a=lambda x: 1.0 - 3.0 * x, b=1.0, f=1.0)
+        oracle = PdeOracle(mesh, Nonlinearity.cubic())
+        direction = PdeData.from_spec(mesh, f=1.0)
+        table = DerivativeTable(oracle, base, oracle.zero_state(),
+                                affine_data_map(oracle, base, [direction]))
+        with pytest.raises(LinearizationError, match="not positive definite"):
+            fill_table(table, [MultiIndex.unit(1), MultiIndex.make({1: 2})])
 
 
 class TestDataEnvelope:
