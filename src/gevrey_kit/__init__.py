@@ -40,6 +40,7 @@ from .implicit_diff import (  # noqa: F401
     ResidualOracle,
     derivative_table,
     finite_difference_check,
+    finite_difference_table,
     first_derivative,
     higher_derivative,
     solve_residual,

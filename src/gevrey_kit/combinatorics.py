@@ -60,6 +60,11 @@ class MultiIndex:
             if e < 1:
                 raise ValueError("stored exponents must be >= 1")
             last = k
+        # Keys are looked up far more often than built, so hash them once.
+        object.__setattr__(self, "_hash", hash(self.entries))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def make(exponents: Mapping[int, int] | Sequence[int]) -> "MultiIndex":

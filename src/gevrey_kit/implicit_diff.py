@@ -27,6 +27,15 @@ for the Taylor tables.  The literal permutation-and-composition form that
 cross-checks the composition sum at small orders is an independent oracle
 in `selftest`.
 
+`finite_difference_table` checks a table against difference quotients of a
+black-box solution map.  The nested central difference of a key
+alpha = sum_k n_k e_k is a product of one-dimensional binomial central
+differences, so its stencil points are d + t sum_k c_k h_k with
+c_k = n_k - 2 j_k, 0 <= j_k <= n_k.  Keys of a table share most of these
+points, and a memo for the whole call solves each distinct (t, c) once;
+the point c = 0 is shared by all steps.  `finite_difference_check` is
+the one-key case for a list of directions.
+
 An oracle may cache factorizations between calls (`PdeOracle` does), so
 use one oracle per thread.  A `DerivativeTable` is filled order by order
 and treated as immutable afterwards.
@@ -56,6 +65,7 @@ __all__ = [
     "fill_table",
     "affine_data_map",
     "derivative_table",
+    "finite_difference_table",
     "finite_difference_check",
     "scalar_quadratic_oracle",
     "scalar_cubic_oracle",
@@ -324,53 +334,102 @@ def derivative_table(oracle: ResidualOracle, d, directions: Sequence,
     ))
 
 
-def finite_difference_check(solution_map: Callable, d, directions: Sequence,
-                            steps: Sequence[float], *, norm: Callable | None = None,
-                            eval_noise: float = 0.0):
-    """Mixed directional derivative of a black-box map by nested central
-    differences with Richardson extrapolation in the squared step.
+def finite_difference_table(solution_map: Callable, d, directions: Sequence,
+                            keys: Iterable[MultiIndex], steps: Sequence[float], *,
+                            norm: Callable | None = None, eval_noise: float = 0.0) -> dict:
+    """Mixed partials d^alpha of t -> solution_map(d + sum_k t_k h_k),
+    h_k = directions[k-1], by central differences with Richardson
+    extrapolation in the squared step, for every alpha of `keys`.
 
-    The derivative order is len(directions) (at most 4; beyond that,
-    cancellation destroys double precision).  Returns (estimate,
-    indicator) where the indicator is the norm of the difference between
-    the last two extrapolants; it tracks the quality of the estimate but
-    is empirical, not a rigorous error bound.  When each evaluation of
-    the map carries noise (an iterative inner solver, say), pass a bound
-    on it as `eval_noise`: its worst-case amplification through the
-    stencil and the extrapolation weights is added to the indicator,
-    which otherwise underestimates the achievable agreement.
+    The nested central difference of alpha = sum_k n_k e_k at step t is a
+    product of one-dimensional binomial central differences:
+
+        (2t)^{-|alpha|} sum_j prod_k (-1)^{j_k} C(n_k, j_k) S(d + sum_k c_k t h_k)
+
+    with c_k = n_k - 2 j_k.  A stencil point depends on (t, c) only, and is
+    built the same way for every key (nonzero c_k only, in ascending k), so
+    each distinct point is solved once per call: the values are memoized
+    for the whole call, and the point c = 0, which is d itself, is shared by
+    all steps.  Each key keeps its own Richardson table and indicator.
+
+    Orders 1 <= |alpha| <= 4 are accepted; beyond that, cancellation
+    destroys double precision.  Returns {alpha: (estimate, indicator)},
+    where the indicator is the norm of the difference between the last two
+    extrapolants; it tracks the quality of the estimate but is empirical,
+    not a rigorous error bound.  When each evaluation of the map carries
+    noise (an iterative inner solver, say), pass a bound on it as
+    `eval_noise`: its worst-case amplification through the stencil and the
+    extrapolation weights is added to the indicator, which otherwise
+    underestimates the achievable agreement.
     """
-    n = len(directions)
-    if not 1 <= n <= 4:
-        raise ValueError("derivative order must be between 1 and 4")
+    keys = list(keys)
+    for alpha in keys:
+        if not 1 <= alpha.order() <= 4:
+            raise ValueError("derivative order must be between 1 and 4")
+        if alpha.support()[-1] > len(directions):
+            raise ValueError(f"{alpha.label()} has no direction for every coordinate")
     steps = sorted((float(t) for t in steps), reverse=True)
     if len(steps) < 2 or len(set(steps)) != len(steps) or steps[-1] <= 0.0:
         raise ValueError("need at least two distinct positive steps")
     norm = norm or default_norm
+    memo: dict[tuple, object] = {}
 
-    def stencil(t: float):
-        acc = None
-        for signs in itertools.product((1.0, -1.0), repeat=n):
+    def value(t: float, c: tuple[tuple[int, int], ...]):
+        key = (t, c) if c else ()
+        if key not in memo:
             point = d
-            for s, h in zip(signs, directions):
-                point = point + (s * t) * h
-            value = math.prod(signs) * solution_map(point)
-            acc = value if acc is None else acc + value
-        return (1.0 / (2.0 * t) ** n) * acc
+            for k, ck in c:
+                point = point + (ck * t) * directions[k - 1]
+            memo[key] = solution_map(point)
+        return memo[key]
 
-    rows = [stencil(t) for t in steps]
-    table = [[rows[0]]]
-    for i in range(1, len(steps)):
-        row = [rows[i]]
-        for j in range(1, i + 1):
-            fac = (steps[i - j] / steps[i]) ** 2 - 1.0
-            row.append(row[j - 1] + (1.0 / fac) * (row[j - 1] - table[i - 1][j - 1]))
-        table.append(row)
-    estimate = table[-1][-1]
-    indicator = float(norm(table[-1][-1] - table[-1][-2]))
-    if eval_noise > 0.0:
-        indicator += 2.0 * eval_noise / steps[-1] ** n
-    return estimate, indicator
+    def stencil(alpha: MultiIndex, t: float):
+        acc = None
+        for js in itertools.product(*(range(n + 1) for _, n in alpha.entries)):
+            coeff = 1.0
+            c = []
+            for (k, n), j in zip(alpha.entries, js):
+                coeff *= (-1) ** j * math.comb(n, j)
+                if n != 2 * j:
+                    c.append((k, n - 2 * j))
+            term = coeff * value(t, tuple(c))
+            acc = term if acc is None else acc + term
+        return (1.0 / (2.0 * t) ** alpha.order()) * acc
+
+    def extrapolate(alpha: MultiIndex):
+        rows = [stencil(alpha, t) for t in steps]
+        table = [[rows[0]]]
+        for i in range(1, len(steps)):
+            row = [rows[i]]
+            for j in range(1, i + 1):
+                fac = (steps[i - j] / steps[i]) ** 2 - 1.0
+                row.append(row[j - 1] + (1.0 / fac) * (row[j - 1] - table[i - 1][j - 1]))
+            table.append(row)
+        estimate = table[-1][-1]
+        indicator = float(norm(table[-1][-1] - table[-1][-2]))
+        if eval_noise > 0.0:
+            indicator += 2.0 * eval_noise / steps[-1] ** alpha.order()
+        return estimate, indicator
+
+    return {alpha: extrapolate(alpha) for alpha in keys}
+
+
+def finite_difference_check(solution_map: Callable, d, directions: Sequence,
+                            steps: Sequence[float], *, norm: Callable | None = None,
+                            eval_noise: float = 0.0):
+    """Mixed directional derivative D^nS(d)[h_1, ..., h_n] of a black-box map,
+    n = len(directions) between 1 and 4, by nested central differences with
+    Richardson extrapolation in the squared step.
+
+    This is the one-key case of `finite_difference_table`, with each listed
+    direction as its own coordinate (key e_1 + ... + e_n): the stencil is
+    the sum over the 2^n sign vectors s of prod(s) S(d + sum_k s_k t h_k)
+    over (2t)^n, and the per-call memo merges no two of its points.
+    Returns (estimate, indicator) as described there.
+    """
+    key = MultiIndex(tuple((k, 1) for k in range(1, len(directions) + 1)))
+    return finite_difference_table(solution_map, d, directions, [key], steps,
+                                   norm=norm, eval_noise=eval_noise)[key]
 
 
 class PolynomialOracle(ResidualOracle):

@@ -189,6 +189,16 @@ class TestDerivatives:
         assert float(rows["1"]) == pytest.approx(12.0, abs=1e-9)
         assert float(rows["1+1"]) == pytest.approx(8.0, abs=1e-9)
 
+    @pytest.mark.parametrize("problem", ["scalar-cubic", "scalar-quadratic"])
+    @pytest.mark.parametrize("entry", [{"a": 1}, None, True])
+    def test_non_numeric_scalar_direction_rejected(self, tmp_path, capsys, problem, entry):
+        dirs = tmp_path / "dirs.json"
+        dirs.write_text(json.dumps([entry]))
+        code = run_cli(["derivatives", "--problem", problem, "--order", "2",
+                        "--directions", str(dirs)])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_pde_problem_smoke(self, tmp_path):
         out = tmp_path / "deriv.csv"
         code = run_cli(["derivatives", "--problem", "pde1d", "--order", "2",
@@ -207,6 +217,27 @@ class TestDerivatives:
         labels = [line.split(",")[0] for line in out.read_text().strip().splitlines()[1:]]
         assert labels == ["base", "1", "2", "1+1", "1+2", "2+2",
                           "1+1+1", "1+1+2", "1+2+2", "2+2+2"]
+
+    def test_fd_check_solves_each_stencil_point_once(self, tmp_path, monkeypatch):
+        calls = []
+        solve = cli.solve_residual
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_residual", counting_solve)
+        dirs = tmp_path / "dirs.json"
+        dirs.write_text(json.dumps([{"f": 1.0}, {"a": 0.2, "b": 0.1}]))
+        out = tmp_path / "deriv.csv"
+        code = run_cli(["derivatives", "--problem", "pde1d", "--order", "6",
+                        "--mesh-n", "24", "--directions", str(dirs), "--fd-check",
+                        "--output", str(out)])
+        assert code == 0
+        # 40 distinct nonzero stencil points per step, three steps, and the base point
+        assert len(calls) == 121
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert sum(1 for r in rows if r[2]) == 14
 
     def test_invalid_order(self):
         assert run_cli(["derivatives", "--problem", "scalar-cubic", "--order", "0"]) == 1

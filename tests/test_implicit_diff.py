@@ -21,6 +21,7 @@ from gevrey_kit.implicit_diff import (
     affine_data_map,
     derivative_table,
     finite_difference_check,
+    finite_difference_table,
     first_derivative,
     higher_derivative,
     scalar_cubic_oracle,
@@ -258,6 +259,121 @@ class TestFiniteDifferenceCheck:
                                     [0.1, 0.05])
         with pytest.raises(ValueError):
             finite_difference_check(smap, np.array([0.0]), [np.array([1.0])], [0.1])
+
+
+def sign_sum_reference(solution_map, d, directions, steps):
+    """The nested central difference as a literal sum over 2^n sign vectors,
+    one solve per vector, with Richardson extrapolation in the squared step."""
+    n = len(directions)
+    steps = sorted(steps, reverse=True)
+
+    def stencil(t):
+        acc = None
+        for signs in itertools.product((1.0, -1.0), repeat=n):
+            point = d
+            for s, h in zip(signs, directions):
+                point = point + (s * t) * h
+            value = math.prod(signs) * solution_map(point)
+            acc = value if acc is None else acc + value
+        return (1.0 / (2.0 * t) ** n) * acc
+
+    rows = [stencil(t) for t in steps]
+    table = [[rows[0]]]
+    for i in range(1, len(steps)):
+        row = [rows[i]]
+        for j in range(1, i + 1):
+            fac = (steps[i - j] / steps[i]) ** 2 - 1.0
+            row.append(row[j - 1] + (1.0 / fac) * (row[j - 1] - table[i - 1][j - 1]))
+        table.append(row)
+    return table[-1][-1], float(np.linalg.norm(np.atleast_1d(table[-1][-1] - table[-1][-2])))
+
+
+class CountingMap:
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, d):
+        self.calls += 1
+        return self.fn(d)
+
+
+def keys_up_to(n_dirs, max_order):
+    return [MultiIndex.make(e)
+            for e in itertools.product(range(max_order + 1), repeat=n_dirs)
+            if 1 <= sum(e) <= max_order]
+
+
+class TestFiniteDifferenceTable:
+    def test_scalar_cubic_solves_each_point_once(self):
+        oracle = scalar_cubic_oracle()
+        smap = CountingMap(lambda d: solve_residual(oracle, d, 0.0, 1e-14))
+        d, h = np.array([0.2]), np.array([1.0])
+        steps = [0.08, 0.04, 0.02, 0.01]
+        keys = keys_up_to(1, 3)
+        got = finite_difference_table(smap, d, [h], keys, steps)
+        # points c in {+-1, +-2, +-3} at each step, plus the shared c = 0
+        assert smap.calls == 4 * 6 + 1
+        assert set(got) == set(keys)
+        for alpha in keys:
+            est, ind = finite_difference_check(smap, d, [h] * alpha.order(), steps)
+            assert abs(got[alpha][0] - est) <= ind
+
+    def test_two_directions_to_order_four(self):
+        # S(x, y) = (sin x e^y, x^2 cos y) along the unit vectors
+        smap = CountingMap(lambda p: np.array([np.sin(p[0]) * np.exp(p[1]),
+                                               p[0] ** 2 * np.cos(p[1])]))
+        d = np.array([0.3, -0.2])
+        dirs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+        keys = keys_up_to(2, 4)
+        got = finite_difference_table(smap, d, dirs, keys, [0.1, 0.05, 0.025])
+        # 40 points with 1 <= |c_1| + |c_2| <= 4 at each of three steps, plus c = 0
+        assert smap.calls == 121
+        x, y = d
+        sin_x = [math.sin(x), math.cos(x), -math.sin(x), -math.cos(x), math.sin(x)]
+        cos_y = [math.cos(y), -math.sin(y), -math.cos(y), math.sin(y), math.cos(y)]
+        poly_x = [x * x, 2 * x, 2.0, 0.0, 0.0]
+        for alpha in keys:
+            n1, n2 = alpha[1], alpha[2]
+            exact = np.array([sin_x[n1] * math.exp(y), poly_x[n1] * cos_y[n2]])
+            est, ind = got[alpha]
+            assert np.linalg.norm(est - exact) <= ind + 1e-8
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_check_is_bitwise_the_sign_sum(self, n):
+        smap = lambda p: np.array([np.exp(p[0] - p[1] ** 2), np.tanh(p[0] * p[1] + p[2])])
+        rng = np.random.default_rng(n)
+        d = rng.uniform(-0.5, 0.5, 3)
+        dirs = [rng.uniform(-1.0, 1.0, 3) for _ in range(n)]
+        steps = [0.1, 0.05, 0.025]
+        est, ind = finite_difference_check(smap, d, dirs, steps)
+        ref_est, ref_ind = sign_sum_reference(smap, d, dirs, steps)
+        assert est.tobytes() == ref_est.tobytes()
+        assert ind == ref_ind
+
+    def test_check_merges_no_points(self):
+        smap = CountingMap(lambda d: float(np.cos(d[0])))
+        h = np.array([1.0])
+        finite_difference_check(smap, np.array([0.0]), [h, h, h], [0.1, 0.05])
+        assert smap.calls == 2 * 2 ** 3
+
+    def test_failing_point_propagates(self):
+        def smap(d):
+            if d[0] > 0.15:
+                raise LinearizationError("state linearization is not positive definite")
+            return float(d[0] ** 3)
+        with pytest.raises(LinearizationError):
+            finite_difference_table(smap, np.array([0.0]), [np.array([1.0])],
+                                    [MultiIndex.make({1: 2})], [0.1, 0.05])
+
+    def test_validation(self):
+        smap = lambda d: 0.0
+        h = [np.array([1.0])]
+        for key in (MultiIndex(), MultiIndex.make({1: 5}), MultiIndex.unit(2)):
+            with pytest.raises(ValueError):
+                finite_difference_table(smap, np.array([0.0]), h, [key], [0.1, 0.05])
+        with pytest.raises(ValueError):
+            finite_difference_table(smap, np.array([0.0]), h, [MultiIndex.unit(1)],
+                                    [0.1, 0.1])
 
 
 class TestTableEnvelopeCompliance:
