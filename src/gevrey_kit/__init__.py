@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 from .combinatorics import (  # noqa: F401
     MultiIndex,
-    Composition,
     compositions,
     multi_index_compositions,
     set_partitions,

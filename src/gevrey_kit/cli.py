@@ -104,6 +104,37 @@ def _read_json_config(path: str, allowed: set[str], required: set[str]) -> dict:
     return cfg
 
 
+def _number(value, name: str, integer: bool = False):
+    """A finite JSON number as a float, or as an int when `integer`;
+    booleans, strings, null, NaN, infinities and, for an integer,
+    non-integral values are config errors."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number")
+    if not integer:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer")
+    return int(value)
+
+
+def _numbers(values, name: str, integer: bool = False) -> list:
+    if not isinstance(values, list):
+        raise ConfigError(f"{name} must be a list of numbers")
+    return [_number(v, f"{name}[{i}]", integer) for i, v in enumerate(values)]
+
+
+def _pde_data(mesh: Mesh1D, spec: dict, defaults: dict) -> PdeData:
+    """Data from the keys a, b, f (each a number or a flat list of numbers)
+    and g (a number) of a JSON object, with `defaults` for missing keys."""
+    fields = {}
+    for key, default in defaults.items():
+        value = spec.get(key, default)
+        fields[key] = (_numbers(value, key) if key != "g" and isinstance(value, list)
+                       else _number(value, key))
+    return PdeData.from_spec(mesh, **fields)
+
+
 def _nonlinearity_from_spec(spec) -> Nonlinearity:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("nonlinearity must be an object with a 'kind'")
@@ -117,11 +148,12 @@ def _nonlinearity_from_spec(spec) -> Nonlinearity:
         if "coeffs" not in spec:
             raise ConfigError("polynomial nonlinearity needs 'coeffs'")
         q = spec.get("q")
-        return Nonlinearity.polynomial(spec["coeffs"], None if q is None else float(q))
+        return Nonlinearity.polynomial(_numbers(spec["coeffs"], "coeffs"),
+                                       None if q is None else _number(q, "q"))
     if kind == "tanh_shifted":
         return Nonlinearity.tanh_shifted()
     if kind in ("exp", "exponential"):
-        return Nonlinearity.exponential(float(spec.get("q", 6.0)))
+        return Nonlinearity.exponential(_number(spec.get("q", 6.0), "q"))
     raise ConfigError(f"unknown nonlinearity kind {kind!r}")
 
 
@@ -166,25 +198,18 @@ def _cmd_envelope(args) -> int:
         allowed={"s", "alpha", "sigma", "digamma", "orders"},
         required={"s", "alpha", "sigma", "digamma"},
     )
-    env = GevreyEnvelope(float(cfg["s"]), float(cfg["sigma"]), float(cfg["digamma"]))
-    out = implicit_envelope(StabilityConstant(float(cfg["alpha"])), env)
+    s, alpha, sigma, digamma = (_number(cfg[k], k) for k in ("s", "alpha", "sigma", "digamma"))
+    orders = _numbers(cfg.get("orders", []), "orders", integer=True)
+    out = implicit_envelope(StabilityConstant(alpha), GevreyEnvelope(s, sigma, digamma))
     lines = ["key,value", f"scale,{_fmt(out.scale)}", f"rate,{_fmt(out.rate)}"]
     if out.s == 1.0:
         lines.append(f"radius,{_fmt(convergence_radius(out))}")
     else:
         lines.append("radius,")
-    for n in cfg.get("orders", []):
-        lines.append(f"bound_n={int(n)},{_fmt(out.bound(int(n)))}")
+    for n in orders:
+        lines.append(f"bound_n={n},{_fmt(out.bound(n))}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
-
-
-def _pde_field_spec(mesh: Mesh1D, value, name: str):
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, list):
-        return value
-    raise ConfigError(f"field {name!r} must be a number or a flat list of values")
 
 
 def _cmd_solve(args) -> int:
@@ -193,17 +218,12 @@ def _cmd_solve(args) -> int:
         allowed={"mesh_n", "bc", "a", "b", "f", "g", "nonlinearity", "tol", "seed"},
         required={"nonlinearity"},
     )
-    mesh = Mesh1D.uniform(int(cfg.get("mesh_n", 256)), right_bc=cfg.get("bc", "dirichlet"))
+    mesh = Mesh1D.uniform(_number(cfg.get("mesh_n", 256), "mesh_n", integer=True),
+                          right_bc=cfg.get("bc", "dirichlet"))
     nl = _nonlinearity_from_spec(cfg["nonlinearity"])
-    data = PdeData.from_spec(
-        mesh,
-        a=_pde_field_spec(mesh, cfg.get("a", 1.0), "a"),
-        b=_pde_field_spec(mesh, cfg.get("b", 0.0), "b"),
-        f=_pde_field_spec(mesh, cfg.get("f", 0.0), "f"),
-        g=float(cfg.get("g", 0.0)),
-    )
-    tol = float(cfg.get("tol", 1e-12))
-    u = newton_solve(mesh, data, nl, tol=tol)
+    data = _pde_data(mesh, cfg, {"a": 1.0, "b": 0.0, "f": 0.0, "g": 0.0})
+    seed = _number(cfg.get("seed", 0), "seed", integer=True)
+    u = newton_solve(mesh, data, nl, tol=_number(cfg.get("tol", 1e-12), "tol"))
 
     full = mesh.expand(u)
     lines = ["x,u"]
@@ -212,7 +232,7 @@ def _cmd_solve(args) -> int:
     _emit("\n".join(lines) + "\n", args.output)
 
     if args.report is not None:
-        rng = np.random.default_rng(int(cfg.get("seed", 0)))
+        rng = np.random.default_rng(seed)
         bound = solution_bound_check(mesh, data, nl, u)
         probe = monotonicity_probe(mesh, data, nl, rng)
         report = {
@@ -232,12 +252,7 @@ def _cmd_solve(args) -> int:
 
 
 def _scalar_directions(values) -> list[np.ndarray]:
-    directions = []
-    for v in values or [1.0]:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError("scalar directions must be numbers")
-        directions.append(np.array([float(v)]))
-    return directions
+    return [np.array([v]) for v in _numbers(values or [1.0], "directions")]
 
 
 def _derivative_problem(args):
@@ -263,10 +278,7 @@ def _derivative_problem(args):
     for spec in specs:
         if not isinstance(spec, dict) or set(spec) - {"a", "b", "f", "g"}:
             raise ConfigError("pde1d directions must be objects with keys a, b, f, g")
-        directions.append(
-            PdeData.from_spec(mesh, a=spec.get("a", 0.0), b=spec.get("b", 0.0),
-                              f=spec.get("f", 0.0), g=spec.get("g", 0.0))
-        )
+        directions.append(_pde_data(mesh, spec, dict.fromkeys("abfg", 0.0)))
     steps = [0.1, 0.05, 0.025]
     return oracle, base, directions, steps
 
@@ -315,16 +327,19 @@ def _cmd_verify_bounds(args) -> int:
                  "y_samples", "seed", "tol"},
         required={"mesh_n", "p", "max_order", "y_samples"},
     )
-    mesh = Mesh1D.uniform(int(cfg["mesh_n"]))
-    dmap = DomainMap1D(int(cfg["p"]), float(cfg.get("c", 0.5)),
-                       float(cfg.get("vartheta", 2.0)))
+    # 0 is the seed's default; the other integer keys are required
+    ints = {k: _number(cfg.get(k, 0), k, integer=True)
+            for k in ("mesh_n", "p", "max_order", "y_samples", "seed")}
+    mesh = Mesh1D.uniform(ints["mesh_n"])
+    dmap = DomainMap1D(ints["p"], _number(cfg.get("c", 0.5), "c"),
+                       _number(cfg.get("vartheta", 2.0), "vartheta"))
     nl = _nonlinearity_from_spec(cfg.get("nonlinearity", {"kind": "cubic"}))
     hat = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
-    ys = [rng.uniform(-0.5, 0.5, dmap.p) for _ in range(int(cfg["y_samples"]))]
+    rng = np.random.default_rng(ints["seed"])
+    ys = [rng.uniform(-0.5, 0.5, dmap.p) for _ in range(ints["y_samples"])]
     report = verify_derivative_bounds(dmap, hat, mesh, nl, ys,
-                             max_order=int(cfg["max_order"]),
-                             tol=float(cfg.get("tol", 1e-12)))
+                             max_order=ints["max_order"],
+                             tol=_number(cfg.get("tol", 1e-12), "tol"))
 
     lines = ["alpha,y_id,measured_norm,bound,ratio"]
     for row in report.rows:

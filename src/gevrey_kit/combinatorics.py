@@ -2,10 +2,11 @@
 
 Integer compositions, multi-index compositions and their unordered form,
 set partitions and the little Schroeder numbers, all in exact
-(arbitrary-precision) integer arithmetic.  Enumeration orders are
-deterministic, so enumerated objects can serve as stable memoization keys
-elsewhere.  Everything here is a pure function over immutable values; the
-enumeration generators are single-consumer.
+(arbitrary-precision) integer arithmetic.  A composition is the plain
+tuple of its parts, integers or `MultiIndex` values.  Enumeration orders
+are deterministic, so enumerated objects can serve as stable memoization
+keys elsewhere.  Everything here is a pure function over immutable values;
+the enumeration generators are single-consumer.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from typing import Iterator, Mapping, Sequence
 __all__ = [
     "C_KAPPA",
     "MultiIndex",
-    "Composition",
-    "MultiIndexComposition",
     "SetPartition",
     "compositions",
     "multi_index_compositions",
@@ -149,41 +148,22 @@ class MultiIndex:
         return "+".join(parts)
 
 
-@dataclass(frozen=True)
-class Composition:
-    """Ordered tuple of positive integers; `total` is the composed number."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.parts or any(p < 1 for p in self.parts):
-            raise ValueError("composition parts must be positive integers")
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-
-def compositions(n: int, r: int) -> list[Composition]:
+def compositions(n: int, r: int) -> list[tuple[int, ...]]:
     """All ordered r-tuples of positive integers summing to n, lexicographic.
 
     Returns the empty list when r < 1 or r > n; otherwise the count equals
     binom(n-1, r-1).
 
-    >>> [c.parts for c in compositions(4, 2)]
+    >>> compositions(4, 2)
     [(1, 3), (2, 2), (3, 1)]
     """
     if r < 1 or r > n:
         return []
-    out: list[Composition] = []
+    out: list[tuple[int, ...]] = []
 
     def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
         if slots == 1:
-            out.append(Composition(prefix + (remaining,)))
+            out.append(prefix + (remaining,))
             return
         for first in range(1, remaining - slots + 2):
             rec(prefix + (first,), remaining - first, slots - 1)
@@ -192,24 +172,7 @@ def compositions(n: int, r: int) -> list[Composition]:
     return out
 
 
-@dataclass(frozen=True)
-class MultiIndexComposition:
-    """Ordered tuple of nonzero multi-indices with a fixed multi-index total."""
-
-    parts: tuple[MultiIndex, ...]
-
-    def __post_init__(self) -> None:
-        if not self.parts or any(p.is_zero() for p in self.parts):
-            raise ValueError("parts must be nonzero multi-indices")
-
-    def total(self) -> MultiIndex:
-        out = MultiIndex()
-        for p in self.parts:
-            out = out + p
-        return out
-
-
-def multi_index_compositions(alpha: MultiIndex, r: int) -> list[MultiIndexComposition]:
+def multi_index_compositions(alpha: MultiIndex, r: int) -> list[tuple[MultiIndex, ...]]:
     """All ordered r-tuples of nonzero multi-indices summing to alpha.
 
     Empty when r < 1 or r > |alpha|.  The enumeration order is fixed by the
@@ -217,12 +180,12 @@ def multi_index_compositions(alpha: MultiIndex, r: int) -> list[MultiIndexCompos
     """
     if alpha.is_zero() or r < 1 or r > alpha.order():
         return []
-    out: list[MultiIndexComposition] = []
+    out: list[tuple[MultiIndex, ...]] = []
 
     def rec(prefix: tuple[MultiIndex, ...], remaining: MultiIndex, slots: int) -> None:
         if slots == 1:
             if not remaining.is_zero():
-                out.append(MultiIndexComposition(prefix + (remaining,)))
+                out.append(prefix + (remaining,))
             return
         for beta in remaining.sub_indices():
             if beta.is_zero():
@@ -351,12 +314,16 @@ def schroeder_hipparchus(n: int) -> int:
     return schroeder_hipparchus_sequence(n)[-1]
 
 
-def factorial_inequality_check(comp: Composition) -> bool:
-    """True iff r! * prod(i_j!) <= n! for the composition's own n and r."""
-    lhs = math.factorial(comp.length)
-    for i in comp.parts:
+def factorial_inequality_check(parts: Sequence[int]) -> bool:
+    """True iff r! * prod(i_j!) <= n! for the composition (i_1, ..., i_r) of
+    n; raises ValueError unless the parts are a nonempty sequence of positive
+    integers."""
+    if not parts or any(i < 1 for i in parts):
+        raise ValueError("composition parts must be positive integers")
+    lhs = math.factorial(len(parts))
+    for i in parts:
         lhs *= math.factorial(i)
-    return lhs <= math.factorial(comp.total)
+    return lhs <= math.factorial(sum(parts))
 
 
 def composition_identity_check(alpha: MultiIndex, r: int) -> bool:
@@ -371,7 +338,7 @@ def composition_identity_check(alpha: MultiIndex, r: int) -> bool:
     lhs = 0
     for comb in multi_index_compositions(alpha, r):
         term = 1
-        for beta in comb.parts:
+        for beta in comb:
             q, rem = divmod(math.factorial(beta.order()), beta.factorial())
             if rem:
                 raise ArithmeticError("multinomial coefficient was not an integer")

@@ -12,6 +12,9 @@ composition recursion of the chain rule (`higher_derivative`), a sum over
 the unordered compositions of alpha with multiplicity weights.
 Directional mode is the affine data map t -> d + sum_k t_k h_k, whose
 mixed partial at e_{k_1} + ... + e_{k_n} is D^nS(d)[h_{k_1}, ..., h_{k_n}].
+A `DerivativeTable` holds its data map in one form only, the normalized
+coefficients d^alpha data / alpha!, and scales them by alpha! where the
+composition sum asks for partials.
 
 `fill_table` fills a table order by order in one of two forms, and the
 oracle decides which.  An oracle whose `taylor_expansion` returns an
@@ -142,27 +145,26 @@ class DerivativeTable:
     """Memoized partials d^alpha u of t -> S(data(t)) at a fixed base point.
 
     Keys are MultiIndex values; the base entry, stored under the zero
-    multi-index, is the solution u = S(d) itself.  `data_partial(alpha)`
-    returns d^alpha data at the base point and `data_coefficient(alpha)`
-    the normalized d^alpha data / alpha!; when no coefficient map is
-    given, it is the partial divided by alpha!.  Builders fill the table
-    order by order, so every stored key has all of its sub-keys present.
+    multi-index, is the solution u = S(d) itself.  The data map enters once,
+    as `data_coefficient(alpha)` = d^alpha data / alpha! at the base point,
+    the form the Taylor-coefficient fill reads; `data_partial` scales it
+    back for the composition sum.  Builders fill the table order by order,
+    so every stored key has all of its sub-keys present.
     """
 
     def __init__(self, oracle: ResidualOracle, d, u,
-                 data_partial: Callable[[MultiIndex], object],
-                 data_coefficient: Callable[[MultiIndex], object] | None = None):
+                 data_coefficient: Callable[[MultiIndex], object]):
         self.oracle = oracle
         self.d = d
         self.u = u
-        self.data_partial = data_partial
-        self.data_coefficient = data_coefficient or self._scaled_partial
+        self.data_coefficient = data_coefficient
         self._entries: dict[MultiIndex, object] = {MultiIndex(): u}
 
-    def _scaled_partial(self, alpha: MultiIndex):
+    def data_partial(self, alpha: MultiIndex):
+        """d^alpha data = alpha! * data_coefficient(alpha)."""
         fact = alpha.factorial()
-        value = self.data_partial(alpha)
-        return value if fact == 1 else (1.0 / fact) * value
+        coefficient = self.data_coefficient(alpha)
+        return coefficient if fact == 1 else fact * coefficient
 
     def entry(self, alpha: MultiIndex):
         try:
@@ -186,13 +188,12 @@ class DerivativeTable:
         return {k: self.oracle.state_norm(v) for k, v in self._entries.items()}
 
 
-def solve_residual(oracle: ResidualOracle, d, u0, tol: float,
-                   max_iter: int = 100, max_halvings: int = 30):
+def solve_residual(oracle: ResidualOracle, d, u0, tol: float, max_iter: int = 100):
     """Newton iteration with residual-norm step damping.
 
-    Halves the step while the residual norm does not decrease (at most
-    `max_halvings` times per step).  When no halving decreases it and the
-    step is round-off, at most 16 * eps * dim(u) * ||u|| (the P1 benchmark
+    Halves the step while the residual norm does not decrease (at most 30
+    times per step).  When no halving decreases it and the step is
+    round-off, at most 16 * eps * dim(u) * ||u|| (the P1 benchmark
     stalls at about 0.1 * eps * dim(u) * ||u||), u is converged and is
     returned although its residual norm sits above tol; otherwise, and
     after `max_iter` iterations, NonConvergenceError is raised.
@@ -205,7 +206,7 @@ def solve_residual(oracle: ResidualOracle, d, u0, tol: float,
             return u
         step = oracle.solve_linearized(d, u, res)
         lam = 1.0
-        for _ in range(max_halvings + 1):
+        for _ in range(31):  # the full step, then up to 30 halvings
             u_new = u - lam * step
             res_new = oracle.eval(d, u_new)
             rnorm_new = oracle.residual_norm(res_new)
@@ -299,21 +300,23 @@ def fill_table(table: DerivativeTable, alphas: Iterable[MultiIndex]) -> Derivati
 
 
 def affine_data_map(oracle: ResidualOracle, d, directions: Sequence):
-    """Partials of the data map t -> d + sum_k t_k h_k, h_k = directions[k-1]."""
+    """Normalized partials d^alpha data / alpha! of the data map
+    t -> d + sum_k t_k h_k, h_k = directions[k-1]: alpha! is 1 up to order
+    one, and the map vanishes beyond."""
     zero = oracle.zero_data()
 
-    def data_partial(alpha: MultiIndex):
+    def data_coefficient(alpha: MultiIndex):
         if alpha.is_zero():
             return d
         if alpha.order() == 1:
             return directions[alpha.support()[0] - 1]
         return zero
 
-    return data_partial
+    return data_coefficient
 
 
 def derivative_table(oracle: ResidualOracle, d, directions: Sequence,
-                     max_order: int, *, u0=None, tol: float = 1e-12) -> DerivativeTable:
+                     max_order: int, *, tol: float = 1e-12) -> DerivativeTable:
     """Solve the residual equation at d and fill all derivatives up to
     `max_order` along every sub-multiset of `directions`.
 
@@ -322,9 +325,7 @@ def derivative_table(oracle: ResidualOracle, d, directions: Sequence,
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    if u0 is None:
-        u0 = oracle.zero_state()
-    u = solve_residual(oracle, d, u0, tol)
+    u = solve_residual(oracle, d, oracle.zero_state(), tol)
     table = DerivativeTable(oracle, d, u, affine_data_map(oracle, d, directions))
     coords = range(1, len(directions) + 1)
     return fill_table(table, (

@@ -221,7 +221,7 @@ def parametric_derivative_table(oracle: PdeOracle, tilde: TildeData,
     (the Taylor-coefficient fill for a `PdeOracle`)."""
     if u is None:
         u = solve_residual(oracle, tilde.data, oracle.zero_state(), tol)
-    table = DerivativeTable(oracle, tilde.data, u, tilde.partial, tilde.coefficient)
+    table = DerivativeTable(oracle, tilde.data, u, tilde.coefficient)
     return fill_table(table, multi_indices_up_to(tilde.dmap.p, max_order))
 
 
@@ -297,7 +297,7 @@ def _envelope_from_solves(dmap, hat, mesh, nl, solves):
 
 
 def solution_envelope(dmap: DomainMap1D, hat: PdeData, mesh: Mesh1D,
-                      nl: Nonlinearity, ys: Sequence, tol: float = 1e-12):
+                      nl: Nonlinearity, ys: Sequence):
     """Composed envelope for the parameters-to-solution map.
 
     Chains the constructive data envelope with the implicit-solution
@@ -305,7 +305,7 @@ def solution_envelope(dmap: DomainMap1D, hat: PdeData, mesh: Mesh1D,
     points (stability bound, residual-derivative constants).  Returns
     (envelope, constants detail); raises ValueError when ys is empty.
     """
-    solves = _solve_at(dmap, hat, mesh, nl, ys, tol)
+    solves = _solve_at(dmap, hat, mesh, nl, ys, 1e-12)
     return _envelope_from_solves(dmap, hat, mesh, nl, solves)
 
 
@@ -370,15 +370,14 @@ class GevreyFit:
 
 
 def gevrey_rate_fit(norms: Mapping[MultiIndex, float],
-                    weights: Sequence[float],
-                    tail: tuple[float, float] | None = None) -> GevreyFit:
+                    weights: Sequence[float]) -> GevreyFit:
     """Least-squares fit of log(norm/gamma^alpha) against
     s*log(|alpha|!) + |alpha|*log(rate) + log(scale).
 
     Entries of order zero, zero norms and zero-weight entries are skipped;
     raises ValueError when the remaining design matrix is degenerate.
     """
-    helper = ParametricEnvelope(GevreyEnvelope(1.0, 1.0, 1.0), tuple(weights), tail)
+    helper = ParametricEnvelope(GevreyEnvelope(1.0, 1.0, 1.0), tuple(weights))
     rows, targets = [], []
     for alpha, value in norms.items():
         n = alpha.order()

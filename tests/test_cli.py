@@ -3,7 +3,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 import gevrey_kit.cli as cli
@@ -14,6 +13,10 @@ from gevrey_kit.parametric import DerivativeBoundReport, DerivativeBoundRow
 
 def run_cli(args):
     return cli.main(args)
+
+
+def case_id(override: dict) -> str:
+    return "-".join(f"{key}={type(value).__name__}" for key, value in override.items())
 
 
 class TestKappa:
@@ -81,6 +84,19 @@ class TestEnvelope:
         cfg = tmp_path / "env.json"
         cfg.write_text(json.dumps({"s": 1.0, "alpha": 0.5, "sigma": 1.0, "digamma": 1.0}))
         assert run_cli(["envelope", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("override", [
+        {"s": True}, {"alpha": "1"}, {"sigma": None}, {"digamma": [1.0]},
+        {"orders": 5}, {"orders": [1.5]}, {"orders": [True]}, {"orders": ["2"]},
+    ], ids=case_id)
+    def test_non_numeric_values_rejected(self, tmp_path, capsys, override):
+        cfg = tmp_path / "env.json"
+        cfg.write_text(json.dumps(
+            dict({"s": 1.0, "alpha": 1.0, "sigma": 1.0, "digamma": 1.0}, **override)))
+        out = tmp_path / "env.csv"
+        assert run_cli(["envelope", "--config", str(cfg), "--output", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSolve:
@@ -160,6 +176,26 @@ class TestSolve:
         }))
         assert run_cli(["solve", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("override", [
+        # a field list holds one value per Gauss point: 48 at mesh 16
+        {"a": True}, {"b": "1"}, {"f": None}, {"f": [1.0] * 47 + [True]},
+        {"a": [1.0] * 47 + ["2"]}, {"a": [[1.0] * 3] * 16}, {"bc": "neumann", "g": True},
+        {"g": [1.0]}, {"f": math.inf}, {"a": [1.0] * 47 + [math.nan]},
+        {"mesh_n": 16.5}, {"mesh_n": True}, {"tol": "1e-12"}, {"seed": 1.5},
+        {"nonlinearity": {"kind": "polynomial", "coeffs": [1.0, 0.0, True]}},
+        {"nonlinearity": {"kind": "polynomial", "coeffs": "1"}},
+        {"nonlinearity": {"kind": "polynomial", "coeffs": [0.0, 1.0], "q": "4"}},
+    ], ids=case_id)
+    def test_non_numeric_values_rejected(self, tmp_path, capsys, override):
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps(dict({
+            "mesh_n": 16, "a": 1.0, "b": 1.0, "f": 1.0, "nonlinearity": {"kind": "cubic"},
+        }, **override)))
+        out = tmp_path / "u.csv"
+        assert run_cli(["solve", "--config", str(cfg), "--output", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDerivatives:
     def test_scalar_cubic_with_fd(self, tmp_path):
@@ -196,6 +232,17 @@ class TestDerivatives:
         dirs.write_text(json.dumps([entry]))
         code = run_cli(["derivatives", "--problem", problem, "--order", "2",
                         "--directions", str(dirs)])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [
+        {"a": True}, {"b": "0.1"}, {"f": None}, {"f": [1.0] * 23 + [False]}, {"g": [1.0]},
+    ], ids=case_id)
+    def test_non_numeric_pde_direction_rejected(self, tmp_path, capsys, entry):
+        dirs = tmp_path / "dirs.json"
+        dirs.write_text(json.dumps([{"f": 1.0}, entry]))
+        code = run_cli(["derivatives", "--problem", "pde1d", "--order", "2",
+                        "--mesh-n", "8", "--directions", str(dirs)])
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
@@ -300,6 +347,27 @@ class TestVerifyBounds:
     def test_unknown_key(self, tmp_path):
         cfg = self.config(tmp_path, mystery=1)
         assert run_cli(["verify-bounds", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("override", [
+        {"mesh_n": "32"}, {"p": 2.9}, {"max_order": True}, {"y_samples": True},
+        {"y_samples": 1.5}, {"seed": "7"}, {"c": "0.5"}, {"vartheta": "2"}, {"tol": None},
+        {"c": math.nan}, {"tol": math.inf},
+    ], ids=case_id)
+    def test_non_numeric_values_rejected(self, tmp_path, capsys, override):
+        cfg = self.config(tmp_path, **override)
+        out = tmp_path / "bounds.csv"
+        assert run_cli(["verify-bounds", "--config", str(cfg), "--output", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        outs = []
+        for p in (2, 2.0):
+            outs.append(tmp_path / f"bounds{p}.csv")
+            cfg = self.config(tmp_path, p=p, y_samples=1)
+            assert run_cli(["verify-bounds", "--config", str(cfg), "--output",
+                            str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     @pytest.mark.parametrize("y_samples", [0, -2])
     def test_no_parameter_points_rejected(self, tmp_path, y_samples):

@@ -5,8 +5,10 @@ rational arithmetic, the literal permutation-sum form of the chain rule,
 and Richardson finite differences.
 """
 
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from gevrey_kit.implicit_diff import (
     scalar_quadratic_oracle,
     solve_residual,
 )
+from gevrey_kit.pde1d import Mesh1D, Nonlinearity, PdeData, PdeOracle
 from gevrey_kit.selftest import higher_derivative_reference, invert_cubic_series
 
 
@@ -219,6 +222,25 @@ class TestDerivativeTable:
         table = derivative_table(oracle, np.array([0.0]), [np.array([1.0])], 3)
         norms = table.norms()
         assert norms[MultiIndex.make({1: 3})] == pytest.approx(6.0)
+
+    def test_table_is_freed_without_the_cyclic_collector(self):
+        # a table must not reach itself, or it keeps its entries, oracle and
+        # mesh alive until the cyclic collector runs
+        mesh = Mesh1D.uniform(16)
+        base = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
+        problems = [
+            (PdeOracle(mesh, Nonlinearity.cubic()), base, [PdeData.from_spec(mesh, f=1.0)]),
+            (scalar_cubic_oracle(), np.array([0.0]), [np.array([1.0])]),
+        ]
+        gc.disable()
+        try:
+            for oracle, d, directions in problems:
+                table = derivative_table(oracle, d, directions, 3)
+                ref = weakref.ref(table)
+                del table
+                assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestFiniteDifferenceCheck:

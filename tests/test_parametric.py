@@ -292,19 +292,19 @@ class TestSolutionPartials:
         u = solve_residual(oracle, tilde.data, oracle.zero_state(), 1e-12)
         from gevrey_kit.implicit_diff import DerivativeTable
 
-        table = DerivativeTable(oracle, tilde.data, u, tilde.partial)
+        table = DerivativeTable(oracle, tilde.data, u, tilde.coefficient)
         with pytest.raises(LookupError):
             parametric_solution_derivative(oracle, tilde, table,
                                            MultiIndex.make({1: 2}))
 
 
-def composition_table(oracle, d, u, data_partial, alphas):
+def composition_table(oracle, d, u, data_coefficient, alphas):
     """Table filled by the composition sum of the chain rule, the independent
     oracle for the Taylor-coefficient fill."""
-    table = DerivativeTable(oracle, d, u, data_partial)
+    table = DerivativeTable(oracle, d, u, data_coefficient)
     for alpha in alphas:
         if alpha.order() == 1:
-            table.put(alpha, first_derivative(oracle, d, u, data_partial(alpha)))
+            table.put(alpha, first_derivative(oracle, d, u, table.data_partial(alpha)))
         elif alpha.order() > 1:
             table.put(alpha, higher_derivative(oracle, table, alpha))
     return table
@@ -334,7 +334,7 @@ class TestTaylorFill:
         u = newton_solve(mesh, tilde.data, nl)
         table = parametric_derivative_table(PdeOracle(mesh, nl), tilde, 5, u=u)
         fresh = TildeData(dmap, hat, mesh, y)
-        reference = composition_table(PdeOracle(mesh, nl), fresh.data, u, fresh.partial,
+        reference = composition_table(PdeOracle(mesh, nl), fresh.data, u, fresh.coefficient,
                                       multi_indices_up_to(p, 5))
         assert len(table) == len(reference)
         assert largest_relative_h1_gap(mesh, table, reference) <= 1e-10
