@@ -63,6 +63,15 @@ class ConfigError(Exception):
     """Invalid command line or JSON configuration."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An unusable command line is a configuration error: exit 1, where
+    argparse exits 2, the code of a numerical failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
@@ -258,14 +267,14 @@ def _scalar_directions(values) -> list[np.ndarray]:
 def _derivative_problem(args):
     if args.problem == "scalar-quadratic":
         oracle = scalar_quadratic_oracle()
-        at = 3.0 if args.at is None else args.at
+        at = 3.0 if args.at is None else _number(args.at, "--at")
         base = np.array([at])
         directions = _scalar_directions(args.direction_values)
         steps = [0.1, 0.05, 0.025, 0.0125]
         return oracle, base, directions, steps
     if args.problem == "scalar-cubic":
         oracle = scalar_cubic_oracle()
-        at = 0.0 if args.at is None else args.at
+        at = 0.0 if args.at is None else _number(args.at, "--at")
         base = np.array([at])
         directions = _scalar_directions(args.direction_values)
         steps = [0.08, 0.04, 0.02, 0.01]
@@ -375,7 +384,7 @@ def _cmd_selftest(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gevrey-kit",
         description="Derivative-bound calculus for implicitly defined solution maps.",
     )

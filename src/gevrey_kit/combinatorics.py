@@ -5,8 +5,11 @@ set partitions and the little Schroeder numbers, all in exact
 (arbitrary-precision) integer arithmetic.  A composition is the plain
 tuple of its parts, integers or `MultiIndex` values.  Enumeration orders
 are deterministic, so enumerated objects can serve as stable memoization
-keys elsewhere.  Everything here is a pure function over immutable values;
-the enumeration generators are single-consumer.
+keys elsewhere.  `SplitPlan` numbers a list of multi-indices by position
+and maps each split alpha = beta + rest to positions, as integer arrays.
+Apart from the plan, which caches those arrays, everything here is a pure
+function over immutable values; the enumeration generators are
+single-consumer.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "C_KAPPA",
@@ -29,6 +34,7 @@ __all__ = [
     "factorial_inequality_check",
     "composition_identity_check",
     "multi_indices_up_to",
+    "SplitPlan",
     "kappa_asymptotic_log",
 ]
 
@@ -367,10 +373,89 @@ def multi_indices_up_to(n_coords: int, max_order: int) -> list[MultiIndex]:
         raise ValueError("need n_coords >= 1 and max_order >= 0")
     out: list[MultiIndex] = []
     for total in range(max_order + 1):
-        block = [MultiIndex.make(t) for t in _exponent_tuples(n_coords, total)]
+        block = [MultiIndex(tuple((k, e) for k, e in enumerate(t, start=1) if e))
+                 for t in _exponent_tuples(n_coords, total)]
         block.sort(key=lambda a: a.entries)
         out.extend(block)
     return out
+
+
+class SplitPlan:
+    """Split plan of a list of keys, built as integer arrays, for Cauchy
+    products of series over the keys (the Taylor fill of `pde1d`).
+
+    The keys are numbered by position within their order, in the order
+    given, and order 0 holds the zero index alone; a series over the keys
+    is one array per order with a row per position.  The alpha-coefficient
+    of a product of two series is the Cauchy sum over the splits
+    alpha = beta + rest.  Split by the order k of beta, the terms of all
+    keys of order m are the outer product of the order-k rows of the left
+    series with the order-(m - k) rows of the right one, reduced by a 0/1
+    matrix that sends the pair (beta, rest) to the row of beta + rest.
+    `targets(m, k)` gives that row for every pair.  A key is coded by its
+    exponents in base max_order + 1, so the code of beta + rest is the sum
+    of the codes and a sorted search finds its row.
+
+    The keys must be nonzero and listed by nondecreasing order.  Raises
+    ValueError for a repeated key and LookupError for a key listed before
+    one of its sub-indices.
+    """
+
+    def __init__(self, keys: Sequence[MultiIndex]):
+        self.max_order = keys[-1].order() if keys else 0
+        n_coords = max((alpha.support()[-1] for alpha in keys), default=1)
+        exps = np.zeros((len(keys) + 1, n_coords), dtype=np.int64)
+        for i, alpha in enumerate(keys, start=1):
+            for k, e in alpha.entries:
+                exps[i, k - 1] = e
+        self.starts = np.searchsorted(exps.sum(axis=1), np.arange(self.max_order + 2))
+        self.exps = [exps[s:t] for s, t in zip(self.starts[:-1], self.starts[1:])]
+        radix = self.max_order + 1
+        if radix ** n_coords < 2**62:
+            powers = radix ** np.arange(n_coords, dtype=np.int64)
+        else:  # codes beyond int64 stay exact as Python integers
+            powers = np.array([radix**i for i in range(n_coords)], dtype=object)
+        self._codes = [e @ powers for e in self.exps]
+        self._sorter = [np.argsort(c, kind="stable") for c in self._codes]
+        self._targets: dict[tuple[int, int], np.ndarray] = {}
+        for m in range(1, self.max_order + 1):
+            codes = self._codes[m][self._sorter[m]]
+            if np.any(codes[1:] == codes[:-1]):
+                raise ValueError("keys must be distinct")
+            if m == 1:
+                continue
+            # every unit step down from a key is a key: then all of its
+            # sub-indices are listed before it
+            found = np.bincount(self.targets(m, 1).ravel() + 1, minlength=len(codes) + 1)[1:]
+            missing = np.flatnonzero(found < np.count_nonzero(self.exps[m], axis=1))
+            if len(missing):
+                alpha = keys[self.starts[m] - 1 + missing[0]]
+                raise LookupError(f"{alpha.label()} is listed before one of its sub-indices")
+
+    def size(self, m: int) -> int:
+        return len(self.exps[m])
+
+    def targets(self, m: int, k: int) -> np.ndarray:
+        """Row of beta + rest among the keys of order m for every pair of a
+        key beta of order k and a key rest of order m - k, shape
+        (size(k), size(m - k)); -1 where beta + rest is not a key."""
+        cached = self._targets.get((m, k))
+        if cached is None:
+            sums = self._codes[k][:, None] + self._codes[m - k][None, :]
+            sorter = self._sorter[m]
+            pos = np.minimum(np.searchsorted(self._codes[m], sums, sorter=sorter),
+                             self.size(m) - 1)
+            rows = sorter[pos]
+            cached = np.where(self._codes[m][rows] == sums, rows, -1).astype(np.intp)
+            self._targets[(m, k)] = cached
+        return cached
+
+    def first_coordinate_weights(self, m: int, k: int) -> np.ndarray:
+        """beta_c / alpha_c for the pairs of `targets(m, k)`, c the first
+        coordinate of alpha = beta + rest."""
+        rows = self.targets(m, k)
+        first = np.argmax(self.exps[m] > 0, axis=1)[rows]
+        return self.exps[k][np.arange(len(rows))[:, None], first] / self.exps[m][rows, first]
 
 
 def kappa_asymptotic_log(n: int) -> float:

@@ -21,9 +21,11 @@ oracle decides which.  An oracle whose `taylor_expansion` returns an
 expansion (`PdeOracle`) propagates normalized coefficients
 u_alpha = d^alpha u / alpha!: the alpha-coefficient of
 t -> R(data(t), u(t)) is affine in u_alpha with the state linearization as
-its slope, so with u_alpha set to zero it gives the right-hand side of one
-linearized solve per entry (Taylor arithmetic; Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  Every other
+its slope, so with u_alpha set to zero it gives the right-hand side of a
+linearized solve (Taylor arithmetic; Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008, ch. 13).  All keys of one order are
+independent of each other, so the expansion forms their right-hand sides
+at once and one solve takes them as columns.  Every other
 oracle, such as the scalar `PolynomialOracle` problems, runs the
 composition sum, which also serves the tests as the independent oracle
 for the Taylor tables.  The literal permutation-and-composition form that
@@ -109,22 +111,26 @@ class ResidualOracle:
         raise NotImplementedError
 
     def solve_linearized(self, d, u, rhs):
-        """Apply the inverse of the state linearization at (d, u) to rhs."""
+        """Apply the inverse of the state linearization at (d, u) to rhs.
+        An oracle with a Taylor expansion also takes an array whose
+        columns are right-hand sides."""
         raise NotImplementedError
 
     def max_derivative_order(self) -> int | None:
         """Largest r with D^rR not identically zero, or None if unbounded."""
         raise NotImplementedError
 
-    def taylor_expansion(self, table: "DerivativeTable"):
-        """Taylor-coefficient form of the table's fill, or None.
+    def taylor_expansion(self, table: "DerivativeTable", keys: Sequence[MultiIndex]):
+        """Taylor-coefficient form of the table's fill over `keys`, or None.
 
-        An expansion has `residual_coefficient(alpha)`, the
-        alpha-coefficient of t -> R(data(t), u(t)) with u_alpha set to zero
-        (u_alpha = d^alpha u / alpha!), and `record(alpha, u_alpha)`, which
-        takes the solved coefficient.  `fill_table` asks for alpha only
-        after every sub-index of alpha is recorded.  With None the table
-        is filled by the composition sum.
+        `keys` are the fill's nonzero keys, by nondecreasing order.  An
+        expansion has `residual_coefficients(m)`: the alpha-coefficients
+        of t -> R(data(t), u(t)) for the keys alpha of order m, in their
+        order, with each u_alpha = d^alpha u / alpha! set to zero, as the
+        columns of one array.  `record(m, solved)` takes the solved
+        coefficients of order m as the columns of `solved`.  `fill_table`
+        asks for order m only after every lower order is recorded.  With
+        None the table is filled by the composition sum.
         """
         return None
 
@@ -276,26 +282,36 @@ def higher_derivative(oracle: ResidualOracle, table: DerivativeTable,
 
 def fill_table(table: DerivativeTable, alphas: Iterable[MultiIndex]) -> DerivativeTable:
     """Put d^alpha u into the table for every nonzero alpha of `alphas`,
-    which lists each alpha after all of its sub-indices.
+    which lists the keys by nondecreasing order and each alpha after all
+    of its sub-indices; the table's rows keep that order.
 
-    When the oracle has a Taylor expansion, each entry is alpha! u_alpha
-    with u_alpha = -(D2R)^{-1} [residual coefficient]; otherwise order one
-    is `first_derivative` and higher orders are `higher_derivative`.
+    When the oracle has a Taylor expansion, each order is filled at once:
+    the residual coefficients of all its keys are the columns of one
+    right-hand side, one call of `solve_linearized` gives their u_alpha,
+    and each entry is alpha! u_alpha.  Otherwise order one is
+    `first_derivative` and higher orders are `higher_derivative`.  Raises
+    ValueError when the orders of `alphas` decrease.
     """
+    keys = [alpha for alpha in alphas if not alpha.is_zero()]
+    if any(a.order() > b.order() for a, b in zip(keys, keys[1:])):
+        raise ValueError("fill keys must be listed by nondecreasing order")
     oracle, d, u = table.oracle, table.d, table.u
-    taylor = oracle.taylor_expansion(table)
-    for alpha in alphas:
-        if alpha.is_zero():
-            continue
-        if taylor is not None:
-            u_alpha = -oracle.solve_linearized(d, u, taylor.residual_coefficient(alpha))
-            taylor.record(alpha, u_alpha)
-            value = alpha.factorial() * u_alpha
-        elif alpha.order() == 1:
-            value = first_derivative(oracle, d, u, table.data_partial(alpha))
-        else:
-            value = higher_derivative(oracle, table, alpha)
-        table.put(alpha, value)
+    taylor = oracle.taylor_expansion(table, keys)
+    if taylor is None:
+        for alpha in keys:
+            if alpha.order() == 1:
+                value = first_derivative(oracle, d, u, table.data_partial(alpha))
+            else:
+                value = higher_derivative(oracle, table, alpha)
+            table.put(alpha, value)
+        return table
+    for m, block in itertools.groupby(keys, MultiIndex.order):
+        block = list(block)
+        solved = -oracle.solve_linearized(d, u, taylor.residual_coefficients(m))
+        taylor.record(m, solved)
+        factorials = np.array([float(alpha.factorial()) for alpha in block])
+        for alpha, value in zip(block, solved.T * factorials[:, None]):
+            table.put(alpha, value)
     return table
 
 

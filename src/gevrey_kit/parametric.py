@@ -13,8 +13,9 @@ everything else moves to the right-hand side of a linearized solve.
 `parametric_derivative_table` fills its tables by Taylor-coefficient
 propagation (`implicit_diff.fill_table` with `PdeOracle`'s expansion): the
 data enter as the normalized coefficients of `TildeData.coefficient`, and
-each u_alpha = d^alpha u / alpha! costs Cauchy products at the Gauss
-points and one solve.  The composition sum of the chain rule
+the u_alpha = d^alpha u / alpha! of one order come together, from Cauchy
+products of whole orders at the Gauss points and one solve with a column
+per key.  The composition sum of the chain rule
 (`parametric_solution_derivative`) still gives single entries and is the
 oracle the tests compare the tables with.  Tables are treated as immutable
 once complete.
@@ -140,13 +141,13 @@ class TildeData:
     In one dimension the pullback is a -> a/W, b -> W b, f -> W f with the
     flux value unchanged (`data`), and ellipticity survives: on the box
     inf a/W >= min(1, inf a) / 8.  W is affine in y, so all nonlinearity
-    in y sits in 1/W.  Its normalized coefficients
-    c_alpha = d^alpha (1/W) / alpha! obey the reciprocal recursion
+    in y sits in 1/W.  Its normalized coefficients are those of the
+    geometric series of 1/(W + sum_k t_k w_k), w_k the mode gradients:
 
-        W * c_alpha = -sum_k w_k c_(alpha - e_k),
+        c_alpha = d^alpha (1/W) / alpha! = (-1)^n (n! / alpha!) w^alpha / W^(n+1),
 
-    with w_k the mode gradients, and so do those of a/W, a being constant
-    in y; the coefficients of W b and W f have exactly one Leibniz term and
+    n = |alpha|, and a/W has the coefficients a c_alpha, a being constant
+    in y.  The coefficients of W b and W f have exactly one Leibniz term and
     vanish beyond order one.
     """
 
@@ -160,28 +161,30 @@ class TildeData:
         self.w = dmap.deformation_gradient(self.y, x)
         self.winv = 1.0 / self.w
         self.data = PdeData(hat.a * self.winv, self.w * hat.b, self.w * hat.f, hat.g)
-        self._coefficients: dict[MultiIndex, PdeData] = {MultiIndex(): self.data}
+        self._ratios = [g * self.winv for g in self.mode_grads]  # w_k / W
         self._partials: dict[MultiIndex, PdeData] = {MultiIndex(): self.data}
         self._zero = np.zeros_like(self.w)
 
     def coefficient(self, alpha: MultiIndex) -> PdeData:
         """Normalized partial d^alpha data / alpha! at this parameter point,
-        computed once per alpha."""
-        cached = self._coefficients.get(alpha)
-        if cached is not None:
-            return cached
+        from the closed form of the reciprocal (see the class docstring).
+        Nothing is kept between calls, so a fill that reads each coefficient
+        once holds none of them afterwards."""
         zero = self._zero
-        a_part = b_part = f_part = zero
-        if alpha.support()[-1] <= self.dmap.p:
-            acc = zero
-            for k in alpha.support():
-                acc = acc + self.mode_grads[k - 1] * self.coefficient(alpha - MultiIndex.unit(k)).a
-            a_part = -self.winv * acc
-            if alpha.order() == 1:
-                wk = self.mode_grads[alpha.support()[0] - 1]
-                b_part, f_part = wk * self.hat.b, wk * self.hat.f
-        cached = self._coefficients[alpha] = PdeData(a_part, b_part, f_part, 0.0)
-        return cached
+        if alpha.is_zero():
+            return self.data
+        if alpha.entries[-1][0] > self.dmap.p:
+            return PdeData(zero, zero, zero, 0.0)
+        n = alpha.order()
+        a_part = (-1) ** n * math.factorial(n) / alpha.factorial() * self.data.a
+        for k, e in alpha.entries:
+            for _ in range(e):
+                a_part *= self._ratios[k - 1]
+        b_part = f_part = zero
+        if n == 1:
+            wk = self.mode_grads[alpha.entries[0][0] - 1]
+            b_part, f_part = wk * self.hat.b, wk * self.hat.f
+        return PdeData(a_part, b_part, f_part, 0.0)
 
     def partial(self, alpha: MultiIndex) -> PdeData:
         """Mixed partial of the data tuple at this parameter point, computed
@@ -350,12 +353,11 @@ def verify_derivative_bounds(dmap: DomainMap1D, hat: PdeData, mesh: Mesh1D,
     constants: dict = {}
     if envelope is None:
         envelope, constants = _envelope_from_solves(dmap, hat, mesh, nl, solves)
-    alphas = multi_indices_up_to(dmap.p, max_order)
     rows = []
     for y_index, (tilde, u) in enumerate(solves):
         oracle = PdeOracle(mesh, nl)
         table = parametric_derivative_table(oracle, tilde, max_order, u=u, tol=tol)
-        norms = {alpha: mesh.h1_norm(table.entry(alpha)) for alpha in alphas}
+        norms = {alpha: mesh.h1_norm(value) for alpha, value in table.items()}
         for e in envelope_check(norms, envelope, tolerance=0.0).entries:
             rows.append(DerivativeBoundRow(e.key, y_index, e.measured, e.log_bound,
                                            e.ratio, e.ok))

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .combinatorics import MultiIndex
+from .combinatorics import MultiIndex, SplitPlan
 from .implicit_diff import LinearizationError, ResidualOracle, solve_residual
 
 __all__ = [
@@ -244,7 +244,8 @@ def _ldl(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray] | N
 
 
 def _ldl_solve(factors: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """Solution of L D L^T x = rhs from the factors of `_ldl`."""
+    """Solution of L D L^T x = rhs from the factors of `_ldl`; an n x k rhs
+    is solved column by column in one dpttrs call."""
     pivots, multipliers = factors
     if len(pivots) == 1:
         return rhs / pivots
@@ -547,8 +548,8 @@ class PdeOracle(ResidualOracle):
             return None
         return max(2, degree + 1)
 
-    def taylor_expansion(self, table) -> "_TaylorExpansion":
-        return _TaylorExpansion(self.mesh, self.nl, table)
+    def taylor_expansion(self, table, keys) -> "_TaylorExpansion":
+        return _TaylorExpansion(self.mesh, self.nl, table, keys)
 
     def zero_data(self) -> PdeData:
         return PdeData.zeros(self.mesh)
@@ -563,10 +564,59 @@ class PdeOracle(ResidualOracle):
         return self.mesh.h1_norm(value)
 
 
+#: Largest outer-product block, in bytes, that a Cauchy product of the Taylor
+#: fill forms at once; larger products are formed a few left rows at a time.
+_BLOCK_BYTES = 4 << 20
+
+
+def _reduction_chunks(targets: np.ndarray, values: np.ndarray | None, step: int,
+                      n_out: int) -> list[tuple]:
+    """The reduction of an outer product of left rows with right rows whose
+    pair (i, j) goes to output row targets[i, j] with weight values[i, j]
+    (1 when None); pairs with target -1 or weight 0 are dropped.  Returns
+    chunks (first, stop, hit, matrix), `step` left rows each: the pairs of
+    left rows first:stop, in row-major order, go to the output rows `hit`
+    (all of them when None) through the CSR matrix."""
+    from scipy.sparse import csr_matrix  # imported here: only the fill needs it
+
+    n_left = len(targets)
+    chunks = []
+    for first in range(0, n_left, step):
+        stop = min(first + step, n_left)
+        rows = targets[first:stop].ravel()
+        keep = rows >= 0
+        if values is not None:
+            weights = values[first:stop].ravel()
+            keep &= weights != 0.0
+        cols = np.flatnonzero(keep)
+        if not len(cols):
+            continue
+        counts = np.bincount(rows[cols], minlength=n_out)
+        hit = np.flatnonzero(counts)
+        order = np.argsort(rows[cols], kind="stable")
+        indptr = np.zeros(len(hit) + 1, dtype=np.intp)
+        np.cumsum(counts[hit], out=indptr[1:])
+        data = np.ones(len(cols)) if values is None else weights[cols][order]
+        matrix = csr_matrix((data, cols[order], indptr), shape=(len(hit), len(rows)))
+        chunks.append((first, stop, None if len(hit) == n_out else hit, matrix))
+    return chunks
+
+
+def _nonzero_rows(fields: list) -> tuple | None:
+    """(rows, stacked values) of the fields that do not vanish, rows
+    slice(None) when none vanishes; None when all do."""
+    stacked = np.array(fields)
+    nonzero = stacked.reshape(len(fields), -1).any(axis=1)
+    if nonzero.all():
+        return slice(None), stacked
+    rows = np.flatnonzero(nonzero)
+    return (rows, stacked[rows]) if len(rows) else None
+
+
 class _TaylorExpansion:
     """Normalized Taylor coefficients u_alpha = d^alpha u / alpha! of a table's
-    solution map, with the series of N(u) at the Gauss points, for the
-    Cauchy-product fill of `implicit_diff.fill_table`.
+    solution map, with the series of N(u) at the Gauss points, filled one
+    order at a time for `implicit_diff.fill_table`.
 
     Along the table's data map, data(t) = sum d_alpha t^alpha, where
     d_alpha = (a_alpha, b_alpha, f_alpha, g_alpha) is the table's data
@@ -576,116 +626,208 @@ class _TaylorExpansion:
 
     with the products expanded as Cauchy sums over beta <= alpha.  With
     N = P_0(q) for the inner function q, q' = G(q), the series of the powers
-    q^j (j = 1..m, m the larger degree of P_0 and G) are Cauchy products,
+    q^j (j = 1..J, J the larger degree of P_0 and G) are Cauchy products,
     and the inner series follows from q' = G(q):
 
-        alpha_k q_alpha = sum_{beta <= alpha, beta_k >= 1} beta_k u_beta G(q)_(alpha-beta).
+        alpha_c q_alpha = sum_{beta <= alpha, beta_c >= 1} beta_c u_beta G(q)_(alpha-beta),
 
-    For q the identity (polynomial N) this is u's own series, which is then
-    stored once.  Every alpha-coefficient is affine in u_alpha, with the
-    state linearization as the slope of the residual's, so it is computed
-    with u_alpha = 0 first; `record` then adds the part linear in u_alpha,
+    c the first coordinate of alpha.  For q the identity (polynomial N) this
+    is u's own series.
+
+    Each series is an array per order with a row per position of the
+    fill's `combinatorics.SplitPlan`, and a Cauchy sum over the splits of
+    one order k is an outer product of rows reduced by the plan (Taylor
+    arithmetic over many coefficients at once; Griewank & Walther,
+    *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  P1 slopes are
+    constant per element, so the term (a u')_alpha pairs them with a_gamma
+    summed against the quadrature weights, one value per element.  The
+    square q^2 adds each split and its mirror once, and the q' = G(q)
+    recursion puts beta_c / alpha_c into the reduction.  Data rows that
+    vanish are skipped by position.
+
+    Every alpha-coefficient is affine in u_alpha, with the state
+    linearization as the slope of the residual's, so
+    `residual_coefficients(m)` computes all keys of order m with their
+    u_alpha = 0, and `record(m, ...)` adds the part linear in u_alpha,
     G(q_0) u_alpha to q_alpha and j q_0^(j-1) times that to (q^j)_alpha.
-    Data coefficients that vanish identically are skipped.
+    A series is kept only while a later order reads it: q, u and the powers
+    below the top for the orders that follow, the top power only when G
+    reads it, and N (stored once when it is a power) and the slopes only
+    as far as the data coefficients reach.
     """
 
-    def __init__(self, mesh: Mesh1D, nl: Nonlinearity, table):
+    def __init__(self, mesh: Mesh1D, nl: Nonlinearity, table, keys: Sequence[MultiIndex]):
         self.mesh = mesh
-        self._p0, self._dg = nl._poly(0), nl._dg
-        self._data_coefficient = table.data_coefficient
-        self._data: dict = {}
-        zero = self._zero = MultiIndex()
-        uq = mesh.at_quad(table.u)
+        plan = self._plan = SplitPlan(keys)
+        self._reductions: dict[tuple, list] = {}
+        self._weights = (mesh.quad_w * mesh.phi_left, mesh.quad_w * mesh.phi_right)
+        p0 = self._p0 = nl._poly(0)
+        base = table.data_coefficient(MultiIndex())
+        self._b0 = base.b.ravel() if np.any(base.b) else None
+        self._data: dict[str, dict[int, tuple]] = {"a": {}, "b": {}, "f": {}, "g": {}}
+        for m in range(1, plan.max_order + 1):
+            coefficients = [table.data_coefficient(alpha)
+                            for alpha in keys[plan.starts[m] - 1:plan.starts[m + 1] - 1]]
+            for name in "abfg":
+                found = _nonzero_rows([getattr(d, name) for d in coefficients])
+                if found is None:
+                    continue
+                if name == "a":  # a_gamma against the quadrature weights, per element
+                    found = found[0], np.einsum("rej,ej->re", found[1], mesh.quad_w)
+                elif name != "g":
+                    found = found[0], found[1].reshape(len(found[1]), -1)
+                self._data[name][m] = found
+
+        uq = mesh.at_quad(table.u).ravel()
         q0 = nl._g(uq)
-        self._n0 = nl.deriv(0, uq)
-        self._slope = {zero: self._nodal_slope(table.u)}
-        self._powers = [None, {zero: q0}]
-        for _ in range(2, max(len(self._p0), len(self._dg), 2)):
-            self._powers.append({zero: self._powers[-1][zero] * q0})
+        self._n = {0: nl.deriv(0, uq)[None]}
+        self._slope = {0: (np.diff(mesh.expand(table.u)) / mesh.h)[None]}
+        self._powers = [None, {0: q0[None]}]
+        for _ in range(2, max(len(p0), len(nl._dg), 2)):
+            self._powers.append({0: self._powers[-1][0] * q0})
+        # the powers that later orders read: each below the top is a factor
+        # of the next one, and G(q) reads those of its terms
+        self._kept = set(range(1, len(self._powers) - 1))
         if nl._g is _identity:
-            self._u, self._dq0 = self._powers[1], None
+            self._u, self._dq0, self._dg = self._powers[1], None, None
         else:
-            self._u, self._dq0 = {zero: uq}, npoly.polyval(q0, self._dg)
+            self._u, self._dq0, self._dg = {0: uq[None]}, npoly.polyval(q0, nl._dg), nl._dg
+            self._kept |= set(np.flatnonzero(nl._dg[1:]) + 1)
+        nonzero = np.flatnonzero(p0[1:]) + 1
+        self._n_power = nonzero[0] if len(nonzero) == 1 and p0[nonzero[0]] == 1.0 else None
+        self._tilde: list | None = None
 
-    def _nodal_slope(self, v: np.ndarray) -> np.ndarray:
-        return np.diff(self.mesh.expand(v)) / self.mesh.h
+    def _product(self, out: np.ndarray, m: int, k: int, left: np.ndarray,
+                 right: np.ndarray, rows=slice(None), name: str = "") -> None:
+        """Add to `out` the Cauchy terms of the order-m keys that pair the
+        order-k rows `rows` of a left series, given as `left`, with the
+        order-(m - k) rows `right`.  `name` labels a row subset ("a", "b")
+        or the q' = G(q) weights ("u") for the cache of reductions."""
+        if k == m:  # beta + 0 = beta
+            out[rows] += left * right
+            return
+        width = right.shape[1]
+        step = max(1, _BLOCK_BYTES // (8 * right.size))  # left rows per block
+        key = ("" if isinstance(rows, slice) and name != "u" else name, m, k, step)
+        chunks = self._reductions.get(key)
+        if chunks is None:
+            values = self._plan.first_coordinate_weights(m, k) if name == "u" else None
+            chunks = _reduction_chunks(self._plan.targets(m, k)[rows], values, step, len(out))
+            self._reductions[key] = chunks
+        for first, stop, hit, matrix in chunks:
+            block = (left[first:stop, None, :] * right[None, :, :]).reshape(-1, width)
+            if hit is None:
+                out += matrix @ block
+            else:
+                out[hit] += matrix @ block
 
-    def _data_at(self, gamma: MultiIndex) -> tuple:
-        """(a, b, f, g) of the data coefficient, None for a vanishing field."""
-        cached = self._data.get(gamma)
-        if cached is None:
-            d = self._data_coefficient(gamma)
-            cached = self._data[gamma] = tuple(
-                v if np.any(v) else None for v in (d.a, d.b, d.f)) + (d.g,)
-        return cached
-
-    def _composed(self, coeffs: np.ndarray, beta: MultiIndex):
-        """beta-coefficient of the series of P(q) for the polynomial P with
-        `coeffs` and nonzero beta: sum_{j >= 1} coeffs[j] (q^j)_beta, or None
-        when it vanishes."""
+    def _composed(self, series: list) -> np.ndarray | None:
+        """sum_{j >= 1} p0[j] (q^j) from the per-power entries of `series`
+        (None for a vanishing one); the power itself when N is one."""
+        if self._n_power is not None:
+            return series[self._n_power]
         acc = None
-        for j in range(1, len(coeffs)):
-            term = self._powers[j].get(beta)
-            if coeffs[j] != 0.0 and term is not None:
-                acc = coeffs[j] * term if acc is None else acc + coeffs[j] * term
+        for j in range(1, len(self._p0)):
+            if self._p0[j] != 0.0 and series[j] is not None:
+                term = self._p0[j] * series[j]
+                acc = term if acc is None else acc + term
         return acc
 
-    def residual_coefficient(self, alpha: MultiIndex) -> np.ndarray:
-        pairs = list(alpha.splits())
-        powers = self._powers
-        if self._dq0 is not None:
-            k = alpha.support()[0]
-            acc = None
-            for beta, rest in pairs:
-                if beta[k] == 0 or rest.is_zero():
-                    continue
-                dq_rest = self._composed(self._dg, rest)
-                if dq_rest is not None:
-                    term = (beta[k] / alpha[k]) * self._u[beta] * dq_rest
-                    acc = term if acc is None else acc + term
-            if acc is not None:
-                powers[1][alpha] = acc
+    def residual_coefficients(self, m: int) -> np.ndarray:
+        """Residual coefficients of every key of order m with its own
+        u_alpha set to zero: an n_free x n_m array, one column per key."""
+        mesh, powers = self.mesh, self._powers
+        n_m, width = self._plan.size(m), 3 * mesh.n_elements
+        q = None  # q_alpha with u_alpha = 0, which vanishes for q = u
+        if self._dg is not None and m > 1:
+            q = np.zeros((n_m, width))
+            for j in range(1, len(self._dg)):
+                if self._dg[j] != 0.0:
+                    acc = np.zeros((n_m, width))
+                    for k in range(1, m):
+                        self._product(acc, m, k, self._u[k], powers[j][m - k], name="u")
+                    q += self._dg[j] * acc
+        last = m == self._plan.max_order
+        tilde = [None, q]
         for j in range(2, len(powers)):
-            acc = None
-            for beta, rest in pairs:
-                left, right = powers[1].get(beta), powers[j - 1].get(rest)
-                if left is not None and right is not None:
-                    acc = left * right if acc is None else acc + left * right
-            if acc is not None:
-                powers[j][alpha] = acc
+            if j == 2:  # each split of q * q once, with its mirror
+                acc = np.zeros((n_m, width))
+                for k in range(1, (m + 1) // 2):
+                    self._product(acc, m, k, powers[1][k], powers[1][m - k])
+                if q is not None:
+                    acc += powers[1][0] * q
+                acc *= 2.0
+                if m % 2 == 0:
+                    self._product(acc, m, m // 2, powers[1][m // 2], powers[1][m // 2])
+            else:
+                acc = powers[1][0] * tilde[j - 1]
+                if last and self._p0[j - 1] == 0.0:  # read by no record and not by N
+                    tilde[j - 1] = None
+                if q is not None:
+                    acc += q * powers[j - 1][0]
+                for k in range(1, m):
+                    self._product(acc, m, k, powers[1][k], powers[j - 1][m - k])
+            tilde.append(acc)
+        n_tilde = self._composed(tilde)
+        if self._b0 is not None and n_tilde is not None:  # in place once no record reads it
+            mass = np.multiply(n_tilde, self._b0, out=n_tilde if last else None)
+        else:
+            mass = np.zeros((n_m, width))
+        self._tilde = None if last else tilde
+        del tilde, n_tilde
+        for k, (rows, b) in self._data["b"].items():
+            if k <= m:
+                self._product(mass, m, k, b, self._n[m - k], rows, "b")
+        grad = np.zeros((n_m, mesh.n_elements))
+        for k, (rows, aw) in self._data["a"].items():
+            if k <= m:
+                self._product(grad, m, k, aw, self._slope[m - k], rows, "a")
+        if m in self._data["f"]:
+            rows, f = self._data["f"][m]
+            mass[rows] -= f
 
-        mass = grad = None
-        b0 = self._data_at(self._zero)[1]
-        n_alpha = self._composed(self._p0, alpha)
-        if b0 is not None and n_alpha is not None:
-            mass = b0 * n_alpha
-        for gamma, rest in pairs:
-            if gamma.is_zero():
-                continue
-            a, b, _, _ = self._data_at(gamma)
-            if a is not None:
-                term = a * self._slope[rest][:, None]
-                grad = term if grad is None else grad + term
-            n_rest = self._n0 if rest.is_zero() else self._composed(self._p0, rest)
-            if b is not None and n_rest is not None:
-                term = b * n_rest
-                mass = term if mass is None else mass + term
-        _, _, f, g = self._data_at(alpha)
-        if f is not None:
-            mass = -f if mass is None else mass - f
-        return self.mesh.assemble_load(grad, mass, boundary=-g)
+        full = np.zeros((n_m, mesh.n_nodes))
+        grad /= mesh.h
+        full[:, :-1] -= grad
+        full[:, 1:] += grad
+        mass = mass.reshape(n_m, mesh.n_elements, 3)
+        full[:, :-1] += np.einsum("mej,ej->me", mass, self._weights[0])
+        full[:, 1:] += np.einsum("mej,ej->me", mass, self._weights[1])
+        if m in self._data["g"]:
+            rows, g = self._data["g"][m]
+            full[rows, -1] -= g
+        return full[:, mesh.free].T
 
-    def record(self, alpha: MultiIndex, u_alpha: np.ndarray) -> None:
-        delta = self.mesh.at_quad(u_alpha)
-        self._slope[alpha] = self._nodal_slope(u_alpha)
-        q_lin = delta if self._dq0 is None else self._dq0 * delta
-        powers = self._powers
-        for j in range(1, len(powers)):
-            lin = q_lin if j == 1 else j * powers[j - 1][self._zero] * q_lin
-            tilde = powers[j].get(alpha)
-            powers[j][alpha] = lin if tilde is None else tilde + lin
+    def record(self, m: int, solved: np.ndarray) -> None:
+        """Take the solved u_alpha of every key of order m, as the columns
+        of `solved`, into the series; one array update per series.  No
+        later order reads the last one."""
+        mesh, powers, tilde = self.mesh, self._powers, self._tilde
+        if m == self._plan.max_order:
+            return
+        full = np.zeros((solved.shape[1], mesh.n_nodes))  # `at_quad` of each column
+        full[:, mesh.free] = solved.T
+        delta = full[:, :-1, None] * mesh.phi_left + full[:, 1:, None] * mesh.phi_right
+        delta = delta.reshape(len(full), -1)
+        lin = delta if self._dq0 is None else self._dq0 * delta
+        values = [None, lin if tilde[1] is None else tilde[1] + lin]
+        for j in range(2, len(powers)):
+            tilde[j] += j * powers[j - 1][0] * lin
+            values.append(tilde[j])
+        self._tilde = None
+        for j in self._kept:
+            powers[j][m] = values[j]
         if self._u is not powers[1]:
-            self._u[alpha] = delta
+            self._u[m] = delta
+        # N and the slopes are read at the orders that data coefficients
+        # of b and a add to theirs
+        slope = np.diff(full) / mesh.h
+        for series, orders, value in ((self._n, self._data["b"], self._composed(values)),
+                                      (self._slope, self._data["a"], slope)):
+            if orders and m + min(orders) <= self._plan.max_order:
+                series[m] = value
+            for r in [r for r in series if r and r + max(orders) <= m]:
+                del series[r]
 
 
 # -- solving and measured constants --------------------------------------------

@@ -235,6 +235,22 @@ class TestDerivatives:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem", ["scalar-cubic", "scalar-quadratic"])
+    @pytest.mark.parametrize("at", ["nan", "inf", "-inf"])
+    def test_non_finite_base_point_rejected(self, capsys, problem, at):
+        # the = form, so that argparse does not read -inf as an option
+        code = run_cli(["derivatives", "--problem", problem, "--order", "2", f"--at={at}"])
+        assert code == 1
+        assert "--at must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--at", "-inf"], ["--order", "two"]],
+                             ids=["at-read-as-option", "order-not-an-integer"])
+    def test_unusable_command_line_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["derivatives", "--problem", "scalar-cubic", "--order", "2"] + argv)
+        assert exc.value.code == 1
+        assert "error: argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry", [
         {"a": True}, {"b": "0.1"}, {"f": None}, {"f": [1.0] * 23 + [False]}, {"g": [1.0]},
     ], ids=case_id)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gevrey_kit.combinatorics import (
     C_KAPPA,
     MultiIndex,
+    SplitPlan,
     compositions,
     factorial_inequality_check,
     composition_identity_check,
@@ -262,6 +263,52 @@ class TestMultiIndicesUpTo:
 
     def test_deterministic(self):
         assert multi_indices_up_to(3, 3) == multi_indices_up_to(3, 3)
+
+
+def by_order(keys):
+    out = {}
+    for alpha in keys:
+        out.setdefault(alpha.order(), []).append(alpha)
+    return out
+
+
+class TestSplitPlan:
+    @pytest.mark.parametrize("n_coords,max_order", [(3, 4), (1, 6), (40, 2)],
+                             ids=["3-coords", "1-coord", "codes-beyond-int64"])
+    def test_targets_match_brute_force(self, n_coords, max_order):
+        keys = multi_indices_up_to(n_coords, max_order)[1:]
+        plan, orders = SplitPlan(keys), by_order(keys)
+        for m in range(1, max_order + 1):
+            assert plan.size(m) == len(orders[m])
+            for k in range(1, m + 1):
+                targets = plan.targets(m, k)
+                assert targets.shape == (len(orders[k]), len(orders.get(m - k, [0])))
+                for i, beta in enumerate(orders[k]):
+                    for j, rest in enumerate(orders.get(m - k, [MultiIndex()])):
+                        assert orders[m][targets[i, j]] == beta + rest
+
+    def test_sums_outside_the_keys_are_marked(self):
+        e1, e2 = MultiIndex.unit(1), MultiIndex.unit(2)
+        plan = SplitPlan([e1, e2, MultiIndex.make({1: 2})])
+        assert plan.targets(2, 1).tolist() == [[0, -1], [-1, -1]]
+
+    def test_first_coordinate_weights(self):
+        keys = multi_indices_up_to(3, 4)[1:]
+        plan, orders = SplitPlan(keys), by_order(keys)
+        for m, k in [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)]:
+            weights = plan.first_coordinate_weights(m, k)
+            for i, beta in enumerate(orders[k]):
+                for j, rest in enumerate(orders[m - k]):
+                    alpha = beta + rest
+                    c = alpha.support()[0]
+                    assert weights[i, j] == beta[c] / alpha[c]
+
+    def test_rejects_repeated_keys_and_missing_sub_indices(self):
+        e1 = MultiIndex.unit(1)
+        with pytest.raises(ValueError, match="distinct"):
+            SplitPlan([e1, e1])
+        with pytest.raises(LookupError, match="listed before"):
+            SplitPlan([e1, MultiIndex.make({1: 1, 2: 1})])
 
 
 @settings(max_examples=40, deadline=None)

@@ -22,6 +22,7 @@ from gevrey_kit.implicit_diff import (
     finite_difference_check,
     first_derivative,
     higher_derivative,
+    scalar_cubic_oracle,
     solve_residual,
 )
 from gevrey_kit.parametric import (
@@ -34,6 +35,7 @@ from gevrey_kit.parametric import (
     parametric_solution_derivative,
     verify_derivative_bounds,
 )
+from gevrey_kit import pde1d
 from gevrey_kit.pde1d import (
     Mesh1D,
     Nonlinearity,
@@ -339,8 +341,7 @@ class TestTaylorFill:
         assert len(table) == len(reference)
         assert largest_relative_h1_gap(mesh, table, reference) <= 1e-10
 
-    @pytest.mark.parametrize("nl", [Nonlinearity.cubic(), Nonlinearity.tanh_shifted()],
-                             ids=["cubic", "tanh"])
+    @NONLINEARITIES
     def test_directional_neumann_table_matches_composition_sum(self, nl):
         # directions carry a, b, f and the flux g, which enters the boundary term
         mesh = Mesh1D.uniform(32, "neumann")
@@ -362,13 +363,62 @@ class TestTaylorFill:
         dmap = DomainMap1D(p=3)
         hat = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
         y = np.array([0.3, -0.1, 0.45])
-        nl = Nonlinearity.tanh_shifted()
-        tables = [parametric_derivative_table(PdeOracle(mesh, nl),
-                                              TildeData(dmap, hat, mesh, y), 4)
-                  for _ in range(2)]
-        first, second = ([(alpha, value.tobytes()) for alpha, value in t.items()]
-                         for t in tables)
-        assert first == second
+        for nl in (Nonlinearity.tanh_shifted(), Nonlinearity.cubic(),
+                   Nonlinearity.polynomial([3.0, -3.0, 1.0])):
+            tables = [parametric_derivative_table(PdeOracle(mesh, nl),
+                                                  TildeData(dmap, hat, mesh, y), 4)
+                      for _ in range(2)]
+            first, second = ([(alpha, value.tobytes()) for alpha, value in t.items()]
+                             for t in tables)
+            assert first == second
+
+    @NONLINEARITIES
+    def test_chunked_products_match_composition_sum(self, nl, monkeypatch):
+        # one left row per outer-product block, as for the largest orders
+        monkeypatch.setattr(pde1d, "_BLOCK_BYTES", 1)
+        mesh = Mesh1D.uniform(16)
+        dmap = DomainMap1D(p=3)
+        hat = PdeData.from_spec(mesh, a=lambda x: 1.0 + 0.5 * x, b=1.0, f=1.0)
+        tilde = TildeData(dmap, hat, mesh, np.array([0.3, -0.2, 0.4]))
+        u = newton_solve(mesh, tilde.data, nl)
+        table = parametric_derivative_table(PdeOracle(mesh, nl), tilde, 4, u=u)
+        reference = composition_table(PdeOracle(mesh, nl), tilde.data, u, tilde.coefficient,
+                                      multi_indices_up_to(3, 4))
+        assert largest_relative_h1_gap(mesh, table, reference) <= 1e-10
+
+    def test_one_solve_per_order(self, monkeypatch):
+        # the batched fill solves each order's loads as the columns of one
+        # right-hand side: 5 solves for the 125 entries of p = 4, order 5
+        mesh = Mesh1D.uniform(32)
+        nl = Nonlinearity.cubic()
+        tilde = TildeData(DomainMap1D(p=4), PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0),
+                          mesh, np.full(4, 0.25))
+        u = newton_solve(mesh, tilde.data, nl)
+        columns = []
+        solve = PdeOracle.solve_linearized
+
+        def counting(self, d, u, rhs):
+            columns.append(np.shape(rhs)[1])
+            return solve(self, d, u, rhs)
+
+        monkeypatch.setattr(PdeOracle, "solve_linearized", counting)
+        table = parametric_derivative_table(PdeOracle(mesh, nl), tilde, 5, u=u)
+        assert len(table) == 126
+        assert columns == [4, 10, 20, 35, 56]
+
+    @pytest.mark.parametrize("oracle_kind", ["pde", "scalar"])
+    def test_decreasing_orders_rejected(self, oracle_kind):
+        if oracle_kind == "pde":
+            mesh = Mesh1D.uniform(8)
+            base = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
+            oracle = PdeOracle(mesh, Nonlinearity.cubic())
+            direction = PdeData.from_spec(mesh, f=1.0)
+        else:
+            oracle, base, direction = scalar_cubic_oracle(), np.array([0.5]), np.array([1.0])
+        u = solve_residual(oracle, base, oracle.zero_state(), 1e-12)
+        table = DerivativeTable(oracle, base, u, affine_data_map(oracle, base, [direction]))
+        with pytest.raises(ValueError, match="nondecreasing order"):
+            fill_table(table, [MultiIndex.make({1: 2}), MultiIndex.unit(1)])
 
     def test_indefinite_linearization_raises(self):
         mesh = Mesh1D.uniform(16)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from gevrey_kit import pde1d
 from gevrey_kit.combinatorics import MultiIndex
 from gevrey_kit.envelopes import GevreyEnvelope, StabilityConstant, envelope_check, implicit_envelope
 from gevrey_kit.implicit_diff import (
@@ -412,6 +413,36 @@ class TestConstants:
         data = PdeData.from_spec(mesh, a=lambda x: 1.0 + x, b=2.0, f=1.0)
         u, rhs = rng.standard_normal(mesh.n_free), rng.standard_normal(mesh.n_free)
         got = PdeOracle(mesh, nl).solve_linearized(data, u, rhs)
+        expected = np.linalg.solve(dense(linearization_matrix(mesh, data, nl, u)), rhs)
+        assert relative_error(got, expected) <= 1e-12
+
+    @MESHES
+    def test_ldl_solve_of_columns_is_bitwise_one_vector_solves(self, mesh):
+        # one dpttrs call for an n x k right-hand side; "one-free-node" takes
+        # the n_free == 1 branch
+        factors = pde1d._ldl(*mesh.h1_gram)
+        rng = np.random.default_rng(5)
+        for rhs in (rng.standard_normal((mesh.n_free, 4)), rng.standard_normal((4, mesh.n_free)).T):
+            got = pde1d._ldl_solve(factors, rhs)
+            assert got.shape == rhs.shape
+            for j in range(rhs.shape[1]):
+                assert np.array_equal(got[:, j], pde1d._ldl_solve(factors, rhs[:, j].copy()))
+
+    def test_solve_linearized_takes_columns_with_cached_factors(self, monkeypatch):
+        mesh = Mesh1D.uniform(32)
+        nl = Nonlinearity.cubic()
+        data = PdeData.from_spec(mesh, a=lambda x: 1.0 + x, b=2.0, f=1.0)
+        oracle = PdeOracle(mesh, nl)
+        u = np.random.default_rng(6).standard_normal(mesh.n_free)
+        rhs = np.random.default_rng(7).standard_normal((mesh.n_free, 3))
+        first = oracle.solve_linearized(data, u, rhs[:, 0].copy())
+        factorizations = []
+        ldl = pde1d._ldl
+        monkeypatch.setattr(pde1d, "_ldl", lambda *bands: factorizations.append(1) or ldl(*bands))
+        got = oracle.solve_linearized(data, u, rhs)
+        assert factorizations == []
+        assert got.shape == rhs.shape
+        assert np.array_equal(got[:, 0], first)
         expected = np.linalg.solve(dense(linearization_matrix(mesh, data, nl, u)), rhs)
         assert relative_error(got, expected) <= 1e-12
 
