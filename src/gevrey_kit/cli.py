@@ -21,6 +21,7 @@ of at least one is honored trivially.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -383,6 +384,7 @@ def _cmd_selftest(args) -> int:
 # -- entry point ------------------------------------------------------------------
 
 
+@functools.cache  # built once per process; parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gevrey-kit",

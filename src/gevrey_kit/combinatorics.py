@@ -3,13 +3,15 @@
 Integer compositions, multi-index compositions and their unordered form,
 set partitions and the little Schroeder numbers, all in exact
 (arbitrary-precision) integer arithmetic.  A composition is the plain
-tuple of its parts, integers or `MultiIndex` values.  Enumeration orders
-are deterministic, so enumerated objects can serve as stable memoization
-keys elsewhere.  `SplitPlan` numbers a list of multi-indices by position
-and maps each split alpha = beta + rest to positions, as integer arrays.
-Apart from the plan, which caches those arrays, everything here is a pure
-function over immutable values; the enumeration generators are
-single-consumer.
+tuple of its parts, integers or `MultiIndex` values, and a set partition
+the plain tuple of its blocks.  Enumeration orders are deterministic, so
+enumerated objects can serve as stable memoization keys elsewhere.
+`SplitPlan` numbers a list of multi-indices by position, maps each split
+alpha = beta + rest to positions, as integer arrays, and forms the Cauchy
+products of series over those positions, the one kernel of every Taylor
+fill.  Apart from the plan, which caches its arrays and reductions,
+everything here is a pure function over immutable values; the
+enumeration generators are single-consumer.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 __all__ = [
     "C_KAPPA",
     "MultiIndex",
-    "SetPartition",
     "compositions",
     "multi_index_compositions",
     "multi_index_partitions",
@@ -40,6 +41,10 @@ __all__ = [
 
 #: Growth constant of the little Schroeder numbers: kappa_n <= C_KAPPA**(n-1).
 C_KAPPA = 3.0 + math.sqrt(8.0)
+
+#: Largest outer-product block, in bytes, that `SplitPlan.cauchy` forms at
+#: once; larger products are formed a few left rows at a time.
+_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -239,56 +244,26 @@ def multi_index_partitions(alpha: MultiIndex, r: int) -> list[tuple[MultiIndex, 
     return out
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """Disjoint nonempty blocks covering {1, ..., n}.
-
-    Blocks are internally sorted and listed by their smallest element.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block or tuple(sorted(block)) != block:
-                raise ValueError("blocks must be nonempty and sorted")
-            if seen & set(block):
-                raise ValueError("blocks must be pairwise disjoint")
-            seen |= set(block)
-        if seen != set(range(1, len(seen) + 1)):
-            raise ValueError("blocks must cover {1, ..., n}")
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
-
-
-def set_partitions(n: int, min_blocks: int = 1) -> Iterator[SetPartition]:
+def set_partitions(n: int, min_blocks: int = 1) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield every partition of {1, ..., n} with at least `min_blocks` blocks.
 
-    Enumeration follows restricted-growth strings, so the order is
-    deterministic; the total count for min_blocks=1 is the Bell number.
+    A partition is the tuple of its blocks, each block a sorted tuple of
+    elements, listed by their smallest element.  Enumeration follows
+    restricted-growth strings, so the order is deterministic; the total
+    count for min_blocks=1 is the Bell number.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     labels = [0] * n
 
-    def rec(i: int, mx: int) -> Iterator[SetPartition]:
+    def rec(i: int, mx: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if i == n:
             n_blocks = mx + 1
             if n_blocks >= min_blocks:
                 blocks: list[list[int]] = [[] for _ in range(n_blocks)]
                 for pos, lab in enumerate(labels, start=1):
                     blocks[lab].append(pos)
-                yield SetPartition(tuple(tuple(b) for b in blocks))
+                yield tuple(tuple(b) for b in blocks)
             return
         for v in range(mx + 2):
             labels[i] = v
@@ -381,8 +356,9 @@ def multi_indices_up_to(n_coords: int, max_order: int) -> list[MultiIndex]:
 
 
 class SplitPlan:
-    """Split plan of a list of keys, built as integer arrays, for Cauchy
-    products of series over the keys (the Taylor fill of `pde1d`).
+    """Split plan of a list of keys, built as integer arrays, and the Cauchy
+    products of series over the keys (the Taylor fills of `implicit_diff`
+    and `pde1d`).
 
     The keys are numbered by position within their order, in the order
     given, and order 0 holds the zero index alone; a series over the keys
@@ -391,10 +367,10 @@ class SplitPlan:
     alpha = beta + rest.  Split by the order k of beta, the terms of all
     keys of order m are the outer product of the order-k rows of the left
     series with the order-(m - k) rows of the right one, reduced by a 0/1
-    matrix that sends the pair (beta, rest) to the row of beta + rest.
-    `targets(m, k)` gives that row for every pair.  A key is coded by its
-    exponents in base max_order + 1, so the code of beta + rest is the sum
-    of the codes and a sorted search finds its row.
+    matrix that sends the pair (beta, rest) to the row of beta + rest
+    (`cauchy`).  `targets(m, k)` gives that row for every pair.  A key is
+    coded by its exponents in base max_order + 1, so the code of
+    beta + rest is the sum of the codes and a sorted search finds its row.
 
     The keys must be nonzero and listed by nondecreasing order.  Raises
     ValueError for a repeated key and LookupError for a key listed before
@@ -418,6 +394,7 @@ class SplitPlan:
         self._codes = [e @ powers for e in self.exps]
         self._sorter = [np.argsort(c, kind="stable") for c in self._codes]
         self._targets: dict[tuple[int, int], np.ndarray] = {}
+        self._reductions: dict[tuple, list] = {}
         for m in range(1, self.max_order + 1):
             codes = self._codes[m][self._sorter[m]]
             if np.any(codes[1:] == codes[:-1]):
@@ -456,6 +433,65 @@ class SplitPlan:
         rows = self.targets(m, k)
         first = np.argmax(self.exps[m] > 0, axis=1)[rows]
         return self.exps[k][np.arange(len(rows))[:, None], first] / self.exps[m][rows, first]
+
+    def cauchy(self, out: np.ndarray, m: int, k: int, left: np.ndarray,
+               right: np.ndarray, weighted: bool = False) -> None:
+        """Add to `out`, one row per key of order m, the Cauchy terms that
+        pair the order-k rows `left` of one series with the order-(m - k)
+        rows `right` of another; all rows have the same width.  `weighted`
+        scales each pair by its `first_coordinate_weights(m, k)`.  At k = 0
+        or k = m one side is the single row of order 0 and broadcasts.
+
+        Outer products larger than `_BLOCK_BYTES` are formed a few left rows
+        at a time; the reduction of each block is built once per plan."""
+        if k == 0 or k == m:
+            if not (weighted and k == 0):  # the weights are 0 at k = 0, 1 at k = m
+                out += left * right
+            return
+        width = right.shape[1]
+        step = min(len(left), max(1, _BLOCK_BYTES // (8 * right.size)))  # left rows per block
+        key = (m, k, step, weighted)
+        chunks = self._reductions.get(key)
+        if chunks is None:
+            chunks = self._reductions[key] = self._reduction(m, k, step, weighted)
+        for first, stop, hit, matrix in chunks:
+            block = (left[first:stop, None, :] * right[None, :, :]).reshape(-1, width)
+            if hit is None:
+                out += matrix @ block
+            else:
+                out[hit] += matrix @ block
+
+    def _reduction(self, m: int, k: int, step: int, weighted: bool) -> list[tuple]:
+        """Chunks (first, stop, hit, matrix) of the reduction of `cauchy`,
+        `step` left rows each: the pairs of left rows first:stop, in
+        row-major order, go to the output rows `hit` (all of them when None)
+        through the CSR matrix.  Pairs that are no key or weigh 0 are
+        dropped."""
+        from scipy.sparse import csr_matrix  # imported here: only the fills need it
+
+        targets = self.targets(m, k)
+        values = self.first_coordinate_weights(m, k) if weighted else None
+        n_out = self.size(m)
+        chunks = []
+        for first in range(0, len(targets), step):
+            stop = min(first + step, len(targets))
+            rows = targets[first:stop].ravel()
+            keep = rows >= 0
+            if values is not None:
+                weights = values[first:stop].ravel()
+                keep &= weights != 0.0
+            cols = np.flatnonzero(keep)
+            if not len(cols):
+                continue
+            counts = np.bincount(rows[cols], minlength=n_out)
+            hit = np.flatnonzero(counts)
+            order = np.argsort(rows[cols], kind="stable")
+            indptr = np.zeros(len(hit) + 1, dtype=np.intp)
+            np.cumsum(counts[hit], out=indptr[1:])
+            data = np.ones(len(cols)) if values is None else weights[cols][order]
+            matrix = csr_matrix((data, cols[order], indptr), shape=(len(hit), len(rows)))
+            chunks.append((first, stop, None if len(hit) == n_out else hit, matrix))
+        return chunks
 
 
 def kappa_asymptotic_log(n: int) -> float:

@@ -16,21 +16,21 @@ A `DerivativeTable` holds its data map in one form only, the normalized
 coefficients d^alpha data / alpha!, and scales them by alpha! where the
 composition sum asks for partials.
 
-`fill_table` fills a table order by order in one of two forms, and the
-oracle decides which.  An oracle whose `taylor_expansion` returns an
-expansion (`PdeOracle`) propagates normalized coefficients
-u_alpha = d^alpha u / alpha!: the alpha-coefficient of
+`fill_table` fills a table order by order in one form, for every oracle:
+the oracle's `taylor_expansion` propagates normalized coefficients
+u_alpha = d^alpha u / alpha!.  The alpha-coefficient of
 t -> R(data(t), u(t)) is affine in u_alpha with the state linearization as
 its slope, so with u_alpha set to zero it gives the right-hand side of a
 linearized solve (Taylor arithmetic; Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., SIAM 2008, ch. 13).  All keys of one order are
 independent of each other, so the expansion forms their right-hand sides
-at once and one solve takes them as columns.  Every other
-oracle, such as the scalar `PolynomialOracle` problems, runs the
-composition sum, which also serves the tests as the independent oracle
-for the Taylor tables.  The literal permutation-and-composition form that
-cross-checks the composition sum at small orders is an independent oracle
-in `selftest`.
+at once and one solve takes them as columns.  Both expansions, the PDE's
+and the scalar `PolynomialOracle`'s, form their Cauchy products with
+`combinatorics.SplitPlan.cauchy`.  The composition sum
+(`first_derivative`, `higher_derivative`) fills no table: it is the
+independent oracle the tests compare the Taylor tables with, and the
+literal permutation-and-composition form that cross-checks it at small
+orders is an independent oracle in `selftest`.
 
 `finite_difference_table` checks a table against difference quotients of a
 black-box solution map.  The nested central difference of a key
@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .combinatorics import MultiIndex, multi_index_partitions
+from .combinatorics import MultiIndex, SplitPlan, multi_index_partitions
 
 __all__ = [
     "ResidualOracle",
@@ -97,10 +97,11 @@ class ResidualOracle:
     """Interface for residual equations R(d, u) = 0.
 
     Implementors provide the residual, its multilinear derivatives, a
-    solver for the state linearization, and zero elements of the data and
-    state spaces.  `apply_derivative` must be symmetric under permutation
-    of its argument pairs and linear in each pair; `solve_linearized`
-    must invert the map du -> apply_derivative(1, d, u, [(0, du)]).
+    solver for the state linearization, the Taylor expansion that fills
+    derivative tables, and zero elements of the data and state spaces.
+    `apply_derivative` must be symmetric under permutation of its argument
+    pairs and linear in each pair; `solve_linearized` must invert the map
+    du -> apply_derivative(1, d, u, [(0, du)]).
     """
 
     def eval(self, d, u):
@@ -111,28 +112,23 @@ class ResidualOracle:
         raise NotImplementedError
 
     def solve_linearized(self, d, u, rhs):
-        """Apply the inverse of the state linearization at (d, u) to rhs.
-        An oracle with a Taylor expansion also takes an array whose
-        columns are right-hand sides."""
-        raise NotImplementedError
-
-    def max_derivative_order(self) -> int | None:
-        """Largest r with D^rR not identically zero, or None if unbounded."""
+        """Apply the inverse of the state linearization at (d, u) to rhs,
+        also to an array whose columns (entries, for a scalar state) are
+        right-hand sides."""
         raise NotImplementedError
 
     def taylor_expansion(self, table: "DerivativeTable", keys: Sequence[MultiIndex]):
-        """Taylor-coefficient form of the table's fill over `keys`, or None.
+        """Taylor-coefficient form of the table's fill over `keys`.
 
-        `keys` are the fill's nonzero keys, by nondecreasing order.  An
+        `keys` are the fill's nonzero keys, by nondecreasing order.  The
         expansion has `residual_coefficients(m)`: the alpha-coefficients
         of t -> R(data(t), u(t)) for the keys alpha of order m, in their
         order, with each u_alpha = d^alpha u / alpha! set to zero, as the
         columns of one array.  `record(m, solved)` takes the solved
         coefficients of order m as the columns of `solved`.  `fill_table`
-        asks for order m only after every lower order is recorded.  With
-        None the table is filled by the composition sum.
+        asks for order m only after every lower order is recorded.
         """
-        return None
+        raise NotImplementedError
 
     def zero_data(self):
         raise NotImplementedError
@@ -255,8 +251,8 @@ def higher_derivative(oracle: ResidualOracle, table: DerivativeTable,
     of parts), each weighted by its r!/prod m_i! orderings, m_i the
     multiplicities of its distinct parts: the weight becomes
     alpha!/(prod m_i! prod beta_j!).  All partials of strictly smaller order
-    must already be in the table.  Orders r above the oracle's maximal
-    derivative order are skipped since those terms vanish identically.
+    must already be in the table.  Terms of an order r above the degree of
+    R in (d, u) are exact zeros.
     """
     n = alpha.order()
     if n < 2:
@@ -264,10 +260,8 @@ def higher_derivative(oracle: ResidualOracle, table: DerivativeTable,
     rhs = oracle.apply_derivative(
         1, table.d, table.u, [(table.data_partial(alpha), oracle.zero_state())]
     )
-    mdo = oracle.max_derivative_order()
-    r_max = n if mdo is None else min(n, mdo)
     alpha_fact = alpha.factorial()
-    for r in range(2, r_max + 1):
+    for r in range(2, n + 1):
         for parts in multi_index_partitions(alpha, r):
             denom = 1
             for m in Counter(parts).values():
@@ -285,33 +279,22 @@ def fill_table(table: DerivativeTable, alphas: Iterable[MultiIndex]) -> Derivati
     which lists the keys by nondecreasing order and each alpha after all
     of its sub-indices; the table's rows keep that order.
 
-    When the oracle has a Taylor expansion, each order is filled at once:
+    Each order is filled at once through the oracle's Taylor expansion:
     the residual coefficients of all its keys are the columns of one
     right-hand side, one call of `solve_linearized` gives their u_alpha,
-    and each entry is alpha! u_alpha.  Otherwise order one is
-    `first_derivative` and higher orders are `higher_derivative`.  Raises
-    ValueError when the orders of `alphas` decrease.
+    and each entry is alpha! u_alpha.  Raises ValueError when the orders
+    of `alphas` decrease.
     """
     keys = [alpha for alpha in alphas if not alpha.is_zero()]
     if any(a.order() > b.order() for a, b in zip(keys, keys[1:])):
         raise ValueError("fill keys must be listed by nondecreasing order")
     oracle, d, u = table.oracle, table.d, table.u
     taylor = oracle.taylor_expansion(table, keys)
-    if taylor is None:
-        for alpha in keys:
-            if alpha.order() == 1:
-                value = first_derivative(oracle, d, u, table.data_partial(alpha))
-            else:
-                value = higher_derivative(oracle, table, alpha)
-            table.put(alpha, value)
-        return table
     for m, block in itertools.groupby(keys, MultiIndex.order):
-        block = list(block)
         solved = -oracle.solve_linearized(d, u, taylor.residual_coefficients(m))
         taylor.record(m, solved)
-        factorials = np.array([float(alpha.factorial()) for alpha in block])
-        for alpha, value in zip(block, solved.T * factorials[:, None]):
-            table.put(alpha, value)
+        for i, alpha in enumerate(block):
+            table.put(alpha, alpha.factorial() * solved[..., i])
     return table
 
 
@@ -455,7 +438,7 @@ class PolynomialOracle(ResidualOracle):
 
     `coeffs` maps exponent tuples of length m+1 (data exponents first,
     state exponent last) to real coefficients.  All derivatives are exact,
-    and `max_derivative_order` is the total degree.
+    and those of an order above the total degree are exact zeros.
     """
 
     def __init__(self, n_data: int, coeffs: dict[tuple[int, ...], float]):
@@ -467,7 +450,6 @@ class PolynomialOracle(ResidualOracle):
             if len(exps) != self.n_vars or any(e < 0 for e in exps):
                 raise ValueError("exponent tuples must have length n_data + 1")
         self.coeffs = {tuple(exps): float(c) for exps, c in coeffs.items() if c != 0.0}
-        self._degree = max((sum(e) for e in self.coeffs), default=0)
         self._partials: dict[tuple[int, ...], dict[tuple[int, ...], float]] = {
             (0,) * self.n_vars: self.coeffs
         }
@@ -528,20 +510,69 @@ class PolynomialOracle(ResidualOracle):
             total += value * factor
         return total
 
-    def solve_linearized(self, d, u, rhs) -> float:
+    def solve_linearized(self, d, u, rhs):
         du = self._eval(self._partial((0,) * self.n_data + (1,)), self._point(d, u))
         if du == 0.0:
             raise LinearizationError("state linearization is singular")
-        return float(rhs) / du
+        return rhs / du
 
-    def max_derivative_order(self) -> int:
-        return self._degree
+    def taylor_expansion(self, table, keys) -> "_PolynomialExpansion":
+        return _PolynomialExpansion(self, table, keys)
 
     def zero_data(self) -> np.ndarray:
         return np.zeros(self.n_data)
 
     def zero_state(self) -> float:
         return 0.0
+
+
+class _PolynomialExpansion:
+    """Normalized Taylor coefficients of a `PolynomialOracle`'s variables
+    along a table's data map, filled one order at a time for `fill_table`.
+
+    Each variable's series is an array per order, with a row per position
+    of the fill's `SplitPlan` and a column per variable: the data
+    coefficients first, u_alpha last.  A monomial's series is the Cauchy
+    product of its factors' series, formed anew per order up to that order,
+    so u_alpha of the order itself is zero in it, and the residual
+    coefficients sum the monomials' series with their coefficients.
+    """
+
+    def __init__(self, oracle: PolynomialOracle, table: DerivativeTable,
+                 keys: Sequence[MultiIndex]):
+        plan = self._plan = SplitPlan(keys)
+        self._series = [np.append(table.d, table.u)[None]]
+        for m in range(1, plan.max_order + 1):
+            self._series.append(np.array([
+                np.append(table.data_coefficient(alpha), 0.0)
+                for alpha in keys[plan.starts[m] - 1:plan.starts[m + 1] - 1]]))
+        # each monomial of positive degree as its coefficient and the
+        # column of every factor, repeated by exponent
+        self._monomials = [(c, [i for i, e in enumerate(exps) for _ in range(e)])
+                           for exps, c in oracle.coeffs.items() if any(exps)]
+
+    def residual_coefficients(self, m: int) -> np.ndarray:
+        """Residual coefficients of every key of order m with its own
+        u_alpha set to zero."""
+        plan, series = self._plan, self._series[:m + 1]
+        out = np.zeros(plan.size(m))
+        for c, factors in self._monomials:
+            product = [s[:, factors[:1]] for s in series]
+            for i in factors[1:]:
+                factor = [s[:, [i]] for s in series]
+                next_product = []
+                for n in range(m + 1):
+                    acc = np.zeros((plan.size(n), 1))
+                    for k in range(n + 1):
+                        plan.cauchy(acc, n, k, product[k], factor[n - k])
+                    next_product.append(acc)
+                product = next_product
+            out += c * product[m][:, 0]
+        return out
+
+    def record(self, m: int, solved: np.ndarray) -> None:
+        """Write the solved u_alpha of order m into u's column."""
+        self._series[m][:, -1] = solved
 
 
 def scalar_quadratic_oracle() -> PolynomialOracle:

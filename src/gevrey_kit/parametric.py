@@ -5,10 +5,10 @@ A sine-mode displacement family V[y](x) = x + sum_k y_k gamma_k
 sin(k pi x)/(k pi) deforms the interval; pulling the weak problem back to
 the reference interval turns the deformation into coefficient data
 (a/W, W b, W f, g) with W = V'[y].  Because W is affine in y, every mixed
-partial of the data is available in closed form through a reciprocal
-recursion, and mixed partials of the solution follow from the residual
-equation: the term containing the unknown partial is isolated and
-everything else moves to the right-hand side of a linearized solve.
+partial of the data is available in closed form, that of the geometric
+series of 1/W, and mixed partials of the solution follow from the
+residual equation: the term containing the unknown partial is isolated
+and everything else moves to the right-hand side of a linearized solve.
 
 `parametric_derivative_table` fills its tables by Taylor-coefficient
 propagation (`implicit_diff.fill_table` with `PdeOracle`'s expansion): the

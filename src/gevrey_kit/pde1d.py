@@ -542,12 +542,6 @@ class PdeOracle(ResidualOracle):
             cache = self._lin_cache = (d, u, factors)
         return _ldl_solve(cache[2], rhs)
 
-    def max_derivative_order(self) -> int | None:
-        degree = self.nl.max_order()
-        if degree is None:
-            return None
-        return max(2, degree + 1)
-
     def taylor_expansion(self, table, keys) -> "_TaylorExpansion":
         return _TaylorExpansion(self.mesh, self.nl, table, keys)
 
@@ -562,55 +556,6 @@ class PdeOracle(ResidualOracle):
 
     def state_norm(self, value: np.ndarray) -> float:
         return self.mesh.h1_norm(value)
-
-
-#: Largest outer-product block, in bytes, that a Cauchy product of the Taylor
-#: fill forms at once; larger products are formed a few left rows at a time.
-_BLOCK_BYTES = 4 << 20
-
-
-def _reduction_chunks(targets: np.ndarray, values: np.ndarray | None, step: int,
-                      n_out: int) -> list[tuple]:
-    """The reduction of an outer product of left rows with right rows whose
-    pair (i, j) goes to output row targets[i, j] with weight values[i, j]
-    (1 when None); pairs with target -1 or weight 0 are dropped.  Returns
-    chunks (first, stop, hit, matrix), `step` left rows each: the pairs of
-    left rows first:stop, in row-major order, go to the output rows `hit`
-    (all of them when None) through the CSR matrix."""
-    from scipy.sparse import csr_matrix  # imported here: only the fill needs it
-
-    n_left = len(targets)
-    chunks = []
-    for first in range(0, n_left, step):
-        stop = min(first + step, n_left)
-        rows = targets[first:stop].ravel()
-        keep = rows >= 0
-        if values is not None:
-            weights = values[first:stop].ravel()
-            keep &= weights != 0.0
-        cols = np.flatnonzero(keep)
-        if not len(cols):
-            continue
-        counts = np.bincount(rows[cols], minlength=n_out)
-        hit = np.flatnonzero(counts)
-        order = np.argsort(rows[cols], kind="stable")
-        indptr = np.zeros(len(hit) + 1, dtype=np.intp)
-        np.cumsum(counts[hit], out=indptr[1:])
-        data = np.ones(len(cols)) if values is None else weights[cols][order]
-        matrix = csr_matrix((data, cols[order], indptr), shape=(len(hit), len(rows)))
-        chunks.append((first, stop, None if len(hit) == n_out else hit, matrix))
-    return chunks
-
-
-def _nonzero_rows(fields: list) -> tuple | None:
-    """(rows, stacked values) of the fields that do not vanish, rows
-    slice(None) when none vanishes; None when all do."""
-    stacked = np.array(fields)
-    nonzero = stacked.reshape(len(fields), -1).any(axis=1)
-    if nonzero.all():
-        return slice(None), stacked
-    rows = np.flatnonzero(nonzero)
-    return (rows, stacked[rows]) if len(rows) else None
 
 
 class _TaylorExpansion:
@@ -642,8 +587,8 @@ class _TaylorExpansion:
     constant per element, so the term (a u')_alpha pairs them with a_gamma
     summed against the quadrature weights, one value per element.  The
     square q^2 adds each split and its mirror once, and the q' = G(q)
-    recursion puts beta_c / alpha_c into the reduction.  Data rows that
-    vanish are skipped by position.
+    recursion puts beta_c / alpha_c into the reduction.  A data field is
+    skipped at an order where it vanishes for every key.
 
     Every alpha-coefficient is affine in u_alpha, with the state
     linearization as the slope of the residual's, so
@@ -659,24 +604,23 @@ class _TaylorExpansion:
     def __init__(self, mesh: Mesh1D, nl: Nonlinearity, table, keys: Sequence[MultiIndex]):
         self.mesh = mesh
         plan = self._plan = SplitPlan(keys)
-        self._reductions: dict[tuple, list] = {}
         self._weights = (mesh.quad_w * mesh.phi_left, mesh.quad_w * mesh.phi_right)
         p0 = self._p0 = nl._poly(0)
         base = table.data_coefficient(MultiIndex())
         self._b0 = base.b.ravel() if np.any(base.b) else None
-        self._data: dict[str, dict[int, tuple]] = {"a": {}, "b": {}, "f": {}, "g": {}}
+        self._data: dict[str, dict[int, np.ndarray]] = {"a": {}, "b": {}, "f": {}, "g": {}}
         for m in range(1, plan.max_order + 1):
             coefficients = [table.data_coefficient(alpha)
                             for alpha in keys[plan.starts[m] - 1:plan.starts[m + 1] - 1]]
             for name in "abfg":
-                found = _nonzero_rows([getattr(d, name) for d in coefficients])
-                if found is None:
+                field = np.array([getattr(d, name) for d in coefficients])
+                if not field.any():
                     continue
                 if name == "a":  # a_gamma against the quadrature weights, per element
-                    found = found[0], np.einsum("rej,ej->re", found[1], mesh.quad_w)
+                    field = np.einsum("rej,ej->re", field, mesh.quad_w)
                 elif name != "g":
-                    found = found[0], found[1].reshape(len(found[1]), -1)
-                self._data[name][m] = found
+                    field = field.reshape(len(field), -1)
+                self._data[name][m] = field
 
         uq = mesh.at_quad(table.u).ravel()
         q0 = nl._g(uq)
@@ -697,30 +641,6 @@ class _TaylorExpansion:
         self._n_power = nonzero[0] if len(nonzero) == 1 and p0[nonzero[0]] == 1.0 else None
         self._tilde: list | None = None
 
-    def _product(self, out: np.ndarray, m: int, k: int, left: np.ndarray,
-                 right: np.ndarray, rows=slice(None), name: str = "") -> None:
-        """Add to `out` the Cauchy terms of the order-m keys that pair the
-        order-k rows `rows` of a left series, given as `left`, with the
-        order-(m - k) rows `right`.  `name` labels a row subset ("a", "b")
-        or the q' = G(q) weights ("u") for the cache of reductions."""
-        if k == m:  # beta + 0 = beta
-            out[rows] += left * right
-            return
-        width = right.shape[1]
-        step = max(1, _BLOCK_BYTES // (8 * right.size))  # left rows per block
-        key = ("" if isinstance(rows, slice) and name != "u" else name, m, k, step)
-        chunks = self._reductions.get(key)
-        if chunks is None:
-            values = self._plan.first_coordinate_weights(m, k) if name == "u" else None
-            chunks = _reduction_chunks(self._plan.targets(m, k)[rows], values, step, len(out))
-            self._reductions[key] = chunks
-        for first, stop, hit, matrix in chunks:
-            block = (left[first:stop, None, :] * right[None, :, :]).reshape(-1, width)
-            if hit is None:
-                out += matrix @ block
-            else:
-                out[hit] += matrix @ block
-
     def _composed(self, series: list) -> np.ndarray | None:
         """sum_{j >= 1} p0[j] (q^j) from the per-power entries of `series`
         (None for a vanishing one); the power itself when N is one."""
@@ -736,7 +656,7 @@ class _TaylorExpansion:
     def residual_coefficients(self, m: int) -> np.ndarray:
         """Residual coefficients of every key of order m with its own
         u_alpha set to zero: an n_free x n_m array, one column per key."""
-        mesh, powers = self.mesh, self._powers
+        mesh, powers, cauchy = self.mesh, self._powers, self._plan.cauchy
         n_m, width = self._plan.size(m), 3 * mesh.n_elements
         q = None  # q_alpha with u_alpha = 0, which vanishes for q = u
         if self._dg is not None and m > 1:
@@ -745,7 +665,7 @@ class _TaylorExpansion:
                 if self._dg[j] != 0.0:
                     acc = np.zeros((n_m, width))
                     for k in range(1, m):
-                        self._product(acc, m, k, self._u[k], powers[j][m - k], name="u")
+                        cauchy(acc, m, k, self._u[k], powers[j][m - k], weighted=True)
                     q += self._dg[j] * acc
         last = m == self._plan.max_order
         tilde = [None, q]
@@ -753,12 +673,12 @@ class _TaylorExpansion:
             if j == 2:  # each split of q * q once, with its mirror
                 acc = np.zeros((n_m, width))
                 for k in range(1, (m + 1) // 2):
-                    self._product(acc, m, k, powers[1][k], powers[1][m - k])
+                    cauchy(acc, m, k, powers[1][k], powers[1][m - k])
                 if q is not None:
                     acc += powers[1][0] * q
                 acc *= 2.0
                 if m % 2 == 0:
-                    self._product(acc, m, m // 2, powers[1][m // 2], powers[1][m // 2])
+                    cauchy(acc, m, m // 2, powers[1][m // 2], powers[1][m // 2])
             else:
                 acc = powers[1][0] * tilde[j - 1]
                 if last and self._p0[j - 1] == 0.0:  # read by no record and not by N
@@ -766,7 +686,7 @@ class _TaylorExpansion:
                 if q is not None:
                     acc += q * powers[j - 1][0]
                 for k in range(1, m):
-                    self._product(acc, m, k, powers[1][k], powers[j - 1][m - k])
+                    cauchy(acc, m, k, powers[1][k], powers[j - 1][m - k])
             tilde.append(acc)
         n_tilde = self._composed(tilde)
         if self._b0 is not None and n_tilde is not None:  # in place once no record reads it
@@ -775,16 +695,15 @@ class _TaylorExpansion:
             mass = np.zeros((n_m, width))
         self._tilde = None if last else tilde
         del tilde, n_tilde
-        for k, (rows, b) in self._data["b"].items():
+        for k, b in self._data["b"].items():
             if k <= m:
-                self._product(mass, m, k, b, self._n[m - k], rows, "b")
+                cauchy(mass, m, k, b, self._n[m - k])
         grad = np.zeros((n_m, mesh.n_elements))
-        for k, (rows, aw) in self._data["a"].items():
+        for k, aw in self._data["a"].items():
             if k <= m:
-                self._product(grad, m, k, aw, self._slope[m - k], rows, "a")
+                cauchy(grad, m, k, aw, self._slope[m - k])
         if m in self._data["f"]:
-            rows, f = self._data["f"][m]
-            mass[rows] -= f
+            mass -= self._data["f"][m]
 
         full = np.zeros((n_m, mesh.n_nodes))
         grad /= mesh.h
@@ -794,8 +713,7 @@ class _TaylorExpansion:
         full[:, :-1] += np.einsum("mej,ej->me", mass, self._weights[0])
         full[:, 1:] += np.einsum("mej,ej->me", mass, self._weights[1])
         if m in self._data["g"]:
-            rows, g = self._data["g"][m]
-            full[rows, -1] -= g
+            full[:, -1] -= self._data["g"][m]
         return full[:, mesh.free].T
 
     def record(self, m: int, solved: np.ndarray) -> None:

@@ -402,6 +402,17 @@ class TestGlobalBehavior:
         assert exc.value.code == 0
         assert "gevrey-kit" in capsys.readouterr().out
 
+    def test_one_parser_serves_successive_calls(self, tmp_path, capsys):
+        kappa, table = tmp_path / "k.csv", tmp_path / "d.csv"
+        assert run_cli(["kappa", "--max-n", "3", "--output", str(kappa)]) == 0
+        assert run_cli(["derivatives", "--problem", "scalar-cubic", "--order", "2",
+                        "--output", str(table)]) == 0
+        assert kappa.read_text().startswith("n,") and table.read_text().startswith("key,")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["kappa", "--max-n", "three"])
+        assert exc.value.code == 1
+        assert cli._build_parser() is cli._build_parser()
+
     def test_thread_cap_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("GEVREY_KIT_THREADS", "not-a-number")
         assert run_cli(["kappa", "--max-n", "3"]) == 1

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gevrey_kit import combinatorics
 from gevrey_kit.combinatorics import (
     C_KAPPA,
     MultiIndex,
@@ -173,10 +175,13 @@ class TestSetPartitions:
     def test_partitions_are_valid_and_unique(self):
         seen = set()
         for part in set_partitions(5):
-            flat = sorted(i for block in part.blocks for i in block)
+            flat = sorted(i for block in part for i in block)
             assert flat == list(range(1, 6))
-            assert part.blocks not in seen
-            seen.add(part.blocks)
+            # blocks are sorted and listed by their smallest element
+            assert all(block == tuple(sorted(block)) for block in part)
+            assert [block[0] for block in part] == sorted(block[0] for block in part)
+            assert part not in seen
+            seen.add(part)
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
@@ -185,7 +190,7 @@ class TestSetPartitions:
     def test_block_sizes_obey_factorial_inequality(self):
         for n in range(1, 8):
             for part in set_partitions(n):
-                sizes = tuple(sorted(part.block_sizes()))
+                sizes = tuple(sorted(map(len, part)))
                 assert factorial_inequality_check(sizes)
 
 
@@ -302,6 +307,31 @@ class TestSplitPlan:
                     alpha = beta + rest
                     c = alpha.support()[0]
                     assert weights[i, j] == beta[c] / alpha[c]
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("block_bytes", [None, 1], ids=["one-block", "row-blocks"])
+    def test_cauchy_matches_double_loop(self, weighted, block_bytes, monkeypatch):
+        if block_bytes is not None:
+            monkeypatch.setattr(combinatorics, "_BLOCK_BYTES", block_bytes)
+        keys = multi_indices_up_to(3, 4)[1:]
+        plan, orders = SplitPlan(keys), by_order(keys)
+        orders[0] = [MultiIndex()]
+        rng = np.random.default_rng(11)
+        width = 5
+        for m in range(1, 5):
+            for k in range(m + 1):
+                left = rng.standard_normal((len(orders[k]), width))
+                right = rng.standard_normal((len(orders[m - k]), width))
+                out = rng.standard_normal((len(orders[m]), width))
+                expected = out.copy()
+                for i, beta in enumerate(orders[k]):
+                    for j, rest in enumerate(orders[m - k]):
+                        alpha = beta + rest
+                        c = alpha.support()[0]
+                        weight = beta[c] / alpha[c] if weighted else 1.0
+                        expected[orders[m].index(alpha)] += weight * left[i] * right[j]
+                plan.cauchy(out, m, k, left, right, weighted=weighted)
+                assert np.allclose(out, expected, rtol=1e-14, atol=1e-14)
 
     def test_rejects_repeated_keys_and_missing_sub_indices(self):
         e1 = MultiIndex.unit(1)

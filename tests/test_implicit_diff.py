@@ -20,8 +20,10 @@ from gevrey_kit.implicit_diff import (
     LinearizationError,
     NonConvergenceError,
     PolynomialOracle,
+    ResidualOracle,
     affine_data_map,
     derivative_table,
+    fill_table,
     finite_difference_check,
     finite_difference_table,
     first_derivative,
@@ -175,7 +177,10 @@ class TestPolynomialOracle:
     def test_eval_and_degree(self):
         oracle = scalar_cubic_oracle()
         assert oracle.eval(np.array([2.0]), 1.0) == 0.0
-        assert oracle.max_derivative_order() == 3
+        # derivatives above the total degree are exact zeros
+        args = [(np.array([1.0]), 1.0)] * 4
+        assert oracle.apply_derivative(3, np.array([2.0]), 1.0, args[:3]) == 6.0
+        assert oracle.apply_derivative(4, np.array([2.0]), 1.0, args) == 0.0
 
     def test_multilinearity_and_symmetry(self):
         rng = np.random.default_rng(5)
@@ -222,6 +227,31 @@ class TestDerivativeTable:
         table = derivative_table(oracle, np.array([0.0]), [np.array([1.0])], 3)
         norms = table.norms()
         assert norms[MultiIndex.make({1: 3})] == pytest.approx(6.0)
+
+    def test_taylor_fill_matches_composition_sum(self):
+        rng = np.random.default_rng(12)
+        for n_data, n_dirs in itertools.product([1, 2, 3], [1, 2, 3]):
+            oracle = random_polynomial_oracle(rng, n_data=n_data)
+            d = 0.05 * rng.standard_normal(n_data)
+            directions = [rng.standard_normal(n_data) for _ in range(n_dirs)]
+            table = derivative_table(oracle, d, directions, 5)
+            reference = DerivativeTable(oracle, d, table.u,
+                                        affine_data_map(oracle, d, directions))
+            for alpha, value in table.items():
+                if alpha.order() == 1:
+                    expected = first_derivative(oracle, d, table.u,
+                                                reference.data_partial(alpha))
+                elif alpha.order() > 1:
+                    expected = higher_derivative(oracle, reference, alpha)
+                else:
+                    continue
+                reference.put(alpha, expected)
+                assert abs(value - expected) <= 1e-12 * abs(expected)
+
+    def test_fill_needs_a_taylor_expansion(self):
+        table = DerivativeTable(ResidualOracle(), np.zeros(1), 0.0, lambda alpha: np.ones(1))
+        with pytest.raises(NotImplementedError):
+            fill_table(table, [MultiIndex.unit(1)])
 
     def test_table_is_freed_without_the_cyclic_collector(self):
         # a table must not reach itself, or it keeps its entries, oracle and

@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from gevrey_kit.combinatorics import MultiIndex, multi_indices_up_to
+from gevrey_kit import combinatorics
+from gevrey_kit.combinatorics import MultiIndex, SplitPlan, multi_indices_up_to
 from gevrey_kit.envelopes import GevreyEnvelope, ParametricEnvelope
 from gevrey_kit.implicit_diff import (
     DerivativeTable,
@@ -35,7 +36,6 @@ from gevrey_kit.parametric import (
     parametric_solution_derivative,
     verify_derivative_bounds,
 )
-from gevrey_kit import pde1d
 from gevrey_kit.pde1d import (
     Mesh1D,
     Nonlinearity,
@@ -155,6 +155,22 @@ class TestDataPartials:
                 got = tilde.partial(alpha)
                 expected_a = self.hat.a * closed_form_reciprocal_partial(tilde, alpha)
                 assert np.allclose(got.a, expected_a, rtol=1e-11, atol=1e-13)
+
+    def test_reciprocal_coefficients_obey_leibniz_identity(self):
+        # W (1/W) = 1 with W affine in y: W c_alpha + sum_k w_k c_(alpha - e_k)
+        # vanishes for every nonzero alpha, c the normalized coefficients of
+        # 1/W, here those of a/W over a
+        rng = np.random.default_rng(21)
+        tilde = TildeData(self.dmap, self.hat, self.mesh, rng.uniform(-0.5, 0.5, 3))
+        c = {alpha: tilde.coefficient(alpha).a / self.hat.a
+             for alpha in multi_indices_up_to(3, 5)}
+        for alpha in c:
+            if alpha.is_zero():
+                continue
+            terms = [tilde.w * c[alpha]] + [tilde.mode_grads[k - 1] * c[alpha - MultiIndex.unit(k)]
+                                            for k in alpha.support()]
+            scale = sum(np.abs(term) for term in terms)
+            assert np.all(np.abs(sum(terms)) <= 1e-13 * scale)
 
     def test_load_partials_affine(self):
         tilde = TildeData(self.dmap, self.hat, self.mesh, np.full(3, 0.25))
@@ -375,7 +391,7 @@ class TestTaylorFill:
     @NONLINEARITIES
     def test_chunked_products_match_composition_sum(self, nl, monkeypatch):
         # one left row per outer-product block, as for the largest orders
-        monkeypatch.setattr(pde1d, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(combinatorics, "_BLOCK_BYTES", 1)
         mesh = Mesh1D.uniform(16)
         dmap = DomainMap1D(p=3)
         hat = PdeData.from_spec(mesh, a=lambda x: 1.0 + 0.5 * x, b=1.0, f=1.0)
@@ -405,6 +421,25 @@ class TestTaylorFill:
         table = parametric_derivative_table(PdeOracle(mesh, nl), tilde, 5, u=u)
         assert len(table) == 126
         assert columns == [4, 10, 20, 35, 56]
+
+    def test_one_reduction_per_split_order(self, monkeypatch):
+        # the slopes and the Gauss-point series share the reduction of each
+        # (m, k): 10 for the orders 1 <= k < m <= 5 of p = 4, order 5
+        mesh = Mesh1D.uniform(32)
+        nl = Nonlinearity.cubic()
+        tilde = TildeData(DomainMap1D(p=4), PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0),
+                          mesh, np.full(4, 0.25))
+        u = newton_solve(mesh, tilde.data, nl)
+        built = []
+        reduction = SplitPlan._reduction
+
+        def counting(self, m, k, step, weighted):
+            built.append((m, k))
+            return reduction(self, m, k, step, weighted)
+
+        monkeypatch.setattr(SplitPlan, "_reduction", counting)
+        parametric_derivative_table(PdeOracle(mesh, nl), tilde, 5, u=u)
+        assert sorted(built) == [(m, k) for m in range(2, 6) for k in range(1, m)]
 
     @pytest.mark.parametrize("oracle_kind", ["pde", "scalar"])
     def test_decreasing_orders_rejected(self, oracle_kind):
