@@ -261,31 +261,27 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _scalar_directions(values) -> list[np.ndarray]:
-    return [np.array([v]) for v in _numbers(values or [1.0], "directions")]
+#: Scalar `derivatives` problems: (oracle factory, default --at, FD steps).
+_SCALAR_PROBLEMS = {
+    "scalar-quadratic": (scalar_quadratic_oracle, 3.0, [0.1, 0.05, 0.025, 0.0125]),
+    "scalar-cubic": (scalar_cubic_oracle, 0.0, [0.08, 0.04, 0.02, 0.01]),
+}
 
 
-def _derivative_problem(args):
-    if args.problem == "scalar-quadratic":
-        oracle = scalar_quadratic_oracle()
-        at = 3.0 if args.at is None else _number(args.at, "--at")
-        base = np.array([at])
-        directions = _scalar_directions(args.direction_values)
-        steps = [0.1, 0.05, 0.025, 0.0125]
-        return oracle, base, directions, steps
-    if args.problem == "scalar-cubic":
-        oracle = scalar_cubic_oracle()
-        at = 0.0 if args.at is None else _number(args.at, "--at")
-        base = np.array([at])
-        directions = _scalar_directions(args.direction_values)
-        steps = [0.08, 0.04, 0.02, 0.01]
-        return oracle, base, directions, steps
+def _derivative_problem(args, values):
+    """(oracle, base, directions, FD steps) of the named problem, with the
+    directions read from `values` (None for the default direction)."""
+    if args.problem in _SCALAR_PROBLEMS:
+        make_oracle, at, steps = _SCALAR_PROBLEMS[args.problem]
+        if args.at is not None:
+            at = _number(args.at, "--at")
+        directions = [np.array([v]) for v in _numbers(values or [1.0], "directions")]
+        return make_oracle(), np.array([at]), directions, steps
     mesh = Mesh1D.uniform(args.mesh_n)
     oracle = PdeOracle(mesh, Nonlinearity.cubic())
     base = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
-    specs = args.direction_values or [{"f": 1.0}]
     directions = []
-    for spec in specs:
+    for spec in values or [{"f": 1.0}]:
         if not isinstance(spec, dict) or set(spec) - {"a", "b", "f", "g"}:
             raise ConfigError("pde1d directions must be objects with keys a, b, f, g")
         directions.append(_pde_data(mesh, spec, dict.fromkeys("abfg", 0.0)))
@@ -296,6 +292,7 @@ def _derivative_problem(args):
 def _cmd_derivatives(args) -> int:
     if args.order < 1:
         raise ConfigError("--order must be >= 1")
+    values = None
     if args.directions is not None:
         try:
             with open(args.directions) as fh:
@@ -304,11 +301,8 @@ def _cmd_derivatives(args) -> int:
             raise ConfigError(f"cannot read directions: {exc}") from exc
         if not isinstance(values, list) or not values:
             raise ConfigError("directions file must hold a nonempty JSON list")
-        args.direction_values = values
-    else:
-        args.direction_values = None
 
-    oracle, base, directions, steps = _derivative_problem(args)
+    oracle, base, directions, steps = _derivative_problem(args, values)
     table = derivative_table(oracle, base, directions, args.order)
 
     fd = {}
@@ -353,10 +347,9 @@ def _cmd_verify_bounds(args) -> int:
 
     lines = ["alpha,y_id,measured_norm,bound,ratio"]
     for row in report.rows:
-        bound = math.exp(row.log_bound) if row.log_bound < 700.0 else float("inf")
         lines.append(
             f"{row.alpha.label()},{row.y_index},{_fmt(row.measured)},"
-            f"{_fmt(bound)},{_fmt(row.ratio)}"
+            f"{_fmt(report.envelope.bound(row.alpha))},{_fmt(row.ratio)}"
         )
     _emit("\n".join(lines) + "\n", args.output)
     if args.report is not None:
@@ -416,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_der = sub.add_parser("derivatives", help="solution-derivative table")
     p_der.add_argument("--problem", required=True,
-                       choices=["scalar-quadratic", "scalar-cubic", "pde1d"])
+                       choices=[*_SCALAR_PROBLEMS, "pde1d"])
     p_der.add_argument("--order", type=int, required=True)
     p_der.add_argument("--directions", default=None,
                        help="JSON list of directions (numbers, or {a,b,f,g} objects)")
@@ -446,10 +439,7 @@ def main(argv=None) -> int:
     try:
         _thread_cap()
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (NonConvergenceError, LinearizationError, ArithmeticError,

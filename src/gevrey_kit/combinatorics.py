@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -140,16 +141,9 @@ class MultiIndex:
 
     def sub_indices(self) -> Iterator["MultiIndex"]:
         """All beta with 0 <= beta <= self, in a fixed lexicographic order."""
-        for beta, _ in self.splits():
-            yield beta
-
-    def splits(self) -> Iterator[tuple["MultiIndex", "MultiIndex"]]:
-        """All pairs (beta, self - beta) with 0 <= beta <= self, beta in the
-        order of `sub_indices`."""
         entries = self.entries
         for combo in itertools.product(*(range(e + 1) for _, e in entries)):
-            yield (MultiIndex(tuple((k, c) for (k, _), c in zip(entries, combo) if c)),
-                   MultiIndex(tuple((k, e - c) for (k, e), c in zip(entries, combo) if c < e)))
+            yield MultiIndex(tuple((k, c) for (k, _), c in zip(entries, combo) if c))
 
     def label(self) -> str:
         """Human-readable form such as '0', 'e2' or '2e1+e3'."""
@@ -330,15 +324,6 @@ def composition_identity_check(alpha: MultiIndex, r: int) -> bool:
     return lhs == rhs
 
 
-def _exponent_tuples(n_coords: int, total: int) -> Iterator[tuple[int, ...]]:
-    if n_coords == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _exponent_tuples(n_coords - 1, total - first):
-            yield (first,) + rest
-
-
 def multi_indices_up_to(n_coords: int, max_order: int) -> list[MultiIndex]:
     """All multi-indices with support in {1..n_coords} and order <= max_order.
 
@@ -348,8 +333,8 @@ def multi_indices_up_to(n_coords: int, max_order: int) -> list[MultiIndex]:
         raise ValueError("need n_coords >= 1 and max_order >= 0")
     out: list[MultiIndex] = []
     for total in range(max_order + 1):
-        block = [MultiIndex(tuple((k, e) for k, e in enumerate(t, start=1) if e))
-                 for t in _exponent_tuples(n_coords, total)]
+        block = [MultiIndex.make(Counter(coords)) for coords in
+                 itertools.combinations_with_replacement(range(1, n_coords + 1), total)]
         block.sort(key=lambda a: a.entries)
         out.extend(block)
     return out

@@ -136,7 +136,7 @@ class DomainMap1D:
 
 
 class TildeData:
-    """Pulled-back data at a fixed parameter point, with cached partials.
+    """Pulled-back data at a fixed parameter point and its partials.
 
     In one dimension the pullback is a -> a/W, b -> W b, f -> W f with the
     flux value unchanged (`data`), and ellipticity survives: on the box
@@ -162,7 +162,6 @@ class TildeData:
         self.winv = 1.0 / self.w
         self.data = PdeData(hat.a * self.winv, self.w * hat.b, self.w * hat.f, hat.g)
         self._ratios = [g * self.winv for g in self.mode_grads]  # w_k / W
-        self._partials: dict[MultiIndex, PdeData] = {MultiIndex(): self.data}
         self._zero = np.zeros_like(self.w)
 
     def coefficient(self, alpha: MultiIndex) -> PdeData:
@@ -187,15 +186,11 @@ class TildeData:
         return PdeData(a_part, b_part, f_part, 0.0)
 
     def partial(self, alpha: MultiIndex) -> PdeData:
-        """Mixed partial of the data tuple at this parameter point, computed
-        once per alpha."""
-        cached = self._partials.get(alpha)
-        if cached is None:
-            fact = alpha.factorial()
-            coefficient = self.coefficient(alpha)
-            cached = coefficient if fact == 1 else fact * coefficient
-            self._partials[alpha] = cached
-        return cached
+        """Mixed partial d^alpha data = alpha! * coefficient(alpha) at this
+        parameter point."""
+        fact = alpha.factorial()
+        coefficient = self.coefficient(alpha)
+        return coefficient if fact == 1 else fact * coefficient
 
 
 def parametric_solution_derivative(oracle: PdeOracle, tilde: TildeData,

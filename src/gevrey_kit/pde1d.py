@@ -107,12 +107,12 @@ class Mesh1D:
             raise ValueError("need at least two elements")
         return cls(np.linspace(0.0, 1.0, n_elements + 1), right_bc)
 
-    # -- field handling ---------------------------------------------------
+    # -- field handling: free-node fields map along their last axis --------
 
     def expand(self, v: np.ndarray) -> np.ndarray:
-        """Free-node vector -> full nodal vector with Dirichlet zeros."""
-        full = np.zeros(self.n_nodes)
-        full[self.free] = v
+        """Free-node values -> full nodal values with Dirichlet zeros."""
+        full = np.zeros(np.shape(v)[:-1] + (self.n_nodes,))
+        full[..., 1:self.n_free + 1] = v  # the free nodes are 1..n_free
         return full
 
     def interpolate(self, fn: Callable) -> np.ndarray:
@@ -133,12 +133,16 @@ class Mesh1D:
         raise ValueError(f"cannot interpret field of shape {arr.shape}")
 
     def at_quad(self, v: np.ndarray) -> np.ndarray:
+        """Values at the Gauss points, shape (..., n_elements, 3)."""
         full = self.expand(v)
-        return full[:-1, None] * self.phi_left + full[1:, None] * self.phi_right
+        return full[..., :-1, None] * self.phi_left + full[..., 1:, None] * self.phi_right
+
+    def slopes(self, v: np.ndarray) -> np.ndarray:
+        """Derivative on each element, shape (..., n_elements)."""
+        return np.diff(self.expand(v)) / self.h
 
     def grad_at_quad(self, v: np.ndarray) -> np.ndarray:
-        full = self.expand(v)
-        return ((full[1:] - full[:-1]) / self.h)[:, None] * np.ones((1, 3))
+        return self.slopes(v)[..., None] * np.ones(3)
 
     def integrate(self, qfield: np.ndarray) -> float:
         return float(np.sum(self.quad_w * qfield))
@@ -314,11 +318,13 @@ class Nonlinearity:
 
     P_0 is a polynomial and g an inner function whose derivative is itself
     a polynomial in g, so every derivative has the same form:
-    N^(n)(z) = P_n(g(z)) with P_{n+1} = P_n' * g'.  Two families exist:
+    N^(n)(z) = P_n(g(z)) with P_{n+1} = P_n' * g'.  Two families exist,
+    told apart by `degree`, the one family marker:
 
-    * polynomials with vanishing constant term: g(z) = z, g' = 1;
+    * polynomials with vanishing constant term: g(z) = z, g' = 1, and
+      `degree` the degree of P_0, above which every N^(n) vanishes;
     * the shifted hyperbolic tangent 2 + tanh: g = tanh, P_0(t) = 2 + t,
-      g' = 1 - t**2.
+      g' = 1 - t**2, and `degree` None.
 
     Admissibility is decided exactly, with no sample grid.  Monotonicity:
     P_1 >= 0 on the closure of g's range (the real line, or [-1, 1]), from
@@ -330,7 +336,6 @@ class Nonlinearity:
     """
 
     def __init__(self, kind: str, coeffs: np.ndarray | None, q: float):
-        self.kind = kind
         self.q = float(q)
         if kind == "polynomial":
             p0 = np.asarray(coeffs, dtype=float)
@@ -416,10 +421,6 @@ class Nonlinearity:
     def __call__(self, z):
         return self.deriv(0, z)
 
-    def max_order(self) -> int | None:
-        """Largest n with nonvanishing N^(n), or None if unbounded."""
-        return self.degree
-
     @property
     def zero_value(self) -> float:
         return float(self.deriv(0, 0.0))
@@ -462,35 +463,24 @@ def assemble_residual(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
 def apply_residual_derivative(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
                               u: np.ndarray, r: int,
                               args: Sequence[tuple[PdeData, np.ndarray]]) -> np.ndarray:
-    """Multilinear residual derivative in r joint (data, state) directions.
+    """Multilinear residual derivative in r joint (data, state) directions
+    (d_i, v_i), d_i = (a_i, b_i, f_i, g_i).
 
-    The diffusion term is bilinear in (a, u), the load terms are linear,
-    and everything of order three and higher comes from the composition
-    term b N(u).  For a polynomial nonlinearity of degree J the result
-    vanishes identically once r >= J + 2.
+    The data enter affinely and N acts pointwise, so the term b N(u) has
+    one formula for every r >= 1:
+
+        <b N^(r)(u) prod_i v_i + sum_k b_k N^(r-1)(u) prod_{j != k} v_j, v>.
+
+    The diffusion term adds <a_1 u' + a v_1', v'> at r = 1 and
+    <a_1 v_2' + a_2 v_1', v'> at r = 2, and the load -<f_1, v> - g_1 v(1)
+    at r = 1.  Above the degree of a polynomial N, N^(r) is the zero
+    polynomial, so the result is exact zeros.
     """
     if r < 1:
         raise ValueError("derivative order must be >= 1")
     if len(args) != r:
         raise ValueError("need exactly r direction pairs")
     uq = mesh.at_quad(u)
-    if r == 1:
-        (d1, v1), = args
-        grad_part = d1.a * mesh.grad_at_quad(u) + data.a * mesh.grad_at_quad(v1)
-        mass_part = (d1.b * nl.deriv(0, uq)
-                     + data.b * nl.deriv(1, uq) * mesh.at_quad(v1) - d1.f)
-        return mesh.assemble_load(grad_part, mass_part, boundary=-d1.g)
-    if r == 2:
-        (d1, v1), (d2, v2) = args
-        v1q, v2q = mesh.at_quad(v1), mesh.at_quad(v2)
-        grad_part = d1.a * mesh.grad_at_quad(v2) + d2.a * mesh.grad_at_quad(v1)
-        mass_part = (data.b * nl.deriv(2, uq) * v1q * v2q
-                     + d1.b * nl.deriv(1, uq) * v2q
-                     + d2.b * nl.deriv(1, uq) * v1q)
-        return mesh.assemble_load(grad_part, mass_part)
-    degree = nl.max_order()
-    if degree is not None and r >= degree + 2:
-        return np.zeros(mesh.n_free)
     state_q = [mesh.at_quad(v) for _, v in args]
     prod_all = nl.deriv(r, uq)
     for vq in state_q:
@@ -503,7 +493,15 @@ def apply_residual_derivative(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
             if j != k:
                 term = term * vq
         mass_part = mass_part + term
-    return mesh.assemble_load(None, mass_part)
+    grad_part, boundary = None, 0.0
+    if r == 1:
+        (d1, v1), = args
+        grad_part = d1.a * mesh.grad_at_quad(u) + data.a * mesh.grad_at_quad(v1)
+        mass_part, boundary = mass_part - d1.f, -d1.g
+    elif r == 2:
+        (d1, v1), (d2, v2) = args
+        grad_part = d1.a * mesh.grad_at_quad(v2) + d2.a * mesh.grad_at_quad(v1)
+    return mesh.assemble_load(grad_part, mass_part, boundary)
 
 
 def linearization_matrix(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
@@ -625,14 +623,14 @@ class _TaylorExpansion:
         uq = mesh.at_quad(table.u).ravel()
         q0 = nl._g(uq)
         self._n = {0: nl.deriv(0, uq)[None]}
-        self._slope = {0: (np.diff(mesh.expand(table.u)) / mesh.h)[None]}
+        self._slope = {0: mesh.slopes(table.u)[None]}
         self._powers = [None, {0: q0[None]}]
         for _ in range(2, max(len(p0), len(nl._dg), 2)):
             self._powers.append({0: self._powers[-1][0] * q0})
         # the powers that later orders read: each below the top is a factor
         # of the next one, and G(q) reads those of its terms
         self._kept = set(range(1, len(self._powers) - 1))
-        if nl._g is _identity:
+        if nl.degree is not None:
             self._u, self._dq0, self._dg = self._powers[1], None, None
         else:
             self._u, self._dq0, self._dg = {0: uq[None]}, npoly.polyval(q0, nl._dg), nl._dg
@@ -723,10 +721,7 @@ class _TaylorExpansion:
         mesh, powers, tilde = self.mesh, self._powers, self._tilde
         if m == self._plan.max_order:
             return
-        full = np.zeros((solved.shape[1], mesh.n_nodes))  # `at_quad` of each column
-        full[:, mesh.free] = solved.T
-        delta = full[:, :-1, None] * mesh.phi_left + full[:, 1:, None] * mesh.phi_right
-        delta = delta.reshape(len(full), -1)
+        delta = mesh.at_quad(solved.T).reshape(solved.shape[1], -1)
         lin = delta if self._dq0 is None else self._dq0 * delta
         values = [None, lin if tilde[1] is None else tilde[1] + lin]
         for j in range(2, len(powers)):
@@ -739,9 +734,8 @@ class _TaylorExpansion:
             self._u[m] = delta
         # N and the slopes are read at the orders that data coefficients
         # of b and a add to theirs
-        slope = np.diff(full) / mesh.h
         for series, orders, value in ((self._n, self._data["b"], self._composed(values)),
-                                      (self._slope, self._data["a"], slope)):
+                                      (self._slope, self._data["a"], mesh.slopes(solved.T))):
             if orders and m + min(orders) <= self._plan.max_order:
                 series[m] = value
             for r in [r for r in series if r and r + max(orders) <= m]:
@@ -889,12 +883,11 @@ def estimate_constants(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
         1: mesh.h1_norm(u) + a_sup + nl_l2 + b_sup * sup(1) + 2.0,
         2: 2.0 + b_sup * sup(2) * ce + 2.0 * sup(1),
     }
-    degree = nl.max_order()
-    for r in range(3, 7 if degree is None else degree + 2):
+    for r in range(3, 7 if nl.degree is None else nl.degree + 2):
         bounds[r] = (b_sup * sup(r) * ce ** (r - 1)
                      + r * sup(r - 1) * ce ** (r - 2))
     digamma, tail = 1.0, []
-    if degree is None:
+    if nl.degree is None:
         # Cauchy bound on a width-1 strip: sup_R |tanh^(n)| <= n! * tan(1),
         # so the composition term admits r! * K * ce**(r-1) for all r.
         digamma = max(1.0, ce)

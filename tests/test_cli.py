@@ -360,6 +360,20 @@ class TestVerifyBounds:
         cfg = self.config(tmp_path)
         assert run_cli(["verify-bounds", "--config", str(cfg)]) == 3
 
+    def test_bound_above_e700_prints_finite(self, tmp_path, monkeypatch):
+        # exp(705) is finite; only an envelope value past the float range is inf
+        scale = math.exp(705.0)
+        report = DerivativeBoundReport(
+            rows=(DerivativeBoundRow(MultiIndex.unit(1), 0, 2.0, 705.0, 2.0 / scale, True),),
+            envelope=ParametricEnvelope(GevreyEnvelope(1.0, scale, 1.0), (1.0,)),
+            constants={},
+        )
+        monkeypatch.setattr(cli, "verify_derivative_bounds", lambda *a, **k: report)
+        cfg, out = self.config(tmp_path), tmp_path / "bounds.csv"
+        assert run_cli(["verify-bounds", "--config", str(cfg), "--output", str(out)]) == 0
+        bound = float(out.read_text().splitlines()[1].split(",")[3])
+        assert math.isfinite(bound) and bound == pytest.approx(scale, rel=1e-11)
+
     def test_unknown_key(self, tmp_path):
         cfg = self.config(tmp_path, mystery=1)
         assert run_cli(["verify-bounds", "--config", str(cfg)]) == 1

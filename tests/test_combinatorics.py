@@ -61,7 +61,6 @@ class TestMultiIndex:
         subs = list(a.sub_indices())
         assert len(subs) == (2 + 1) * (1 + 1)
         assert sum(a.binom(b) for b in subs) == 2 ** a.order()
-        assert [(b, c) for b, c in a.splits()] == [(b, a - b) for b in subs]
 
     def test_make_from_dense_list(self):
         assert MultiIndex.make([1, 0, 2]).entries == ((1, 1), (3, 2))

@@ -80,6 +80,19 @@ class TestMesh:
         assert Mesh1D.uniform(8).n_free == 7
         assert Mesh1D.uniform(8, right_bc="neumann").n_free == 8
 
+    @pytest.mark.parametrize("right_bc", ["dirichlet", "neumann"])
+    def test_field_maps_act_on_the_last_axis(self, right_bc):
+        mesh = Mesh1D(np.sort(np.r_[0.0, np.random.default_rng(4).uniform(size=9), 1.0]),
+                      right_bc)
+        stack = np.random.default_rng(5).standard_normal((4, mesh.n_free))
+        full = mesh.expand(stack)
+        assert np.array_equal(full[:, mesh.free], stack)
+        assert not np.any(np.delete(full, mesh.free, axis=1))
+        for name in ("expand", "at_quad", "slopes", "grad_at_quad"):
+            maps = getattr(mesh, name)
+            assert np.array_equal(maps(stack), np.array([maps(v) for v in stack])), name
+        assert np.array_equal(mesh.slopes(stack), np.diff(full) / mesh.h)
+
     def test_h1_norm_matches_hand_integration(self):
         mesh = Mesh1D.uniform(64)
         v = mesh.interpolate(lambda x: x * (1.0 - x))
@@ -132,7 +145,7 @@ class TestNonlinearity:
         assert nl.zero_value == 2.0
         assert float(nl.deriv(1, 0.0)) == 1.0
         assert abs(float(nl.deriv(2, 0.0))) < 1e-15
-        assert nl.max_order() is None
+        assert nl.degree is None
         zs = np.linspace(-3.0, 3.0, 7)
         finite_diff = (nl.deriv(1, zs + 1e-6) - nl.deriv(1, zs - 1e-6)) / 2e-6
         assert np.allclose(nl.deriv(2, zs), finite_diff, atol=1e-7)
