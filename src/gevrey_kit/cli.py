@@ -114,13 +114,15 @@ def _read_json_config(path: str, allowed: set[str], required: set[str]) -> dict:
     return cfg
 
 
-def _number(value, name: str, integer: bool = False):
+def _number(value, name: str, integer: bool = False, nonnegative: bool = False):
     """A finite JSON number as a float, or as an int when `integer`;
-    booleans, strings, null, NaN, infinities and, for an integer,
-    non-integral values are config errors."""
+    booleans, strings, null, NaN, infinities, for an integer non-integral
+    values and, when `nonnegative`, negative values are config errors."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not math.isfinite(value)):
         raise ConfigError(f"{name} must be a finite number")
+    if nonnegative and value < 0:
+        raise ConfigError(f"{name} must be nonnegative")
     if not integer:
         return float(value)
     if isinstance(value, float) and not value.is_integer():
@@ -233,7 +235,8 @@ def _cmd_solve(args) -> int:
     nl = _nonlinearity_from_spec(cfg["nonlinearity"])
     data = _pde_data(mesh, cfg, {"a": 1.0, "b": 0.0, "f": 0.0, "g": 0.0})
     seed = _number(cfg.get("seed", 0), "seed", integer=True)
-    u = newton_solve(mesh, data, nl, tol=_number(cfg.get("tol", 1e-12), "tol"))
+    tol = _number(cfg.get("tol", 1e-12), "tol", nonnegative=True)
+    u = newton_solve(mesh, data, nl, tol=tol)
 
     full = mesh.expand(u)
     lines = ["x,u"]
@@ -343,7 +346,7 @@ def _cmd_verify_bounds(args) -> int:
     ys = [rng.uniform(-0.5, 0.5, dmap.p) for _ in range(ints["y_samples"])]
     report = verify_derivative_bounds(dmap, hat, mesh, nl, ys,
                              max_order=ints["max_order"],
-                             tol=_number(cfg.get("tol", 1e-12), "tol"))
+                             tol=_number(cfg.get("tol", 1e-12), "tol", nonnegative=True))
 
     lines = ["alpha,y_id,measured_norm,bound,ratio"]
     for row in report.rows:

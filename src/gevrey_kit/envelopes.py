@@ -227,7 +227,8 @@ def envelope_check(
 
     `norms` maps integer orders (plain envelope) or MultiIndex keys
     (parametric envelope) to measured values.  An entry passes when
-    measured <= bound * (1 + tolerance); zero measurements always pass.
+    measured <= bound * (1 + tolerance); zero measurements always pass, and
+    a NaN measurement fails with a NaN ratio.
     Entries are reported in the iteration order of `norms`.
     """
     if not norms:
@@ -246,7 +247,9 @@ def envelope_check(
                 raise ValueError("integer-order keys need a plain envelope")
             lb = env.log_bound(int(key))
         lm = _log(measured)
-        if measured == 0.0:
+        if math.isnan(measured):  # no value, so no bound holds for it
+            ratio, ok = math.nan, False
+        elif measured == 0.0:
             ratio, ok = 0.0, True
         elif lb == float("-inf"):
             ratio, ok = float("inf"), False

@@ -196,6 +196,16 @@ class TestSolve:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol", [-1, -1e-12])
+    def test_negative_tol_rejected(self, tmp_path, capsys, tol):
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps({"mesh_n": 16, "a": 1.0, "b": 1.0, "f": 1.0,
+                                   "nonlinearity": {"kind": "cubic"}, "tol": tol}))
+        out = tmp_path / "u.csv"
+        assert run_cli(["solve", "--config", str(cfg), "--output", str(out)]) == 1
+        assert "tol must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDerivatives:
     def test_scalar_cubic_with_fd(self, tmp_path):
@@ -388,6 +398,14 @@ class TestVerifyBounds:
         out = tmp_path / "bounds.csv"
         assert run_cli(["verify-bounds", "--config", str(cfg), "--output", str(out)]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", [-1, -1e-12])
+    def test_negative_tol_rejected(self, tmp_path, capsys, tol):
+        cfg = self.config(tmp_path, tol=tol)
+        out = tmp_path / "bounds.csv"
+        assert run_cli(["verify-bounds", "--config", str(cfg), "--output", str(out)]) == 1
+        assert "tol must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_integral_float_is_an_integer(self, tmp_path):

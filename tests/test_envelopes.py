@@ -228,3 +228,17 @@ class TestEnvelopeCheck:
         report = envelope_check({MultiIndex.unit(1): 1.0}, par)
         assert not report.passed
         assert report.entries[0].ratio == float("inf")
+
+    def test_nan_measurement_fails(self):
+        report = envelope_check({1: 0.5, 2: math.nan}, ONE)
+        assert not report.passed
+        assert report.failures == (2,)
+        assert math.isnan(report.entries[1].ratio)
+
+    def test_nan_measurement_fails_parametric(self):
+        par = ParametricEnvelope(GevreyEnvelope(1.0, 2.0, 2.0), (0.5, 0.5))
+        key = MultiIndex.make({1: 1, 2: 1})
+        report = envelope_check({MultiIndex.unit(1): 1.0, key: math.nan}, par)
+        assert not report.passed
+        assert report.failures == (key,)
+        assert math.isnan(report.entries[1].ratio)

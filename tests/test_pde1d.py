@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.polynomial import polynomial as npoly
 
 from gevrey_kit import pde1d
 from gevrey_kit.combinatorics import MultiIndex
@@ -51,6 +52,23 @@ def dense(bands):
 
 def relative_error(got, expected):
     return float(np.linalg.norm(got - expected) / np.linalg.norm(expected))
+
+
+NONLINEARITIES = pytest.mark.parametrize("nl", [
+    Nonlinearity.cubic(), Nonlinearity.tanh_shifted(), Nonlinearity.polynomial([3.0, -3.0, 1.0]),
+], ids=["cubic", "tanh_shifted", "shifted_cubic"])
+
+
+def reference_deriv(nl, n, z):
+    """N^(n)(z) as npoly.polyval(g(z), P_n)."""
+    z = np.asarray(z, dtype=float)
+    return npoly.polyval(z if nl.degree is not None else np.tanh(z), nl._poly(n))
+
+
+def assert_same_bytes(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestMesh:
@@ -160,6 +178,19 @@ class TestNonlinearity:
                 assert exact >= dense - 1e-9
                 assert exact <= dense * (1.0 + 1e-3) + 1e-9
 
+    @NONLINEARITIES
+    def test_deriv_is_bitwise_polyval(self, nl):
+        rng = np.random.default_rng(3)
+        values = [rng.standard_normal((5, 3)) * 4.0, np.linspace(-2.0, 2.0, 9),
+                  np.asarray(0.7), np.asarray(-1.5), 0.7, -1.5, 0.0,
+                  np.array([math.inf, -math.inf, math.nan, 0.0, -0.0]),
+                  math.inf, -math.inf, math.nan]
+        for n in range(7):
+            for z in values:
+                with np.errstate(invalid="ignore"):  # inf * 0 in both forms
+                    got, want = nl.deriv(n, z), reference_deriv(nl, n, z)
+                assert_same_bytes(got, want)
+
     @pytest.mark.parametrize("name", ["cubic", "shifted_cubic", "tanh_shifted"])
     def test_growth_constant_cubic(self, name):
         nl = {
@@ -214,6 +245,82 @@ class TestResidual:
         data = PdeData.from_spec(mesh, a=1.0, b=0.0, f=0.0, g=1.0)
         u = mesh.interpolate(lambda x: x)
         assert mesh.dual_norm(assemble_residual(mesh, data, nl, u)) <= 1e-12
+
+
+KERNEL_MESHES = pytest.mark.parametrize("mesh", [
+    Mesh1D(np.concatenate([[0.0], np.sort(np.random.default_rng(9).uniform(0, 1, 30)), [1.0]])),
+    Mesh1D.uniform(24, "neumann"),
+], ids=["nonuniform-dirichlet", "uniform-neumann"])
+
+
+def reference_load(mesh, grad_part=None, mass_part=None, boundary=0.0):
+    """`Mesh1D.assemble_load` written with numpy's reduction over the Gauss points."""
+    full = np.zeros(mesh.n_nodes)
+    if grad_part is not None:
+        full[:-1] -= np.sum(mesh.quad_w * grad_part, axis=1) / mesh.h
+        full[1:] += np.sum(mesh.quad_w * grad_part, axis=1) / mesh.h
+    if mass_part is not None:
+        full[:-1] += np.sum(mesh.quad_w * mass_part * mesh.phi_left, axis=1)
+        full[1:] += np.sum(mesh.quad_w * mass_part * mesh.phi_right, axis=1)
+    if boundary:
+        full[-1] += boundary
+    return full[mesh.free]
+
+
+def reference_bands(mesh, stiffness=None, mass=None):
+    """`Mesh1D.bilinear_form` written with numpy's reduction over the Gauss points."""
+    ell = rr = lr = np.zeros(mesh.n_elements)
+    if stiffness is not None:
+        ke = np.sum(mesh.quad_w * stiffness, axis=1) / mesh.h**2
+        ell, rr, lr = ell + ke, rr + ke, lr - ke
+    if mass is not None:
+        ell = ell + np.sum(mesh.quad_w * mass * mesh.phi_left * mesh.phi_left, axis=1)
+        rr = rr + np.sum(mesh.quad_w * mass * mesh.phi_right * mesh.phi_right, axis=1)
+        lr = lr + np.sum(mesh.quad_w * mass * mesh.phi_left * mesh.phi_right, axis=1)
+    diag = np.zeros(mesh.n_nodes)
+    diag[:-1] += ell
+    diag[1:] += rr
+    return diag[mesh.free], lr[mesh.free[:-1]]
+
+
+class TestKernelsBitwise:
+    """The Gauss-point kernels of the Newton path give, byte for byte, the
+    values of their plain numpy forms."""
+
+    @staticmethod
+    def fields(mesh, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.uniform(0.5, 2.0, mesh.quad_x.shape) for _ in range(3)]
+
+    @KERNEL_MESHES
+    def test_assemble_load(self, mesh):
+        grad, mass, _ = self.fields(mesh, 1)
+        for args in [(grad, None), (None, mass), (None, None, -0.3), (grad, mass, 0.7)]:
+            assert_same_bytes(mesh.assemble_load(*args), reference_load(mesh, *args))
+
+    @KERNEL_MESHES
+    def test_bilinear_form(self, mesh):
+        stiffness, mass, _ = self.fields(mesh, 2)
+        for kwargs in [dict(stiffness=1.0, mass=1.0), dict(stiffness=1.0),
+                       dict(stiffness=stiffness), dict(mass=mass),
+                       dict(stiffness=stiffness, mass=mass)]:
+            for got, want in zip(mesh.bilinear_form(**kwargs), reference_bands(mesh, **kwargs)):
+                assert_same_bytes(got, want)
+
+    @KERNEL_MESHES
+    @NONLINEARITIES
+    def test_residual_and_linearization(self, mesh, nl):
+        a, b, f = self.fields(mesh, 3)
+        data = PdeData(a, b, f, 0.4 if mesh.right_bc == "neumann" else 0.0)
+        # a smooth state, so that the mass terms are not lost against the stiffness ones
+        u = mesh.interpolate(lambda x: 2.0 * math.sin(2.0 * x))
+        uq = mesh.at_quad(u)
+        grad = a * ((np.diff(mesh.expand(u)) / mesh.h)[:, None] * np.ones(3))
+        want = reference_load(mesh, grad, b * reference_deriv(nl, 0, uq) - f, -data.g)
+        assert_same_bytes(assemble_residual(mesh, data, nl, u), want)
+        bands = reference_bands(mesh, stiffness=a, mass=b * reference_deriv(nl, 1, uq))
+        for got, want in zip(linearization_matrix(mesh, data, nl, u), bands):
+            assert_same_bytes(got, want)
 
 
 class TestResidualDerivative:
