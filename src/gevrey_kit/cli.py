@@ -147,13 +147,20 @@ def _pde_data(mesh: Mesh1D, spec: dict, defaults: dict) -> PdeData:
     return PdeData.from_spec(mesh, **fields)
 
 
+#: The keys besides "kind" that each nonlinearity kind reads.
+_NONLINEARITY_KEYS = {"cubic": set(), "tanh_shifted": set(), "polynomial": {"coeffs", "q"},
+                      "exp": {"q"}, "exponential": {"q"}}
+
+
 def _nonlinearity_from_spec(spec) -> Nonlinearity:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("nonlinearity must be an object with a 'kind'")
     kind = spec["kind"]
-    extra = set(spec) - {"kind", "coeffs", "q"}
+    if not isinstance(kind, str) or kind not in _NONLINEARITY_KEYS:
+        raise ConfigError(f"unknown nonlinearity kind {kind!r}")
+    extra = set(spec) - {"kind"} - _NONLINEARITY_KEYS[kind]
     if extra:
-        raise ConfigError(f"unknown nonlinearity keys: {', '.join(sorted(extra))}")
+        raise ConfigError(f"unknown keys for nonlinearity {kind!r}: {', '.join(sorted(extra))}")
     if kind == "cubic":
         return Nonlinearity.cubic()
     if kind == "polynomial":
@@ -164,9 +171,7 @@ def _nonlinearity_from_spec(spec) -> Nonlinearity:
                                        None if q is None else _number(q, "q"))
     if kind == "tanh_shifted":
         return Nonlinearity.tanh_shifted()
-    if kind in ("exp", "exponential"):
-        return Nonlinearity.exponential(_number(spec.get("q", 6.0), "q"))
-    raise ConfigError(f"unknown nonlinearity kind {kind!r}")
+    return Nonlinearity.exponential(_number(spec.get("q", 6.0), "q"))
 
 
 def _thread_cap() -> int:
@@ -238,11 +243,8 @@ def _cmd_solve(args) -> int:
     tol = _number(cfg.get("tol", 1e-12), "tol", nonnegative=True)
     u = newton_solve(mesh, data, nl, tol=tol)
 
-    full = mesh.expand(u)
-    lines = ["x,u"]
-    for x, v in zip(mesh.nodes, full):
-        lines.append(f"{_fmt(x)},{_fmt(v)}")
-    _emit("\n".join(lines) + "\n", args.output)
+    rows = map("{:.12g},{:.12g}\n".format, mesh.nodes.tolist(), mesh.expand(u).tolist())
+    _emit("x,u\n" + "".join(rows), args.output)
 
     if args.report is not None:
         rng = np.random.default_rng(seed)
@@ -280,6 +282,8 @@ def _derivative_problem(args, values):
             at = _number(args.at, "--at")
         directions = [np.array([v]) for v in _numbers(values or [1.0], "directions")]
         return make_oracle(), np.array([at]), directions, steps
+    if args.at is not None:
+        raise ConfigError("--at applies only to the scalar problems")
     mesh = Mesh1D.uniform(args.mesh_n)
     oracle = PdeOracle(mesh, Nonlinearity.cubic())
     base = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)

@@ -209,7 +209,7 @@ def solve_residual(oracle: ResidualOracle, d, u0, tol: float, max_iter: int = 10
         step = oracle.solve_linearized(d, u, res)
         lam = 1.0
         for _ in range(31):  # the full step, then up to 30 halvings
-            u_new = u - lam * step
+            u_new = u - step if lam == 1.0 else u - lam * step  # 1.0 * step is exact
             res_new = oracle.eval(d, u_new)
             rnorm_new = oracle.residual_norm(res_new)
             if rnorm_new < rnorm:

@@ -140,7 +140,10 @@ class Mesh1D:
 
     def at_quad(self, v: np.ndarray) -> np.ndarray:
         """Values at the Gauss points, shape (..., n_elements, 3)."""
-        full = self.expand(v)
+        return self._gauss_values(self.expand(v))
+
+    def _gauss_values(self, full: np.ndarray) -> np.ndarray:
+        """`at_quad` from full nodal values."""
         return full[..., :-1, None] * self.phi_left + full[..., 1:, None] * self.phi_right
 
     def slopes(self, v: np.ndarray) -> np.ndarray:
@@ -171,16 +174,25 @@ class Mesh1D:
             full[1:] += _gauss_sum(wm * self.phi_right)
         if boundary:
             full[-1] += boundary
-        return full[self.free]
+        return full[1:self.n_free + 1]
 
     def bilinear_form(self, stiffness=None, mass=None) -> tuple[np.ndarray, np.ndarray]:
         """Bands (diag, off) over the free nodes of the matrix of
         (w, v) -> <stiffness w', v'> + <mass w, v>; a weight is a quadrature
         field or scalar, None leaves its term out."""
-        ell = rr = lr = np.zeros(self.n_elements)
-        if stiffness is not None:
-            ke = _gauss_sum(self.quad_w * stiffness) / self.h**2
-            ell, rr, lr = ell + ke, rr + ke, lr - ke
+        return self._bands(None if stiffness is None else self._stiffness_term(stiffness), mass)
+
+    def _stiffness_term(self, weight) -> np.ndarray:
+        """Per-element stiffness entry of <weight w', v'>: ke (1, -1; -1, 1)."""
+        return _gauss_sum(self.quad_w * weight) / self.h**2
+
+    def _bands(self, ke: np.ndarray | None, mass) -> tuple[np.ndarray, np.ndarray]:
+        """`bilinear_form` from the stiffness term ke (None leaves it out)."""
+        if ke is None:
+            ell = rr = lr = np.zeros(self.n_elements)
+        else:  # not ke and -ke: a zero entry must come out +0.0
+            ell, lr = 0.0 + ke, 0.0 - ke
+            rr = ell
         if mass is not None:
             wq = self.quad_w * mass
             wl = wq * self.phi_left
@@ -190,7 +202,7 @@ class Mesh1D:
         diag = np.zeros(self.n_nodes)
         diag[:-1] += ell
         diag[1:] += rr
-        return diag[self.free], lr[self.free[:-1]]
+        return diag[1:self.n_free + 1], lr[1:self.n_free]
 
     # -- norms and constants ------------------------------------------------
 
@@ -466,8 +478,14 @@ def _critical_points(coeffs: np.ndarray, lo: float, hi: float) -> np.ndarray:
 def assemble_residual(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
                       u: np.ndarray) -> np.ndarray:
     """Galerkin residual of <a u', v'> + <b N(u), v> - <f, v> - g v(1)."""
-    uq = mesh.at_quad(u)
-    grad_part = data.a * mesh.slopes(u)[..., None]
+    full = mesh.expand(u)
+    return _residual(mesh, data, nl, full, mesh._gauss_values(full))
+
+
+def _residual(mesh: Mesh1D, data: PdeData, nl: Nonlinearity, full: np.ndarray,
+              uq: np.ndarray) -> np.ndarray:
+    """`assemble_residual` from the state's full nodal and Gauss values."""
+    grad_part = data.a * ((full[..., 1:] - full[..., :-1]) / mesh.h)[..., None]
     mass_part = data.b * nl.deriv(0, uq) - data.f
     return mesh.assemble_load(grad_part, mass_part, boundary=-data.g)
 
@@ -519,7 +537,13 @@ def apply_residual_derivative(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
 def linearization_matrix(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
                          u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bands of the state linearization v -> <a v', .'> + <b N'(u) v, .>."""
-    return mesh.bilinear_form(stiffness=data.a, mass=data.b * nl.deriv(1, mesh.at_quad(u)))
+    return _linearization(mesh, data, nl, mesh.at_quad(u), mesh._stiffness_term(data.a))
+
+
+def _linearization(mesh: Mesh1D, data: PdeData, nl: Nonlinearity, uq: np.ndarray,
+                   ke: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`linearization_matrix` from the Gauss values uq and the stiffness term ke."""
+    return mesh._bands(ke, data.b * nl.deriv(1, uq))
 
 
 class PdeOracle(ResidualOracle):
@@ -529,16 +553,23 @@ class PdeOracle(ResidualOracle):
     residuals free-node dual vectors; norms are the discrete H1 norm and
     its dual.  The LDL^T factors of the linearization are cached per base
     point; a linearization that is not positive definite raises
-    LinearizationError.
+    LinearizationError.  A linearization reads the Gauss values of the state
+    last evaluated and the stiffness term of the data last seen; each of
+    the three caches holds one entry, keyed by object identity.
     """
 
     def __init__(self, mesh: Mesh1D, nl: Nonlinearity):
         self.mesh = mesh
         self.nl = nl
         self._lin_cache: tuple | None = None
+        self._quad_cache: tuple = (None, None)  # (u, its Gauss values)
+        self._ke_cache: tuple = (None, None)  # (d, the stiffness term of d.a)
 
     def eval(self, d: PdeData, u: np.ndarray) -> np.ndarray:
-        return assemble_residual(self.mesh, d, self.nl, u)
+        full = self.mesh.expand(u)
+        uq = self.mesh._gauss_values(full)
+        self._quad_cache = (u, uq)
+        return _residual(self.mesh, d, self.nl, full, uq)
 
     def apply_derivative(self, r: int, d: PdeData, u: np.ndarray, args) -> np.ndarray:
         return apply_residual_derivative(self.mesh, d, self.nl, u, r, args)
@@ -546,7 +577,12 @@ class PdeOracle(ResidualOracle):
     def solve_linearized(self, d: PdeData, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         cache = self._lin_cache
         if cache is None or cache[0] is not d or cache[1] is not u:
-            factors = _ldl(*linearization_matrix(self.mesh, d, self.nl, u))
+            quad, ke = self._quad_cache, self._ke_cache
+            if quad[0] is not u:
+                quad = self._quad_cache = (u, self.mesh.at_quad(u))
+            if ke[0] is not d:
+                ke = self._ke_cache = (d, self.mesh._stiffness_term(d.a))
+            factors = _ldl(*_linearization(self.mesh, d, self.nl, quad[1], ke[1]))
             if factors is None:
                 raise LinearizationError("state linearization is not positive definite")
             cache = self._lin_cache = (d, u, factors)

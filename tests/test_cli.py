@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import gevrey_kit.cli as cli
@@ -17,6 +18,20 @@ def run_cli(args):
 
 def case_id(override: dict) -> str:
     return "-".join(f"{key}={type(value).__name__}" for key, value in override.items())
+
+
+#: Nonlinearity specs with a key that their kind does not read.
+UNREAD_NONLINEARITY_KEYS = [
+    {"kind": "cubic", "coeffs": [5, 7], "q": 1.5},
+    {"kind": "cubic", "q": 4},
+    {"kind": "tanh_shifted", "coeffs": [1.0]},
+    {"kind": "polynomial", "coeffs": [0.0, 1.0], "degree": 2},
+    {"kind": "exp", "coeffs": [1.0]},
+]
+
+
+def nonlinearity_id(spec: dict) -> str:
+    return "-".join(sorted(spec["kind"] if key == "kind" else key for key in spec))
 
 
 class TestKappa:
@@ -196,6 +211,29 @@ class TestSolve:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", UNREAD_NONLINEARITY_KEYS, ids=nonlinearity_id)
+    def test_unread_nonlinearity_key_rejected(self, tmp_path, capsys, spec):
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps({"mesh_n": 16, "a": 1.0, "b": 1.0, "f": 1.0,
+                                   "nonlinearity": spec}))
+        out = tmp_path / "u.csv"
+        assert run_cli(["solve", "--config", str(cfg), "--output", str(out)]) == 1
+        assert "unknown keys for nonlinearity" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_csv_is_the_per_value_format(self, tmp_path, monkeypatch):
+        u = np.array([-0.0, 1e-300, 1e300, -1e300, -1e-300, -2.5, 1.0 / 3.0, 5e-324, -0.1])
+        monkeypatch.setattr(cli, "newton_solve", lambda *args, **kwargs: u)
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps({"mesh_n": 10, "nonlinearity": {"kind": "cubic"}}))
+        out = tmp_path / "u.csv"
+        assert run_cli(["solve", "--config", str(cfg), "--output", str(out)]) == 0
+        nodes = np.linspace(0.0, 1.0, 11)
+        full = np.concatenate([[0.0], u, [0.0]])
+        want = "x,u\n" + "".join(f"{cli._fmt(x)},{cli._fmt(v)}\n" for x, v in zip(nodes, full))
+        assert out.read_text() == want
+        assert ",-0\n" in want and ",1e-300\n" in want and ",-1e+300\n" in want
+
     @pytest.mark.parametrize("tol", [-1, -1e-12])
     def test_negative_tol_rejected(self, tmp_path, capsys, tol):
         cfg = tmp_path / "solve.json"
@@ -252,6 +290,14 @@ class TestDerivatives:
         code = run_cli(["derivatives", "--problem", problem, "--order", "2", f"--at={at}"])
         assert code == 1
         assert "--at must be a finite number" in capsys.readouterr().err
+
+    def test_base_point_rejected_for_pde1d(self, tmp_path, capsys):
+        out = tmp_path / "deriv.csv"
+        code = run_cli(["derivatives", "--problem", "pde1d", "--order", "1", "--mesh-n", "8",
+                        "--at", "2.0", "--output", str(out)])
+        assert code == 1
+        assert "--at applies only to the scalar problems" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--at", "-inf"], ["--order", "two"]],
                              ids=["at-read-as-option", "order-not-an-integer"])
@@ -406,6 +452,14 @@ class TestVerifyBounds:
         out = tmp_path / "bounds.csv"
         assert run_cli(["verify-bounds", "--config", str(cfg), "--output", str(out)]) == 1
         assert "tol must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", UNREAD_NONLINEARITY_KEYS, ids=nonlinearity_id)
+    def test_unread_nonlinearity_key_rejected(self, tmp_path, capsys, spec):
+        cfg = self.config(tmp_path, nonlinearity=spec)
+        out = tmp_path / "bounds.csv"
+        assert run_cli(["verify-bounds", "--config", str(cfg), "--output", str(out)]) == 1
+        assert "unknown keys for nonlinearity" in capsys.readouterr().err
         assert not out.exists()
 
     def test_integral_float_is_an_integer(self, tmp_path):

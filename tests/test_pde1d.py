@@ -14,6 +14,7 @@ from gevrey_kit.implicit_diff import (
     LinearizationError,
     derivative_table,
     finite_difference_check,
+    finite_difference_table,
     solve_residual,
 )
 from gevrey_kit.pde1d import (
@@ -321,6 +322,127 @@ class TestKernelsBitwise:
         bands = reference_bands(mesh, stiffness=a, mass=b * reference_deriv(nl, 1, uq))
         for got, want in zip(linearization_matrix(mesh, data, nl, u), bands):
             assert_same_bytes(got, want)
+
+
+def reference_newton(mesh, data, nl, tol):
+    """`solve_residual` through `PdeOracle`, written out with the public
+    residual and linearization and a fresh LDL^T at every iterate."""
+    u = np.zeros(mesh.n_free)
+    res = assemble_residual(mesh, data, nl, u)
+    rnorm = mesh.dual_norm(res)
+    for _ in range(100):
+        if rnorm <= tol:
+            return u
+        step = pde1d._ldl_solve(pde1d._ldl(*linearization_matrix(mesh, data, nl, u)), res)
+        lam = 1.0
+        for _ in range(31):
+            u_new = u - lam * step
+            res_new = assemble_residual(mesh, data, nl, u_new)
+            rnorm_new = mesh.dual_norm(res_new)
+            if rnorm_new < rnorm:
+                break
+            lam *= 0.5
+        else:
+            assert mesh.h1_norm(step) <= 16.0 * np.finfo(float).eps * u.size * mesh.h1_norm(u)
+            return u
+        u, res, rnorm = u_new, res_new, rnorm_new
+    raise AssertionError("reference Newton did not converge")
+
+
+class TestNewtonReuse:
+    """The oracle's Newton computes each state's Gauss values and each data
+    value's stiffness term once, with the bytes of the public forms."""
+
+    @staticmethod
+    def data(mesh, seed):
+        rng = np.random.default_rng(seed)
+        a, b, f = (rng.uniform(0.5, 2.0, mesh.quad_x.shape) for _ in range(3))
+        return PdeData(a, b, 3.0 * f, 0.5 if mesh.right_bc == "neumann" else 0.0)
+
+    @KERNEL_MESHES
+    @NONLINEARITIES
+    @pytest.mark.parametrize("tol", [1e-12, 0.0])  # 0.0 ends at the round-off floor
+    def test_newton_is_bitwise_the_public_forms(self, mesh, nl, tol):
+        data = self.data(mesh, 11)
+        got = solve_residual(PdeOracle(mesh, nl), data, np.zeros(mesh.n_free), tol)
+        assert_same_bytes(got, reference_newton(mesh, data, nl, tol))
+
+    @KERNEL_MESHES
+    @NONLINEARITIES
+    def test_caches_follow_the_objects(self, mesh, nl):
+        rng = np.random.default_rng(12)
+        data, other = self.data(mesh, 13), self.data(mesh, 14)
+        u1, u2 = rng.standard_normal(mesh.n_free), rng.standard_normal(mesh.n_free)
+        rhs = rng.standard_normal(mesh.n_free)
+
+        def fresh(d, u):
+            return PdeOracle(mesh, nl).solve_linearized(d, u, rhs)
+
+        oracle = PdeOracle(mesh, nl)
+        oracle.eval(data, u1)
+        assert_same_bytes(oracle.solve_linearized(data, u1, rhs), fresh(data, u1))
+        for d, u in [(data, u2), (data, u1.copy()), (PdeData(*map(np.copy, (data.a, data.b,
+                     data.f)), data.g), u1), (other, u1), (other, u2)]:
+            assert_same_bytes(oracle.solve_linearized(d, u, rhs), fresh(d, u))
+            oracle.eval(data, u1)
+
+    def test_each_gauss_and_stiffness_value_is_computed_once(self, monkeypatch):
+        mesh = Mesh1D.uniform(32)
+        oracle = PdeOracle(mesh, Nonlinearity.cubic())
+        base = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
+        dirs = [PdeData.from_spec(mesh, a=0.2, b=0.1, f=0.5), PdeData.from_spec(mesh, f=-1.0)]
+        seen = {name: {} for name in ("state", "data", "residual_uq", "uq", "ke")}
+        linearizations = []
+        eval_, solve_linearized = PdeOracle.eval, PdeOracle.solve_linearized
+        residual, linearization = pde1d._residual, pde1d._linearization
+
+        def record(name, value):  # by identity, holding the value so no id is reused
+            seen[name][id(value)] = value
+
+        def counting_eval(self, d, u):
+            record("state", u)
+            return eval_(self, d, u)
+
+        def counting_solve_linearized(self, d, u, rhs):
+            record("state", u)
+            record("data", d)
+            return solve_linearized(self, d, u, rhs)
+
+        def counting_residual(mesh, d, nl, full, uq):
+            record("residual_uq", uq)
+            record("uq", uq)
+            return residual(mesh, d, nl, full, uq)
+
+        def counting_linearization(mesh, d, nl, uq, ke):
+            record("uq", uq)
+            record("ke", ke)
+            linearizations.append(id(uq) in seen["residual_uq"])
+            return linearization(mesh, d, nl, uq, ke)
+
+        monkeypatch.setattr(PdeOracle, "eval", counting_eval)
+        monkeypatch.setattr(PdeOracle, "solve_linearized", counting_solve_linearized)
+        monkeypatch.setattr(pde1d, "_residual", counting_residual)
+        monkeypatch.setattr(pde1d, "_linearization", counting_linearization)
+
+        def check(run, n_data):
+            for values in seen.values():
+                values.clear()
+            linearizations.clear()
+            result = run()
+            # one Gauss evaluation per state, all of them by residuals, and
+            # one stiffness term per data value, though Newton linearizes
+            # several times at each
+            assert len(seen["uq"]) == len(seen["residual_uq"]) == len(seen["state"])
+            assert len(seen["ke"]) == len(seen["data"]) == n_data
+            assert all(linearizations) and len(linearizations) > 2 * n_data
+            return result
+
+        table = check(lambda: derivative_table(oracle, base, dirs, 3), 1)
+        solve = lambda d: solve_residual(oracle, d, oracle.zero_state(), 1e-13)
+        keys = [alpha for alpha, _ in table.items() if 1 <= alpha.order() <= 2]
+        # 12 distinct nonzero stencil points per step, two steps, and the base point
+        check(lambda: finite_difference_table(solve, base, dirs, keys, [0.1, 0.05],
+                                              norm=oracle.state_norm), 25)
 
 
 class TestResidualDerivative:
