@@ -24,6 +24,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ._scipy_kernels import csr_matvecs
+
 __all__ = [
     "C_KAPPA",
     "MultiIndex",
@@ -352,10 +354,11 @@ class SplitPlan:
     alpha = beta + rest.  Split by the order k of beta, the terms of all
     keys of order m are the outer product of the order-k rows of the left
     series with the order-(m - k) rows of the right one, reduced by a 0/1
-    matrix that sends the pair (beta, rest) to the row of beta + rest
-    (`cauchy`).  `targets(m, k)` gives that row for every pair.  A key is
-    coded by its exponents in base max_order + 1, so the code of
-    beta + rest is the sum of the codes and a sorted search finds its row.
+    CSR matrix that sends the pair (beta, rest) to the row of beta + rest
+    (`cauchy`, with scipy's compiled `csr_matvecs` from `_scipy_kernels`).
+    `targets(m, k)` gives that row for every pair.  A key is coded by its
+    exponents in base max_order + 1, so the code of beta + rest is the sum
+    of the codes and a sorted search finds its row.
 
     The keys must be nonzero and listed by nondecreasing order.  Raises
     ValueError for a repeated key and LookupError for a key listed before
@@ -439,21 +442,19 @@ class SplitPlan:
         chunks = self._reductions.get(key)
         if chunks is None:
             chunks = self._reductions[key] = self._reduction(m, k, step, weighted)
-        for first, stop, hit, matrix in chunks:
+        for first, stop, hit, indptr, cols, data in chunks:
             block = (left[first:stop, None, :] * right[None, :, :]).reshape(-1, width)
-            if hit is None:
-                out += matrix @ block
-            else:
-                out[hit] += matrix @ block
+            summed = np.zeros((len(indptr) - 1, width))  # as csr_matrix @ block
+            csr_matvecs(len(summed), len(block), width, indptr, cols, data,
+                        block.ravel(), summed.ravel())
+            out[hit] += summed
 
     def _reduction(self, m: int, k: int, step: int, weighted: bool) -> list[tuple]:
-        """Chunks (first, stop, hit, matrix) of the reduction of `cauchy`,
-        `step` left rows each: the pairs of left rows first:stop, in
-        row-major order, go to the output rows `hit` (all of them when None)
-        through the CSR matrix.  Pairs that are no key or weigh 0 are
-        dropped."""
-        from scipy.sparse import csr_matrix  # imported here: only the fills need it
-
+        """Chunks (first, stop, hit, indptr, cols, data) of the reduction of
+        `cauchy`, `step` left rows each: the pairs of left rows first:stop,
+        in row-major order, go to the output rows `hit` (a slice of all of
+        them or their positions) through the CSR matrix (indptr, cols,
+        data).  Pairs that are no key or weigh 0 are dropped."""
         targets = self.targets(m, k)
         values = self.first_coordinate_weights(m, k) if weighted else None
         n_out = self.size(m)
@@ -471,11 +472,10 @@ class SplitPlan:
             counts = np.bincount(rows[cols], minlength=n_out)
             hit = np.flatnonzero(counts)
             order = np.argsort(rows[cols], kind="stable")
-            indptr = np.zeros(len(hit) + 1, dtype=np.intp)
-            np.cumsum(counts[hit], out=indptr[1:])
+            indptr = np.concatenate(([0], np.cumsum(counts[hit])))
             data = np.ones(len(cols)) if values is None else weights[cols][order]
-            matrix = csr_matrix((data, cols[order], indptr), shape=(len(hit), len(rows)))
-            chunks.append((first, stop, None if len(hit) == n_out else hit, matrix))
+            hit = slice(None) if len(hit) == n_out else hit
+            chunks.append((first, stop, hit, indptr, cols[order], data))
         return chunks
 
 

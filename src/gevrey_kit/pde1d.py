@@ -15,9 +15,9 @@ and forcing fields live at the 3-point Gauss nodes of each element, shape
 (mass + stiffness); dual norms go through the corresponding Riesz map.
 
 Every P1 matrix is held as its bands (diag, off) over the free nodes, in
-O(n) memory, and one tridiagonal LDL^T (LAPACK's dpttrf/dpttrs) serves every
-solve and mesh constant.  A state linearization that is not positive
-definite, so no longer elliptic, raises LinearizationError.
+O(n) memory, and one LDL^T (dpttrf/dpttrs of scipy's compiled `_flapack`,
+see `_scipy_kernels`) serves every solve and mesh constant.  A linearization
+that is not positive definite or holds a NaN raises LinearizationError.
 
 Assembly is deterministic and single-threaded per call; distinct data and
 field values may be processed concurrently.
@@ -32,8 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._scipy_kernels import dpttrf, dpttrs
 from .combinatorics import MultiIndex, SplitPlan
 from .implicit_diff import LinearizationError, ResidualOracle, solve_residual
 
@@ -259,12 +259,12 @@ class Mesh1D:
 
 def _ldl(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """LDL^T factors (pivots, multipliers) of the symmetric tridiagonal matrix
-    (diag, off), or None when it is not positive definite (dpttrf stops at a
-    pivot <= 0)."""
+    (diag, off), or None when it is not positive definite: dpttrf stops at a
+    pivot <= 0, and a NaN, which passes that test, reaches the last pivot."""
     if len(diag) == 1:  # the dpttrf wrapper rejects an empty off-diagonal
         return (diag, off) if diag[0] > 0.0 else None
     pivots, multipliers, info = dpttrf(diag, off)
-    return (pivots, multipliers) if info == 0 else None
+    return (pivots, multipliers) if info == 0 and pivots[-1] > 0.0 else None
 
 
 def _ldl_solve(factors: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:

@@ -332,6 +332,53 @@ class TestSplitPlan:
                 plan.cauchy(out, m, k, left, right, weighted=weighted)
                 assert np.allclose(out, expected, rtol=1e-14, atol=1e-14)
 
+    @pytest.mark.parametrize("width", [1, 6])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("block_bytes", [None, 1], ids=["one-block", "row-blocks"])
+    def test_cauchy_is_bitwise_csr_matrix_product(self, weighted, block_bytes, width,
+                                                   monkeypatch):
+        # reference: scipy's csr_matrix @ block over each block of left rows
+        # (one block, or one left row per block), added to the rows it reaches
+        from scipy.sparse import csr_matrix
+
+        if block_bytes is not None:
+            monkeypatch.setattr(combinatorics, "_BLOCK_BYTES", block_bytes)
+        keys = multi_indices_up_to(3, 5)[1:]
+        plan, orders = SplitPlan(keys), by_order(keys)
+        rng = np.random.default_rng(13)
+
+        def with_negative_zeros(shape):
+            x = rng.standard_normal(shape)
+            x[rng.random(shape) < 0.25] = -0.0
+            return x
+
+        for m in range(2, 6):
+            for k in range(1, m):
+                left = with_negative_zeros((len(orders[k]), width))
+                right = with_negative_zeros((len(orders[m - k]), width))
+                out = with_negative_zeros((len(orders[m]), width))
+                expected = out.copy()
+                step = 1 if block_bytes is not None else len(left)
+                for first in range(0, len(left), step):
+                    rows, cols, values = [], [], []
+                    for i, beta in enumerate(orders[k][first:first + step]):
+                        for j, rest in enumerate(orders[m - k]):
+                            alpha = beta + rest
+                            if alpha not in orders[m]:
+                                continue
+                            c = alpha.support()[0]
+                            weight = beta[c] / alpha[c] if weighted else 1.0
+                            if weight != 0.0:
+                                rows.append(orders[m].index(alpha))
+                                cols.append(i * len(right) + j)
+                                values.append(weight)
+                    block = (left[first:first + step, None, :] * right[None]).reshape(-1, width)
+                    matrix = csr_matrix((values, (rows, cols)), shape=(len(out), len(block)))
+                    hit = np.flatnonzero(np.diff(matrix.indptr))
+                    expected[hit] += (matrix @ block)[hit]
+                plan.cauchy(out, m, k, left, right, weighted=weighted)
+                assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
     def test_rejects_repeated_keys_and_missing_sub_indices(self):
         e1 = MultiIndex.unit(1)
         with pytest.raises(ValueError, match="distinct"):

@@ -695,6 +695,20 @@ class TestConstants:
         with pytest.raises(LinearizationError, match="not positive definite"):
             oracle.solve_linearized(data, oracle.zero_state(), np.ones(mesh.n_free))
 
+    @pytest.mark.parametrize("n_free", [1, 3])
+    def test_nan_linearization_raises(self, n_free):
+        # dpttrf stops only at a pivot <= 0, which a NaN passes
+        diag = np.full(n_free, 2.0)
+        diag[n_free // 2] = math.nan
+        assert pde1d._ldl(diag, np.full(n_free - 1, -1.0)) is None
+        mesh = Mesh1D.uniform(n_free + 1)
+        data = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
+        oracle = PdeOracle(mesh, Nonlinearity.cubic())
+        u = np.zeros(n_free)
+        u[n_free // 2] = math.nan
+        with pytest.raises(LinearizationError, match="not positive definite"):
+            oracle.solve_linearized(data, u, np.ones(n_free))
+
     @pytest.mark.parametrize("n", [2, 16, 256])
     def test_poincare_eigenvalue_closed_form(self, n):
         # the first discrete sine mode: K and M are its stiffness and mass values
