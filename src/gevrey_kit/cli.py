@@ -36,7 +36,13 @@ from .combinatorics import (
     kappa_asymptotic_log,
     schroeder_hipparchus_sequence,
 )
-from .envelopes import GevreyEnvelope, StabilityConstant, convergence_radius, implicit_envelope
+from .envelopes import (
+    GevreyEnvelope,
+    StabilityConstant,
+    convergence_radius,
+    exp_or_inf,
+    implicit_envelope,
+)
 from .implicit_diff import (
     LinearizationError,
     NonConvergenceError,
@@ -353,11 +359,9 @@ def _cmd_verify_bounds(args) -> int:
                              tol=_number(cfg.get("tol", 1e-12), "tol", nonnegative=True))
 
     lines = ["alpha,y_id,measured_norm,bound,ratio"]
-    for row in report.rows:
-        lines.append(
-            f"{row.alpha.label()},{row.y_index},{_fmt(row.measured)},"
-            f"{_fmt(report.envelope.bound(row.alpha))},{_fmt(row.ratio)}"
-        )
+    for row in report.rows:  # the bound is exp(log_bound), inf past the float range
+        lines.append(f"{row.alpha.label()},{row.y_index},{_fmt(row.measured)},"
+                     f"{_fmt(exp_or_inf(row.log_bound))},{_fmt(row.ratio)}")
     _emit("\n".join(lines) + "\n", args.output)
     if args.report is not None:
         payload = {

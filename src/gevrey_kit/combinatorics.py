@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -148,11 +147,13 @@ class MultiIndex:
             yield MultiIndex(tuple((k, c) for (k, _), c in zip(entries, combo) if c))
 
     def label(self) -> str:
-        """Human-readable form such as '0', 'e2' or '2e1+e3'."""
-        if not self.entries:
-            return "0"
-        parts = [f"e{k}" if e == 1 else f"{e}e{k}" for k, e in self.entries]
-        return "+".join(parts)
+        """Human-readable form such as '0', 'e2' or '2e1+e3', formed once per
+        instance."""
+        label = self.__dict__.get("_label")
+        if label is None:
+            label = "+".join(f"e{k}" if e == 1 else f"{e}e{k}" for k, e in self.entries) or "0"
+            object.__setattr__(self, "_label", label)
+        return label
 
 
 def compositions(n: int, r: int) -> list[tuple[int, ...]]:
@@ -329,17 +330,22 @@ def composition_identity_check(alpha: MultiIndex, r: int) -> bool:
 def multi_indices_up_to(n_coords: int, max_order: int) -> list[MultiIndex]:
     """All multi-indices with support in {1..n_coords} and order <= max_order.
 
-    Sorted by total order, then lexicographically; includes the zero index.
+    Sorted by total order, then lexicographically in `MultiIndex.entries`;
+    includes the zero index.  Within one order, a first pair (k, e) comes
+    with every tail over the coordinates above k, listed the same way, so
+    each tail list is built once and nothing is sorted.
     """
     if n_coords < 1 or max_order < 0:
         raise ValueError("need n_coords >= 1 and max_order >= 0")
-    out: list[MultiIndex] = []
-    for total in range(max_order + 1):
-        block = [MultiIndex.make(Counter(coords)) for coords in
-                 itertools.combinations_with_replacement(range(1, n_coords + 1), total)]
-        block.sort(key=lambda a: a.entries)
-        out.extend(block)
-    return out
+    tails = {(k, 0): [()] for k in range(1, n_coords + 2)}
+
+    def entries(first: int, total: int) -> list:
+        if (first, total) not in tails:
+            tails[first, total] = [((k, e),) + rest for k in range(first, n_coords + 1)
+                                   for e in range(1, total + 1) for rest in entries(k + 1, total - e)]
+        return tails[first, total]
+
+    return [MultiIndex(e) for total in range(max_order + 1) for e in entries(1, total)]
 
 
 class SplitPlan:
@@ -348,31 +354,37 @@ class SplitPlan:
     and `pde1d`).
 
     The keys are numbered by position within their order, in the order
-    given, and order 0 holds the zero index alone; a series over the keys
-    is one array per order with a row per position.  The alpha-coefficient
-    of a product of two series is the Cauchy sum over the splits
-    alpha = beta + rest.  Split by the order k of beta, the terms of all
-    keys of order m are the outer product of the order-k rows of the left
-    series with the order-(m - k) rows of the right one, reduced by a 0/1
-    CSR matrix that sends the pair (beta, rest) to the row of beta + rest
-    (`cauchy`, with scipy's compiled `csr_matvecs` from `_scipy_kernels`).
-    `targets(m, k)` gives that row for every pair.  A key is coded by its
-    exponents in base max_order + 1, so the code of beta + rest is the sum
-    of the codes and a sorted search finds its row.
+    given, and order 0 holds the zero index alone; a series over the keys,
+    and a derivative table, is one array per order with a row per position.
+    `keys(m)` lists the keys of order m as `MultiIndex` values,
+    `position(alpha)` finds the row of one and `factorials(m)` gives their
+    alpha!.  The alpha-coefficient of a product of two series is the Cauchy
+    sum over the splits alpha = beta + rest.  Split by the order k of beta,
+    the terms of all keys of order m are the outer product of the order-k
+    rows of the left series with the order-(m - k) rows of the right one,
+    reduced by a 0/1 CSR matrix that sends the pair (beta, rest) to the row
+    of beta + rest (`cauchy`, with scipy's compiled `csr_matvecs` from
+    `_scipy_kernels`).  `targets(m, k)` gives that row for every pair.  A
+    key is coded by its exponents in base max_order + 1, so the code of
+    beta + rest is the sum of the codes and a sorted search finds its row.
 
-    The keys must be nonzero and listed by nondecreasing order.  Raises
-    ValueError for a repeated key and LookupError for a key listed before
-    one of its sub-indices.
+    The keys must be nonzero.  Raises ValueError for keys not listed by
+    nondecreasing order and for a repeated key, and LookupError for a key
+    listed before one of its sub-indices.
     """
 
     def __init__(self, keys: Sequence[MultiIndex]):
+        self._keys = [MultiIndex(), *keys]
         self.max_order = keys[-1].order() if keys else 0
         n_coords = max((alpha.support()[-1] for alpha in keys), default=1)
         exps = np.zeros((len(keys) + 1, n_coords), dtype=np.int64)
         for i, alpha in enumerate(keys, start=1):
             for k, e in alpha.entries:
                 exps[i, k - 1] = e
-        self.starts = np.searchsorted(exps.sum(axis=1), np.arange(self.max_order + 2))
+        orders = exps.sum(axis=1)
+        if np.any(orders[1:] < orders[:-1]):
+            raise ValueError("keys must be listed by nondecreasing order")
+        self.starts = np.searchsorted(orders, np.arange(self.max_order + 2))
         self.exps = [exps[s:t] for s, t in zip(self.starts[:-1], self.starts[1:])]
         radix = self.max_order + 1
         if radix ** n_coords < 2**62:
@@ -383,6 +395,8 @@ class SplitPlan:
         self._sorter = [np.argsort(c, kind="stable") for c in self._codes]
         self._targets: dict[tuple[int, int], np.ndarray] = {}
         self._reductions: dict[tuple, list] = {}
+        self._factorials: dict[int, np.ndarray] = {}
+        self._rows: dict[MultiIndex, int] | None = None
         for m in range(1, self.max_order + 1):
             codes = self._codes[m][self._sorter[m]]
             if np.any(codes[1:] == codes[:-1]):
@@ -396,6 +410,30 @@ class SplitPlan:
             if len(missing):
                 alpha = keys[self.starts[m] - 1 + missing[0]]
                 raise LookupError(f"{alpha.label()} is listed before one of its sub-indices")
+
+    @classmethod
+    def up_to(cls, n_coords: int, max_order: int) -> "SplitPlan":
+        """The plan of `multi_indices_up_to(n_coords, max_order)`, in its order."""
+        return cls(multi_indices_up_to(n_coords, max_order)[1:])
+
+    def keys(self, m: int | None = None) -> list[MultiIndex]:
+        """The keys of order m, or all of them from the zero index on."""
+        return self._keys if m is None else self._keys[self.starts[m]:self.starts[m + 1]]
+
+    def position(self, alpha: MultiIndex) -> tuple[int, int]:
+        """(order, row) of the key alpha; LookupError when it is no key."""
+        if self._rows is None:  # built on the first lookup: a fill makes none
+            self._rows = {key: i for i, key in enumerate(self._keys)}
+        m = alpha.order()
+        return m, self._rows[alpha] - int(self.starts[m])
+
+    def factorials(self, m: int) -> np.ndarray:
+        """Exact alpha! of the keys of order m (Python integers in an object
+        array), formed once per plan."""
+        if m not in self._factorials:
+            table = np.array([math.factorial(e) for e in range(m + 1)], dtype=object)
+            self._factorials[m] = np.prod(table[self.exps[m]], axis=1)
+        return self._factorials[m]
 
     def size(self, m: int) -> int:
         return len(self.exps[m])

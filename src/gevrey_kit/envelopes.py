@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .combinatorics import C_KAPPA, MultiIndex, schroeder_hipparchus
 
 __all__ = [
@@ -26,6 +28,8 @@ __all__ = [
     "compose_envelopes",
     "compose_parametric",
     "envelope_check",
+    "compare_to_log_bound",
+    "exp_or_inf",
     "BoundCheckEntry",
     "BoundCheckReport",
 ]
@@ -33,6 +37,14 @@ __all__ = [
 
 def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else float("-inf")
+
+
+def exp_or_inf(log_value: float) -> float:
+    """exp(log_value), or inf where that overflows: a bound from its log."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return float("inf")
 
 
 @dataclass(frozen=True)
@@ -58,10 +70,7 @@ class GevreyEnvelope:
         return out
 
     def bound(self, n: int) -> float:
-        try:
-            return math.exp(self.log_bound(n))
-        except OverflowError:
-            return float("inf")
+        return exp_or_inf(self.log_bound(n))
 
 
 @dataclass(frozen=True)
@@ -109,11 +118,21 @@ class ParametricEnvelope:
     def log_bound(self, alpha: MultiIndex) -> float:
         return self.base.log_bound(alpha.order()) + self.log_weight_power(alpha)
 
+    def log_bounds(self, n: int, exps: np.ndarray) -> np.ndarray:
+        """`log_bound` of the multi-indices of order n given as exponent
+        rows (a column per coordinate), bit for bit: the weight terms are
+        added coordinate by coordinate, and an unused coordinate adds
+        nothing, so a zero weight gives -inf where it is used and never
+        0 * -inf."""
+        out = np.zeros(len(exps))
+        for k, column in enumerate(exps.T, start=1):
+            used = column > 0
+            if used.any():
+                out[used] += column[used] * _log(self.weight(k))
+        return self.base.log_bound(n) + out
+
     def bound(self, alpha: MultiIndex) -> float:
-        try:
-            return math.exp(self.log_bound(alpha))
-        except OverflowError:
-            return float("inf")
+        return exp_or_inf(self.log_bound(alpha))
 
 
 def _require_normalized(env: GevreyEnvelope) -> None:
@@ -218,6 +237,24 @@ class BoundCheckReport:
         return f"FAIL at {names}"
 
 
+def compare_to_log_bound(measured: float, log_bound: float,
+                         slack: float = 0.0) -> tuple[float, bool]:
+    """(ratio, ok) of a measured norm against the log of its bound, in log
+    space: it passes when log(measured) <= log_bound + slack, a zero
+    measurement always passes, and a NaN one fails with a NaN ratio (no
+    value, so no bound holds for it).  The ratio is capped at exp(700)."""
+    if measured < 0.0:
+        raise ValueError("measured norms must be nonnegative")
+    if math.isnan(measured):
+        return math.nan, False
+    if measured == 0.0:
+        return 0.0, True
+    if log_bound == float("-inf"):
+        return float("inf"), False
+    lm = math.log(measured)
+    return math.exp(min(lm - log_bound, 700.0)), lm <= log_bound + slack
+
+
 def envelope_check(
     norms: Mapping[object, float],
     env: GevreyEnvelope | ParametricEnvelope,
@@ -227,8 +264,7 @@ def envelope_check(
 
     `norms` maps integer orders (plain envelope) or MultiIndex keys
     (parametric envelope) to measured values.  An entry passes when
-    measured <= bound * (1 + tolerance); zero measurements always pass, and
-    a NaN measurement fails with a NaN ratio.
+    measured <= bound * (1 + tolerance) (`compare_to_log_bound`).
     Entries are reported in the iteration order of `norms`.
     """
     if not norms:
@@ -236,8 +272,6 @@ def envelope_check(
     slack = math.log1p(tolerance)
     entries = []
     for key, measured in norms.items():
-        if measured < 0.0:
-            raise ValueError("measured norms must be nonnegative")
         if isinstance(key, MultiIndex):
             if not isinstance(env, ParametricEnvelope):
                 raise ValueError("multi-index keys need a parametric envelope")
@@ -246,15 +280,6 @@ def envelope_check(
             if isinstance(env, ParametricEnvelope):
                 raise ValueError("integer-order keys need a plain envelope")
             lb = env.log_bound(int(key))
-        lm = _log(measured)
-        if math.isnan(measured):  # no value, so no bound holds for it
-            ratio, ok = math.nan, False
-        elif measured == 0.0:
-            ratio, ok = 0.0, True
-        elif lb == float("-inf"):
-            ratio, ok = float("inf"), False
-        else:
-            ratio = math.exp(min(lm - lb, 700.0))
-            ok = lm <= lb + slack
+        ratio, ok = compare_to_log_bound(measured, lb, slack)
         entries.append(BoundCheckEntry(key, float(measured), lb, ratio, ok))
     return BoundCheckReport(tuple(entries), tolerance)

@@ -12,9 +12,9 @@ composition recursion of the chain rule (`higher_derivative`), a sum over
 the unordered compositions of alpha with multiplicity weights.
 Directional mode is the affine data map t -> d + sum_k t_k h_k, whose
 mixed partial at e_{k_1} + ... + e_{k_n} is D^nS(d)[h_{k_1}, ..., h_{k_n}].
-A `DerivativeTable` holds its data map in one form only, the normalized
-coefficients d^alpha data / alpha!, and scales them by alpha! where the
-composition sum asks for partials.
+A `DerivativeTable` is one array per order in the order of its
+`combinatorics.SplitPlan`, and holds its data map once, as the normalized
+coefficients d^alpha data / alpha!.
 
 `fill_table` fills a table order by order in one form, for every oracle:
 the oracle's `taylor_expansion` propagates normalized coefficients
@@ -48,6 +48,7 @@ and treated as immutable afterwards.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -117,12 +118,12 @@ class ResidualOracle:
         right-hand sides."""
         raise NotImplementedError
 
-    def taylor_expansion(self, table: "DerivativeTable", keys: Sequence[MultiIndex]):
-        """Taylor-coefficient form of the table's fill over `keys`.
+    def taylor_expansion(self, table: "DerivativeTable"):
+        """Taylor-coefficient form of the fill of the table's plan.
 
-        `keys` are the fill's nonzero keys, by nondecreasing order.  The
-        expansion has `residual_coefficients(m)`: the alpha-coefficients
-        of t -> R(data(t), u(t)) for the keys alpha of order m, in their
+        The expansion reads the data through `table.data_block(m)` and has
+        `residual_coefficients(m)`: the alpha-coefficients of
+        t -> R(data(t), u(t)) for the keys alpha of order m, in plan
         order, with each u_alpha = d^alpha u / alpha! set to zero, as the
         columns of one array.  `record(m, solved)` takes the solved
         coefficients of order m as the columns of `solved`.  `fill_table`
@@ -144,23 +145,26 @@ class ResidualOracle:
 
 
 class DerivativeTable:
-    """Memoized partials d^alpha u of t -> S(data(t)) at a fixed base point.
+    """Partials d^alpha u of t -> S(data(t)) at a fixed base point.
 
-    Keys are MultiIndex values; the base entry, stored under the zero
-    multi-index, is the solution u = S(d) itself.  The data map enters once,
-    as `data_coefficient(alpha)` = d^alpha data / alpha! at the base point,
-    the form the Taylor-coefficient fill reads; `data_partial` scales it
-    back for the composition sum.  Builders fill the table order by order,
-    so every stored key has all of its sub-keys present.
+    `orders[m]` holds the partials of the keys of order m of `plan`, a row
+    each (an entry for a scalar state) in plan order; order 0 is u = S(d)
+    itself.  A new table has order 0 alone, and `fill_table` gives it a
+    plan and fills every order.  The data map enters once, as
+    `data_coefficient(alpha)` = d^alpha data / alpha! at the base point,
+    read by the fill an order at a time (`data_block`).
     """
 
     def __init__(self, oracle: ResidualOracle, d, u,
-                 data_coefficient: Callable[[MultiIndex], object]):
+                 data_coefficient: Callable[[MultiIndex], object],
+                 data_block: Callable[[SplitPlan, int], object] | None = None):
         self.oracle = oracle
         self.d = d
         self.u = u
         self.data_coefficient = data_coefficient
-        self._entries: dict[MultiIndex, object] = {MultiIndex(): u}
+        self._data_block = data_block
+        self.plan = SplitPlan([])
+        self.orders = [np.asarray(u)[None]]
 
     def data_partial(self, alpha: MultiIndex):
         """d^alpha data = alpha! * data_coefficient(alpha)."""
@@ -168,26 +172,37 @@ class DerivativeTable:
         coefficient = self.data_coefficient(alpha)
         return coefficient if fact == 1 else fact * coefficient
 
+    def data_block(self, m: int):
+        """The data coefficients of the keys of order m, stacked along a
+        leading axis (field by field for a dataclass): the table's
+        `data_block(plan, m)` when it was given one."""
+        if self._data_block is not None:
+            return self._data_block(self.plan, m)
+        coefficients = [self.data_coefficient(alpha) for alpha in self.plan.keys(m)]
+        if dataclasses.is_dataclass(coefficients[0]):
+            return type(coefficients[0])(*(np.array([getattr(c, f.name) for c in coefficients])
+                                           for f in dataclasses.fields(coefficients[0])))
+        return np.array(coefficients)
+
     def entry(self, alpha: MultiIndex):
         try:
-            return self._entries[alpha]
-        except KeyError:
+            m, row = self.plan.position(alpha)
+            return self.orders[m][row]
+        except (LookupError, IndexError):
             raise LookupError(
                 f"derivative table has no entry for {alpha.label()}; "
                 "lower orders must be computed first"
             ) from None
 
-    def put(self, alpha: MultiIndex, value) -> None:
-        self._entries[alpha] = value
-
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self.orders))
 
     def items(self):
-        return self._entries.items()
+        """(alpha, entry) pairs, order by order in plan order."""
+        return zip(self.plan.keys(), (row for block in self.orders for row in block))
 
     def norms(self) -> dict:
-        return {k: self.oracle.state_norm(v) for k, v in self._entries.items()}
+        return {k: self.oracle.state_norm(v) for k, v in self.items()}
 
 
 def solve_residual(oracle: ResidualOracle, d, u0, tol: float, max_iter: int = 100):
@@ -274,27 +289,24 @@ def higher_derivative(oracle: ResidualOracle, table: DerivativeTable,
     return -oracle.solve_linearized(table.d, table.u, rhs)
 
 
-def fill_table(table: DerivativeTable, alphas: Iterable[MultiIndex]) -> DerivativeTable:
-    """Put d^alpha u into the table for every nonzero alpha of `alphas`,
-    which lists the keys by nondecreasing order and each alpha after all
-    of its sub-indices; the table's rows keep that order.
+def fill_table(table: DerivativeTable, plan: SplitPlan) -> DerivativeTable:
+    """Fill d^alpha u into the table for every key of the plan, which the
+    table takes.
 
     Each order is filled at once through the oracle's Taylor expansion:
     the residual coefficients of all its keys are the columns of one
     right-hand side, one call of `solve_linearized` gives their u_alpha,
-    and each entry is alpha! u_alpha.  Raises ValueError when the orders
-    of `alphas` decrease.
+    and the order's array is alpha! u_alpha, a row per key.
     """
-    keys = [alpha for alpha in alphas if not alpha.is_zero()]
-    if any(a.order() > b.order() for a, b in zip(keys, keys[1:])):
-        raise ValueError("fill keys must be listed by nondecreasing order")
     oracle, d, u = table.oracle, table.d, table.u
-    taylor = oracle.taylor_expansion(table, keys)
-    for m, block in itertools.groupby(keys, MultiIndex.order):
+    table.plan, table.orders = plan, table.orders[:1]
+    taylor = oracle.taylor_expansion(table)
+    for m in range(1, plan.max_order + 1):
         solved = -oracle.solve_linearized(d, u, taylor.residual_coefficients(m))
         taylor.record(m, solved)
-        for i, alpha in enumerate(block):
-            table.put(alpha, alpha.factorial() * solved[..., i])
+        rows = np.moveaxis(solved, -1, 0)
+        facts = plan.factorials(m).astype(float).reshape((-1,) + (1,) * (rows.ndim - 1))
+        table.orders.append(np.multiply(facts, rows, order="C"))
     return table
 
 
@@ -327,11 +339,11 @@ def derivative_table(oracle: ResidualOracle, d, directions: Sequence,
     u = solve_residual(oracle, d, oracle.zero_state(), tol)
     table = DerivativeTable(oracle, d, u, affine_data_map(oracle, d, directions))
     coords = range(1, len(directions) + 1)
-    return fill_table(table, (
+    return fill_table(table, SplitPlan([
         MultiIndex.make(Counter(combo))
         for k in range(1, max_order + 1)
         for combo in itertools.combinations_with_replacement(coords, k)
-    ))
+    ]))
 
 
 def finite_difference_table(solution_map: Callable, d, directions: Sequence,
@@ -516,8 +528,8 @@ class PolynomialOracle(ResidualOracle):
             raise LinearizationError("state linearization is singular")
         return rhs / du
 
-    def taylor_expansion(self, table, keys) -> "_PolynomialExpansion":
-        return _PolynomialExpansion(self, table, keys)
+    def taylor_expansion(self, table) -> "_PolynomialExpansion":
+        return _PolynomialExpansion(self, table)
 
     def zero_data(self) -> np.ndarray:
         return np.zeros(self.n_data)
@@ -538,14 +550,12 @@ class _PolynomialExpansion:
     coefficients sum the monomials' series with their coefficients.
     """
 
-    def __init__(self, oracle: PolynomialOracle, table: DerivativeTable,
-                 keys: Sequence[MultiIndex]):
-        plan = self._plan = SplitPlan(keys)
+    def __init__(self, oracle: PolynomialOracle, table: DerivativeTable):
+        plan = self._plan = table.plan
         self._series = [np.append(table.d, table.u)[None]]
         for m in range(1, plan.max_order + 1):
-            self._series.append(np.array([
-                np.append(table.data_coefficient(alpha), 0.0)
-                for alpha in keys[plan.starts[m] - 1:plan.starts[m + 1] - 1]]))
+            block = table.data_block(m)
+            self._series.append(np.append(block, np.zeros((len(block), 1)), axis=1))
         # each monomial of positive degree as its coefficient and the
         # column of every factor, repeated by exponent
         self._monomials = [(c, [i for i, e in enumerate(exps) for _ in range(e)])

@@ -34,7 +34,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from ._scipy_kernels import dpttrf, dpttrs
-from .combinatorics import MultiIndex, SplitPlan
 from .implicit_diff import LinearizationError, ResidualOracle, solve_residual
 
 __all__ = [
@@ -588,8 +587,8 @@ class PdeOracle(ResidualOracle):
             cache = self._lin_cache = (d, u, factors)
         return _ldl_solve(cache[2], rhs)
 
-    def taylor_expansion(self, table, keys) -> "_TaylorExpansion":
-        return _TaylorExpansion(self.mesh, self.nl, table, keys)
+    def taylor_expansion(self, table) -> "_TaylorExpansion":
+        return _TaylorExpansion(self.mesh, self.nl, table)
 
     def zero_data(self) -> PdeData:
         return PdeData.zeros(self.mesh)
@@ -611,7 +610,8 @@ class _TaylorExpansion:
 
     Along the table's data map, data(t) = sum d_alpha t^alpha, where
     d_alpha = (a_alpha, b_alpha, f_alpha, g_alpha) is the table's data
-    coefficient, and u(t) = sum u_alpha t^alpha.  The residual coefficient is
+    coefficient (read an order at a time, from `data_block`), and
+    u(t) = sum u_alpha t^alpha.  The residual coefficient is
 
         <(a u')_alpha, v'> + <(b N(u))_alpha - f_alpha, v> - g_alpha v(1),
 
@@ -647,20 +647,18 @@ class _TaylorExpansion:
     as far as the data coefficients reach.
     """
 
-    def __init__(self, mesh: Mesh1D, nl: Nonlinearity, table, keys: Sequence[MultiIndex]):
+    def __init__(self, mesh: Mesh1D, nl: Nonlinearity, table):
         self.mesh = mesh
-        plan = self._plan = SplitPlan(keys)
+        plan = self._plan = table.plan
         self._weights = (mesh.quad_w * mesh.phi_left, mesh.quad_w * mesh.phi_right)
         p0 = self._p0 = nl._poly(0)
-        base = table.data_coefficient(MultiIndex())
-        self._b0 = base.b.ravel() if np.any(base.b) else None
+        self._b0 = table.d.b.ravel() if np.any(table.d.b) else None
         self._data: dict[str, dict[int, np.ndarray]] = {"a": {}, "b": {}, "f": {}, "g": {}}
         for m in range(1, plan.max_order + 1):
-            coefficients = [table.data_coefficient(alpha)
-                            for alpha in keys[plan.starts[m] - 1:plan.starts[m + 1] - 1]]
+            block = table.data_block(m)
             for name in "abfg":
-                field = np.array([getattr(d, name) for d in coefficients])
-                if not field.any():
+                field = getattr(block, name)
+                if not np.any(field):
                     continue
                 if name == "a":  # a_gamma against the quadrature weights, per element
                     field = np.einsum("rej,ej->re", field, mesh.quad_w)

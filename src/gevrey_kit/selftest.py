@@ -42,6 +42,7 @@ from .envelopes import (
     per_order_bound,
 )
 from .implicit_diff import (
+    DerivativeTable,
     derivative_table,
     finite_difference_check,
     first_derivative,
@@ -177,6 +178,36 @@ def higher_derivative_reference(oracle, table, alpha: MultiIndex):
                     args.append((table.data_partial(seg), table.entry(seg)))
                 total = total + coeff * oracle.apply_derivative(r, table.d, table.u, args)
     return -oracle.solve_linearized(table.d, table.u, total)
+
+
+class CompositionTable:
+    """Partials filled one key at a time by the composition sum of the chain
+    rule (`first_derivative`, `higher_derivative`) and held in a dict: the
+    independent oracle the Taylor tables of `fill_table` are compared with.
+    It has what `higher_derivative` reads of a table; `entries` maps each
+    added key, and the zero index, to its partial."""
+
+    def __init__(self, oracle, d, u, data_coefficient, alphas=()):
+        self.oracle, self.d, self.u = oracle, d, u
+        self.data_coefficient = data_coefficient
+        self.entries = {MultiIndex(): u}
+        for alpha in alphas:
+            self.add(alpha)
+
+    data_partial = DerivativeTable.data_partial
+
+    def entry(self, alpha: MultiIndex):
+        return self.entries[alpha]  # a KeyError is a LookupError
+
+    def add(self, alpha: MultiIndex):
+        """Compute d^alpha u from the entries of lower order, store and
+        return it."""
+        if alpha.order() == 1:
+            value = first_derivative(self.oracle, self.d, self.u, self.data_partial(alpha))
+        else:
+            value = higher_derivative(self.oracle, self, alpha)
+        self.entries[alpha] = value
+        return value
 
 
 def shooting_midpoint() -> float:

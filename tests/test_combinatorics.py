@@ -1,6 +1,8 @@
 """Exact combinatorics: enumeration counts, recursions, identities."""
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -269,6 +271,51 @@ class TestMultiIndicesUpTo:
         assert multi_indices_up_to(3, 3) == multi_indices_up_to(3, 3)
 
 
+def itertools_multi_indices(n_coords, max_order):
+    """The enumeration `multi_indices_up_to` had before it was built tail by
+    tail: each order from itertools.combinations_with_replacement, sorted
+    by `MultiIndex.entries`."""
+    out = []
+    for total in range(max_order + 1):
+        block = [MultiIndex.make(Counter(coords)) for coords in
+                 itertools.combinations_with_replacement(range(1, n_coords + 1), total)]
+        block.sort(key=lambda a: a.entries)
+        out.extend(block)
+    return out
+
+
+class TestKeyEnumeration:
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_keys_match_the_itertools_enumeration(self, p):
+        for max_order in range(8):
+            reference = itertools_multi_indices(p, max_order)
+            assert multi_indices_up_to(p, max_order) == reference
+            assert SplitPlan.up_to(p, max_order).keys() == reference
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_plan_from_dimension_and_order_matches_the_key_plan(self, p):
+        for max_order in range(8):
+            keys = itertools_multi_indices(p, max_order)
+            built, reference = SplitPlan.up_to(p, max_order), SplitPlan(keys[1:])
+            assert np.array_equal(built.starts, reference.starts)
+            assert len(built.exps) == len(reference.exps) == max_order + 1
+            for got, expected in zip(built.exps, reference.exps):
+                assert np.array_equal(got, expected)
+            for m in range(2, max_order + 1):
+                for k in range(1, m):
+                    assert np.array_equal(built.targets(m, k), reference.targets(m, k))
+
+    def test_positions_and_factorials_follow_the_keys(self):
+        plan = SplitPlan.up_to(3, 4)
+        for m in range(5):
+            keys = plan.keys(m)
+            assert [plan.position(alpha) for alpha in keys] == [(m, i) for i in range(len(keys))]
+            assert plan.factorials(m).tolist() == [alpha.factorial() for alpha in keys]
+        for missing in (MultiIndex.unit(4), MultiIndex.make({1: 5})):
+            with pytest.raises(LookupError):
+                plan.position(missing)
+
+
 def by_order(keys):
     out = {}
     for alpha in keys:
@@ -381,6 +428,8 @@ class TestSplitPlan:
 
     def test_rejects_repeated_keys_and_missing_sub_indices(self):
         e1 = MultiIndex.unit(1)
+        with pytest.raises(ValueError, match="nondecreasing order"):
+            SplitPlan([MultiIndex.make({1: 2}), e1])
         with pytest.raises(ValueError, match="distinct"):
             SplitPlan([e1, e1])
         with pytest.raises(LookupError, match="listed before"):

@@ -22,7 +22,6 @@ from gevrey_kit.implicit_diff import (
     fill_table,
     finite_difference_check,
     first_derivative,
-    higher_derivative,
     scalar_cubic_oracle,
     solve_residual,
 )
@@ -44,7 +43,11 @@ from gevrey_kit.pde1d import (
     data_norm,
     newton_solve,
 )
-from gevrey_kit.selftest import higher_derivative_reference, linear_leibniz_partials
+from gevrey_kit.selftest import (
+    CompositionTable,
+    higher_derivative_reference,
+    linear_leibniz_partials,
+)
 
 
 def closed_form_reciprocal_partial(tilde, alpha):
@@ -315,15 +318,10 @@ class TestSolutionPartials:
 
 
 def composition_table(oracle, d, u, data_coefficient, alphas):
-    """Table filled by the composition sum of the chain rule, the independent
-    oracle for the Taylor-coefficient fill."""
-    table = DerivativeTable(oracle, d, u, data_coefficient)
-    for alpha in alphas:
-        if alpha.order() == 1:
-            table.put(alpha, first_derivative(oracle, d, u, table.data_partial(alpha)))
-        elif alpha.order() > 1:
-            table.put(alpha, higher_derivative(oracle, table, alpha))
-    return table
+    """Partials by the composition sum of the chain rule, the independent
+    oracle for the Taylor-coefficient fill, as {alpha: partial}."""
+    return CompositionTable(oracle, d, u, data_coefficient,
+                            [alpha for alpha in alphas if not alpha.is_zero()]).entries
 
 
 def largest_relative_h1_gap(mesh, table, reference):
@@ -451,7 +449,7 @@ class TestTaylorFill:
         u = solve_residual(oracle, base, oracle.zero_state(), 1e-12)
         table = DerivativeTable(oracle, base, u, affine_data_map(oracle, base, [direction]))
         with pytest.raises(ValueError, match="nondecreasing order"):
-            fill_table(table, [MultiIndex.make({1: 2}), MultiIndex.unit(1)])
+            fill_table(table, SplitPlan([MultiIndex.make({1: 2}), MultiIndex.unit(1)]))
 
     def test_indefinite_linearization_raises(self):
         mesh = Mesh1D.uniform(16)
@@ -461,7 +459,70 @@ class TestTaylorFill:
         table = DerivativeTable(oracle, base, oracle.zero_state(),
                                 affine_data_map(oracle, base, [direction]))
         with pytest.raises(LinearizationError, match="not positive definite"):
-            fill_table(table, [MultiIndex.unit(1), MultiIndex.make({1: 2})])
+            fill_table(table, SplitPlan([MultiIndex.unit(1), MultiIndex.make({1: 2})]))
+
+
+def same_bits(got, expected):
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    return got.shape == expected.shape and np.array_equal(got.view(np.int64),
+                                                          expected.view(np.int64))
+
+
+class TestPerOrderBitwise:
+    """The per-order arrays of the verify-bounds path against the per-key
+    oracles, bit for bit."""
+
+    def test_data_blocks_match_coefficients(self):
+        mesh = Mesh1D.uniform(8)
+        dmap = DomainMap1D(p=8)
+        # b = 0 gives b-parts of +-0.0 with the sign of each mode gradient
+        hat = PdeData.from_spec(mesh, a=lambda x: 1.0 + x, b=0.0, f=-1.0)
+        plan = SplitPlan.up_to(8, 7)
+        for y in (np.array([0.0, -0.3, 0.0, 0.5, -0.0, 0.1, 0.0, 0.25]),
+                  np.random.default_rng(5).uniform(-0.5, 0.5, 8)):
+            tilde = TildeData(dmap, hat, mesh, y)
+            for m in range(1, 8):
+                block = tilde.coefficients(plan, m)
+                fields = {name: np.broadcast_to(getattr(block, name),
+                                                (plan.size(m),) + np.shape(getattr(tilde.data, name)))
+                          for name in "abfg"}
+                for i, alpha in enumerate(plan.keys(m)):
+                    expected = tilde.coefficient(alpha)
+                    for name in "abfg":
+                        assert same_bits(fields[name][i], getattr(expected, name)), \
+                            (alpha.label(), name)
+
+    def test_blocks_need_a_plan_within_the_active_coordinates(self):
+        mesh = Mesh1D.uniform(8)
+        tilde = TildeData(DomainMap1D(p=2), PdeData.from_spec(mesh), mesh, np.zeros(2))
+        with pytest.raises(ValueError, match="active dimension"):
+            tilde.coefficients(SplitPlan.up_to(3, 2), 1)
+
+    def test_h1_norms_match_mesh_norm(self):
+        from gevrey_kit.parametric import _h1_norms
+
+        mesh = Mesh1D.uniform(256)
+        nl = Nonlinearity.cubic()
+        tilde = TildeData(DomainMap1D(p=4), PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0),
+                          mesh, np.array([0.3, -0.2, 0.0, 0.45]))
+        table = parametric_derivative_table(PdeOracle(mesh, nl), tilde, 5)
+        assert len(table) == 126
+        for m, block in enumerate(table.orders):
+            # each entry as its own array, as the per-key table stored it
+            expected = [mesh.h1_norm(table.entry(alpha).copy()) for alpha in table.plan.keys(m)]
+            assert same_bits(_h1_norms(mesh, block), expected), m
+
+    def test_log_bounds_match_per_key_log_bound(self):
+        # a zero weight and two coordinates past the stored weights (tail)
+        env = ParametricEnvelope(GevreyEnvelope(1.0, 0.7, 3.0), (0.3, 0.0, 0.1),
+                                 tail=(0.5, 2.0))
+        plan = SplitPlan.up_to(5, 5)
+        for m in range(6):
+            got = env.log_bounds(m, plan.exps[m])
+            keys = plan.keys(m)
+            assert same_bits(got, [env.log_bound(alpha) for alpha in keys]), m
+            assert not np.any(np.isnan(got))
+            assert all((got[i] == -np.inf) == (alpha[2] > 0) for i, alpha in enumerate(keys))
 
 
 class TestDataEnvelope:
@@ -518,6 +579,29 @@ class TestVerifyDubounds:
         assert not report.passed
         assert len(report.failures) >= 1
         assert all(row.ratio > 1.0 for row in report.failures)
+
+    def test_one_plan_for_all_points(self, monkeypatch):
+        mesh = Mesh1D.uniform(32)
+        dmap = DomainMap1D(p=3)
+        hat = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
+        nl = Nonlinearity.cubic()
+        ys = [np.array([0.1, -0.4, 0.2]), np.array([-0.3, 0.0, 0.45]), np.full(3, 0.25)]
+        built = []
+        init = SplitPlan.__init__
+
+        def counting(self, keys):
+            if len(keys):  # a table that is not filled holds the plan of no keys
+                built.append(len(keys))
+            init(self, keys)
+
+        monkeypatch.setattr(SplitPlan, "__init__", counting)
+        report = verify_derivative_bounds(dmap, hat, mesh, nl, ys, max_order=3)
+        assert built == [len(multi_indices_up_to(3, 3)) - 1]
+        for y_index, y in enumerate(ys):
+            alone = verify_derivative_bounds(dmap, hat, mesh, nl, [y], max_order=3,
+                                             envelope=report.envelope)
+            mine = [(r.alpha, r.measured) for r in report.rows if r.y_index == y_index]
+            assert mine == [(r.alpha, r.measured) for r in alone.rows]
 
     def test_deterministic(self):
         mesh = Mesh1D.uniform(24)
