@@ -50,7 +50,7 @@ from .implicit_diff import (
     finite_difference_table,
     scalar_cubic_oracle,
     scalar_quadratic_oracle,
-    solve_residual,
+    solve_residual_stack,
 )
 from .parametric import DomainMap1D, verify_derivative_bounds
 from .pde1d import (
@@ -320,7 +320,7 @@ def _cmd_derivatives(args) -> int:
 
     fd = {}
     if args.fd_check:
-        solution_map = lambda d: solve_residual(oracle, d, oracle.zero_state(), 1e-13)
+        solution_map = lambda ds: solve_residual_stack(oracle, ds, oracle.zero_state(), 1e-13)
         fd = finite_difference_table(
             solution_map, base, directions,
             [alpha for alpha, _ in table.items() if 1 <= alpha.order() <= 4],

@@ -32,14 +32,21 @@ independent oracle the tests compare the Taylor tables with, and the
 literal permutation-and-composition form that cross-checks it at small
 orders is an independent oracle in `selftest`.
 
+`solve_residual_stack` is the one damped Newton loop: it runs over a stack
+of data points in lockstep, in blocks of the oracle's `stack_points`,
+through the oracle's `stack` forms (point by point by default, see
+`PointStack`), and each point gets the bytes of a solve of its own;
+`solve_residual` is a stack of one.
+
 `finite_difference_table` checks a table against difference quotients of a
 black-box solution map.  The nested central difference of a key
 alpha = sum_k n_k e_k is a product of one-dimensional binomial central
 differences, so its stencil points are d + t sum_k c_k h_k with
 c_k = n_k - 2 j_k, 0 <= j_k <= n_k.  Keys of a table share most of these
-points, and a memo for the whole call solves each distinct (t, c) once;
-the point c = 0 is shared by all steps.  `finite_difference_check` is
-the one-key case for a list of directions.
+points, so the distinct (t, c) of all keys and steps are listed first and
+the map solves them in one call, as one stack for a stacked solve; the
+point c = 0 is shared by all steps.  `finite_difference_check` is the
+one-key case for a list of directions.
 
 An oracle may cache factorizations between calls (`PdeOracle` does), so
 use one oracle per thread.  A `DerivativeTable` is filled order by order
@@ -51,6 +58,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -65,7 +73,9 @@ __all__ = [
     "DerivativeTable",
     "NonConvergenceError",
     "LinearizationError",
+    "PointStack",
     "solve_residual",
+    "solve_residual_stack",
     "first_derivative",
     "higher_derivative",
     "fill_table",
@@ -143,14 +153,46 @@ class ResidualOracle:
     def state_norm(self, value) -> float:
         return default_norm(value)
 
+    #: Points that `solve_residual_stack` solves together: all of them for
+    #: the per-point default forms.
+    stack_points = sys.maxsize
+
+    def stack(self, ds: list) -> "PointStack":
+        """The Newton forms at the data points ds, evaluated together."""
+        return PointStack(self, ds)
+
+
+class PointStack:
+    """The Newton forms at a list of data points, point by point (the
+    default of `ResidualOracle.stack`): `eval(us)` gives the residuals and
+    their norms at one state per point, `solve_linearized(rows, rhs)` the
+    linearized solves at the points `rows` of the states last evaluated,
+    and `take(rows)` the stack of the points `rows`.
+    """
+
+    def __init__(self, oracle: ResidualOracle, ds: list):
+        self.oracle, self.ds, self.us = oracle, ds, None
+
+    def eval(self, us: list) -> tuple[list, list]:
+        self.us = us
+        res = [self.oracle.eval(d, u) for d, u in zip(self.ds, us)]
+        return res, [self.oracle.residual_norm(r) for r in res]
+
+    def solve_linearized(self, rows: list, rhs: list) -> list:
+        return [self.oracle.solve_linearized(self.ds[i], self.us[i], r)
+                for i, r in zip(rows, rhs)]
+
+    def take(self, rows: list) -> "PointStack":
+        return PointStack(self.oracle, [self.ds[i] for i in rows])
+
 
 class DerivativeTable:
     """Partials d^alpha u of t -> S(data(t)) at a fixed base point.
 
     `orders[m]` holds the partials of the keys of order m of `plan`, a row
     each (an entry for a scalar state) in plan order; order 0 is u = S(d)
-    itself.  A new table has order 0 alone, and `fill_table` gives it a
-    plan and fills every order.  The data map enters once, as
+    itself.  A new table has order 0 alone and no plan; `fill_table` gives
+    it its plan and fills every order.  The data map enters once, as
     `data_coefficient(alpha)` = d^alpha data / alpha! at the base point,
     read by the fill an order at a time (`data_block`).
     """
@@ -163,7 +205,7 @@ class DerivativeTable:
         self.u = u
         self.data_coefficient = data_coefficient
         self._data_block = data_block
-        self.plan = SplitPlan([])
+        self.plan: SplitPlan | None = None
         self.orders = [np.asarray(u)[None]]
 
     def data_partial(self, alpha: MultiIndex):
@@ -185,20 +227,20 @@ class DerivativeTable:
         return np.array(coefficients)
 
     def entry(self, alpha: MultiIndex):
-        try:
-            m, row = self.plan.position(alpha)
-            return self.orders[m][row]
-        except (LookupError, IndexError):
-            raise LookupError(
-                f"derivative table has no entry for {alpha.label()}; "
-                "lower orders must be computed first"
-            ) from None
+        if self.plan is not None:
+            try:
+                m, row = self.plan.position(alpha)
+                return self.orders[m][row]
+            except (LookupError, IndexError):
+                pass
+        raise LookupError(f"derivative table has no entry for {alpha.label()}; "
+                          "lower orders must be computed first")
 
     def __len__(self) -> int:
         return sum(map(len, self.orders))
 
     def items(self):
-        """(alpha, entry) pairs, order by order in plan order."""
+        """(alpha, entry) pairs of a filled table, order by order in plan order."""
         return zip(self.plan.keys(), (row for block in self.orders for row in block))
 
     def norms(self) -> dict:
@@ -206,43 +248,84 @@ class DerivativeTable:
 
 
 def solve_residual(oracle: ResidualOracle, d, u0, tol: float, max_iter: int = 100):
-    """Newton iteration with residual-norm step damping.
+    """`solve_residual_stack` at the one data point d."""
+    return solve_residual_stack(oracle, [d], u0, tol, max_iter)[0]
 
-    Halves the step while the residual norm does not decrease (at most 30
-    times per step).  When no halving decreases it and the step is
-    round-off, at most 16 * eps * dim(u) * ||u|| (the P1 benchmark
-    stalls at about 0.1 * eps * dim(u) * ||u||), u is converged and is
-    returned although its residual norm sits above tol; otherwise, and
-    after `max_iter` iterations, NonConvergenceError is raised.
+
+class _NewtonPoint:
+    """A point of a `solve_residual_stack` block: its position, the iterate
+    with its residual, residual norm and steps taken, and the step of the
+    line search (None at a new iterate) with its scale."""
+
+    __slots__ = ("index", "u", "res", "rnorm", "iterations", "step", "lam")
+
+    def __init__(self, index: int, u, res, rnorm: float):
+        self.index, self.u, self.res, self.rnorm = index, u, res, rnorm
+        self.iterations, self.step = 0, None
+
+
+def solve_residual_stack(oracle: ResidualOracle, ds: Iterable, u0, tol: float,
+                         max_iter: int = 100) -> list:
+    """Damped Newton iteration from u0 at every data point of the iterable
+    ds; returns the states in order.
+
+    At each point, the step is halved while the residual norm does not
+    decrease (at most 30 times per step).  When no halving decreases it and
+    the step is round-off, at most 16 * eps * dim(u) * ||u|| (the P1
+    benchmark stalls at about 0.1 * eps * dim(u) * ||u||), u is converged
+    and is returned although its residual norm sits above tol; otherwise,
+    and after `max_iter` iterations, NonConvergenceError is raised.
+
+    Blocks of `oracle.stack_points` points are solved in lockstep through
+    the oracle's `stack` forms: each round linearizes the points at a new
+    iterate and evaluates a trial state at every point, and a point that is
+    done leaves the stack.  Each point takes the steps and tests it would
+    take alone, so its state is a one-point solve's bytes; an error at any
+    point propagates.
     """
-    u = u0
-    res = oracle.eval(d, u)
-    rnorm = oracle.residual_norm(res)
-    for _ in range(max_iter):
-        if rnorm <= tol:
-            return u
-        step = oracle.solve_linearized(d, u, res)
-        lam = 1.0
-        for _ in range(31):  # the full step, then up to 30 halvings
-            u_new = u - step if lam == 1.0 else u - lam * step  # 1.0 * step is exact
-            res_new = oracle.eval(d, u_new)
-            rnorm_new = oracle.residual_norm(res_new)
-            if rnorm_new < rnorm:
-                break
-            lam *= 0.5
-        else:
-            floor = 16.0 * np.finfo(float).eps * np.size(u) * oracle.state_norm(u)
-            if oracle.state_norm(step) <= floor:
-                return u
-            raise NonConvergenceError(
-                f"line search stalled at residual norm {rnorm:.3e}", rnorm
-            )
-        u, res, rnorm = u_new, res_new, rnorm_new
-    if rnorm <= tol:
-        return u
-    raise NonConvergenceError(
-        f"no convergence after {max_iter} iterations; residual norm {rnorm:.3e}", rnorm
-    )
+    out = []
+    ds = iter(ds)
+    while block := list(itertools.islice(ds, oracle.stack_points)):
+        stack, done, us = oracle.stack(block), [None] * len(block), [u0] * len(block)
+        points = list(map(_NewtonPoint, range(len(us)), us, *stack.eval(us)))
+        del block  # the stack holds what it reads of the points
+        while points:
+            linearize = []  # points at a new iterate that are not done
+            for row, p in enumerate(points):
+                if p.step is not None:
+                    continue
+                if p.rnorm <= tol:
+                    done[p.index] = p.u
+                elif p.iterations == max_iter:
+                    raise NonConvergenceError(f"no convergence after {max_iter} iterations; "
+                                              f"residual norm {p.rnorm:.3e}", p.rnorm)
+                else:
+                    linearize.append(row)
+            if linearize:
+                for row, step in zip(linearize, stack.solve_linearized(
+                        linearize, [points[row].res for row in linearize])):
+                    points[row].step, points[row].lam = step, 1.0
+            keep = [row for row, p in enumerate(points) if done[p.index] is None]
+            if len(keep) < len(points):
+                if not keep:
+                    break
+                points, stack = [points[row] for row in keep], stack.take(keep)
+            trial = [p.u - p.step if p.lam == 1.0 else p.u - p.lam * p.step  # 1.0 * step is exact
+                     for p in points]
+            for p, u, res, rnorm in zip(points, trial, *stack.eval(trial)):
+                if rnorm < p.rnorm:
+                    p.u, p.res, p.rnorm, p.step = u, res, rnorm, None
+                    p.iterations += 1
+                    continue
+                p.lam *= 0.5
+                if p.lam == 0.5**31:  # the full step and 30 halvings failed
+                    floor = 16.0 * np.finfo(float).eps * np.size(p.u) * oracle.state_norm(p.u)
+                    if oracle.state_norm(p.step) > floor:
+                        raise NonConvergenceError(
+                            f"line search stalled at residual norm {p.rnorm:.3e}", p.rnorm)
+                    done[p.index] = p.u
+        out += done
+    return out
 
 
 def first_derivative(oracle: ResidualOracle, d, u, h):
@@ -349,9 +432,11 @@ def derivative_table(oracle: ResidualOracle, d, directions: Sequence,
 def finite_difference_table(solution_map: Callable, d, directions: Sequence,
                             keys: Iterable[MultiIndex], steps: Sequence[float], *,
                             norm: Callable | None = None, eval_noise: float = 0.0) -> dict:
-    """Mixed partials d^alpha of t -> solution_map(d + sum_k t_k h_k),
-    h_k = directions[k-1], by central differences with Richardson
-    extrapolation in the squared step, for every alpha of `keys`.
+    """Mixed partials d^alpha of t -> S(d + sum_k t_k h_k), h_k =
+    directions[k-1], by central differences with Richardson extrapolation in
+    the squared step, for every alpha of `keys`.  The solution map takes an
+    iterable of data points, built as it is consumed, and returns the list
+    of their states S in order.
 
     The nested central difference of alpha = sum_k n_k e_k at step t is a
     product of one-dimensional binomial central differences:
@@ -360,9 +445,10 @@ def finite_difference_table(solution_map: Callable, d, directions: Sequence,
 
     with c_k = n_k - 2 j_k.  A stencil point depends on (t, c) only, and is
     built the same way for every key (nonzero c_k only, in ascending k), so
-    each distinct point is solved once per call: the values are memoized
-    for the whole call, and the point c = 0, which is d itself, is shared by
-    all steps.  Each key keeps its own Richardson table and indicator.
+    the distinct points of all keys and steps are listed first, in the order
+    the stencils reach them, and the map is called once on all of them; the
+    point c = 0, which is d itself, is shared by all steps.  Each key keeps
+    its own Richardson table and indicator.
 
     Orders 1 <= |alpha| <= 4 are accepted; beyond that, cancellation
     destroys double precision.  Returns {alpha: (estimate, indicator)},
@@ -381,22 +467,16 @@ def finite_difference_table(solution_map: Callable, d, directions: Sequence,
         if alpha.support()[-1] > len(directions):
             raise ValueError(f"{alpha.label()} has no direction for every coordinate")
     steps = sorted((float(t) for t in steps), reverse=True)
-    if len(steps) < 2 or len(set(steps)) != len(steps) or steps[-1] <= 0.0:
-        raise ValueError("need at least two distinct positive steps")
+    if (len(steps) < 2 or not all(0.0 < t < math.inf for t in steps)
+            or len(set(steps)) != len(steps)):
+        raise ValueError("need at least two distinct finite positive steps")
+    if not eval_noise >= 0.0:
+        raise ValueError("eval_noise must be a nonnegative bound")
     norm = norm or default_norm
-    memo: dict[tuple, object] = {}
 
-    def value(t: float, c: tuple[tuple[int, int], ...]):
-        key = (t, c) if c else ()
-        if key not in memo:
-            point = d
-            for k, ck in c:
-                point = point + (ck * t) * directions[k - 1]
-            memo[key] = solution_map(point)
-        return memo[key]
-
-    def stencil(alpha: MultiIndex, t: float):
-        acc = None
+    def stencil(alpha: MultiIndex, t: float) -> list:
+        """(coefficient, point) of each term, a point as (t, c) and d as ()."""
+        terms = []
         for js in itertools.product(*(range(n + 1) for _, n in alpha.entries)):
             coeff = 1.0
             c = []
@@ -404,12 +484,28 @@ def finite_difference_table(solution_map: Callable, d, directions: Sequence,
                 coeff *= (-1) ** j * math.comb(n, j)
                 if n != 2 * j:
                     c.append((k, n - 2 * j))
-            term = coeff * value(t, tuple(c))
-            acc = term if acc is None else acc + term
-        return (1.0 / (2.0 * t) ** alpha.order()) * acc
+            terms.append((coeff, (t, tuple(c)) if c else ()))
+        return terms
+
+    def data_point(key: tuple):
+        point = d
+        for k, ck in key[1] if key else ():
+            point = point + (ck * key[0]) * directions[k - 1]
+        return point
+
+    stencils = {alpha: [stencil(alpha, t) for t in steps] for alpha in keys}
+    listed = list(dict.fromkeys(key for rows in stencils.values()
+                                for terms in rows for _, key in terms))
+    values = dict(zip(listed, solution_map(data_point(key) for key in listed), strict=True))
 
     def extrapolate(alpha: MultiIndex):
-        rows = [stencil(alpha, t) for t in steps]
+        rows = []
+        for t, terms in zip(steps, stencils[alpha]):
+            acc = None
+            for coeff, key in terms:
+                term = coeff * values[key]
+                acc = term if acc is None else acc + term
+            rows.append((1.0 / (2.0 * t) ** alpha.order()) * acc)
         table = [[rows[0]]]
         for i in range(1, len(steps)):
             row = [rows[i]]
@@ -434,9 +530,11 @@ def finite_difference_check(solution_map: Callable, d, directions: Sequence,
     Richardson extrapolation in the squared step.
 
     This is the one-key case of `finite_difference_table`, with each listed
-    direction as its own coordinate (key e_1 + ... + e_n): the stencil is
-    the sum over the 2^n sign vectors s of prod(s) S(d + sum_k s_k t h_k)
-    over (2t)^n, and the per-call memo merges no two of its points.
+    direction as its own coordinate (key e_1 + ... + e_n), and the same
+    solution map, from an iterable of points to the list of their states:
+    the stencil is the sum over the 2^n sign vectors s of
+    prod(s) S(d + sum_k s_k t h_k) over (2t)^n, and no two of its points
+    are merged.
     Returns (estimate, indicator) as described there.
     """
     key = MultiIndex(tuple((k, 1) for k in range(1, len(directions) + 1)))

@@ -160,20 +160,27 @@ class Mesh1D:
 
     # -- assembly ----------------------------------------------------------
 
-    def assemble_load(self, grad_part=None, mass_part=None, boundary: float = 0.0) -> np.ndarray:
-        """Free-node vector of v -> <grad_part, v'> + <mass_part, v> + boundary*v(1)."""
-        full = np.zeros(self.n_nodes)
+    def assemble_load(self, grad_part=None, mass_part=None, boundary=0.0) -> np.ndarray:
+        """Free-node vector of v -> <grad_part, v'> + <mass_part, v> + boundary*v(1),
+        one for each point of a leading axis that the parts (and an array
+        `boundary`) share; a point's boundary term is added only where it is
+        nonzero."""
+        part = grad_part if grad_part is not None else mass_part
+        lead = np.shape(boundary) if part is None else np.shape(part)[:-2]
+        full = np.zeros(lead + (self.n_nodes,))
         if grad_part is not None:
             ge = _gauss_sum(self.quad_w * grad_part) / self.h
-            full[:-1] -= ge
-            full[1:] += ge
+            full[..., :-1] -= ge
+            full[..., 1:] += ge
         if mass_part is not None:
             wm = self.quad_w * mass_part
-            full[:-1] += _gauss_sum(wm * self.phi_left)
-            full[1:] += _gauss_sum(wm * self.phi_right)
-        if boundary:
+            full[..., :-1] += _gauss_sum(wm * self.phi_left)
+            full[..., 1:] += _gauss_sum(wm * self.phi_right)
+        if isinstance(boundary, np.ndarray):
+            np.add(full[..., -1], boundary, out=full[..., -1], where=boundary != 0.0)
+        elif boundary:
             full[-1] += boundary
-        return full[1:self.n_free + 1]
+        return full[..., 1:self.n_free + 1]
 
     def bilinear_form(self, stiffness=None, mass=None) -> tuple[np.ndarray, np.ndarray]:
         """Bands (diag, off) over the free nodes of the matrix of
@@ -186,7 +193,8 @@ class Mesh1D:
         return _gauss_sum(self.quad_w * weight) / self.h**2
 
     def _bands(self, ke: np.ndarray | None, mass) -> tuple[np.ndarray, np.ndarray]:
-        """`bilinear_form` from the stiffness term ke (None leaves it out)."""
+        """`bilinear_form` from the stiffness term ke (None leaves it out),
+        one for each point of their leading axes."""
         if ke is None:
             ell = rr = lr = np.zeros(self.n_elements)
         else:  # not ke and -ke: a zero entry must come out +0.0
@@ -198,10 +206,10 @@ class Mesh1D:
             ell = ell + _gauss_sum(wl * self.phi_left)
             rr = rr + _gauss_sum(wq * self.phi_right * self.phi_right)
             lr = lr + _gauss_sum(wl * self.phi_right)
-        diag = np.zeros(self.n_nodes)
-        diag[:-1] += ell
-        diag[1:] += rr
-        return diag[1:self.n_free + 1], lr[1:self.n_free]
+        diag = np.zeros(np.shape(ell)[:-1] + (self.n_nodes,))
+        diag[..., :-1] += ell
+        diag[..., 1:] += rr
+        return diag[..., 1:self.n_free + 1], lr[..., 1:self.n_free]
 
     # -- norms and constants ------------------------------------------------
 
@@ -483,7 +491,8 @@ def assemble_residual(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
 
 def _residual(mesh: Mesh1D, data: PdeData, nl: Nonlinearity, full: np.ndarray,
               uq: np.ndarray) -> np.ndarray:
-    """`assemble_residual` from the state's full nodal and Gauss values."""
+    """`assemble_residual` from the state's full nodal and Gauss values, for
+    each point of a leading axis of the data fields and the state."""
     grad_part = data.a * ((full[..., 1:] - full[..., :-1]) / mesh.h)[..., None]
     mass_part = data.b * nl.deriv(0, uq) - data.f
     return mesh.assemble_load(grad_part, mass_part, boundary=-data.g)
@@ -536,13 +545,19 @@ def apply_residual_derivative(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
 def linearization_matrix(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
                          u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bands of the state linearization v -> <a v', .'> + <b N'(u) v, .>."""
-    return _linearization(mesh, data, nl, mesh.at_quad(u), mesh._stiffness_term(data.a))
+    return _linearization(mesh, data.b, nl, mesh.at_quad(u), mesh._stiffness_term(data.a))
 
 
-def _linearization(mesh: Mesh1D, data: PdeData, nl: Nonlinearity, uq: np.ndarray,
+def _linearization(mesh: Mesh1D, b: np.ndarray, nl: Nonlinearity, uq: np.ndarray,
                    ke: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`linearization_matrix` from the Gauss values uq and the stiffness term ke."""
-    return mesh._bands(ke, data.b * nl.deriv(1, uq))
+    """`linearization_matrix` from the reaction weight b, the Gauss values uq
+    and the stiffness term ke, for each point of their leading axis."""
+    return mesh._bands(ke, b * nl.deriv(1, uq))
+
+
+#: Bytes of one Gauss-point field of the points that `PdeOracle` solves
+#: together: a block of 26 points at mesh 256, of one point at mesh 4096.
+_STACK_BYTES = 160 << 10
 
 
 class PdeOracle(ResidualOracle):
@@ -552,9 +567,14 @@ class PdeOracle(ResidualOracle):
     residuals free-node dual vectors; norms are the discrete H1 norm and
     its dual.  The LDL^T factors of the linearization are cached per base
     point; a linearization that is not positive definite raises
-    LinearizationError.  A linearization reads the Gauss values of the state
-    last evaluated and the stiffness term of the data last seen; each of
-    the three caches holds one entry, keyed by object identity.
+    LinearizationError.
+
+    Newton solves stacks of points in blocks of `stack_points`, as many as
+    fit `_STACK_BYTES` with one Gauss-point field each (`_PdeStack`).  A
+    stack leaves its last point's stiffness term and last evaluated Gauss
+    values in caches that `solve_linearized` reads, so the linearizations
+    after a one-point solve form neither again; each of the three caches
+    holds one entry, keyed by object identity.
     """
 
     def __init__(self, mesh: Mesh1D, nl: Nonlinearity):
@@ -565,10 +585,7 @@ class PdeOracle(ResidualOracle):
         self._ke_cache: tuple = (None, None)  # (d, the stiffness term of d.a)
 
     def eval(self, d: PdeData, u: np.ndarray) -> np.ndarray:
-        full = self.mesh.expand(u)
-        uq = self.mesh._gauss_values(full)
-        self._quad_cache = (u, uq)
-        return _residual(self.mesh, d, self.nl, full, uq)
+        return assemble_residual(self.mesh, d, self.nl, u)
 
     def apply_derivative(self, r: int, d: PdeData, u: np.ndarray, args) -> np.ndarray:
         return apply_residual_derivative(self.mesh, d, self.nl, u, r, args)
@@ -581,11 +598,23 @@ class PdeOracle(ResidualOracle):
                 quad = self._quad_cache = (u, self.mesh.at_quad(u))
             if ke[0] is not d:
                 ke = self._ke_cache = (d, self.mesh._stiffness_term(d.a))
-            factors = _ldl(*_linearization(self.mesh, d, self.nl, quad[1], ke[1]))
+            factors = _ldl(*_linearization(self.mesh, d.b, self.nl, quad[1], ke[1]))
             if factors is None:
                 raise LinearizationError("state linearization is not positive definite")
             cache = self._lin_cache = (d, u, factors)
         return _ldl_solve(cache[2], rhs)
+
+    @property
+    def stack_points(self) -> int:
+        return max(1, _STACK_BYTES // self.mesh.quad_x.nbytes)
+
+    def stack(self, ds: list) -> "_PdeStack":
+        data = ds[0] if len(ds) == 1 else PdeData(
+            *(np.stack([getattr(d, name) for d in ds]) for name in "abf"),
+            np.array([d.g for d in ds]))
+        ke = self.mesh._stiffness_term(data.a)
+        self._ke_cache = (ds[-1], ke if len(ds) == 1 else ke[-1])
+        return _PdeStack(self, data, ke)
 
     def taylor_expansion(self, table) -> "_TaylorExpansion":
         return _TaylorExpansion(self.mesh, self.nl, table)
@@ -601,6 +630,52 @@ class PdeOracle(ResidualOracle):
 
     def state_norm(self, value: np.ndarray) -> float:
         return self.mesh.h1_norm(value)
+
+
+class _PdeStack:
+    """`PdeOracle`'s stack forms (see `implicit_diff.PointStack`): the one-point
+    kernels on data fields stacked along a leading axis, so each point gets
+    the bytes of the one-point forms; one point has no leading axis, which
+    costs numpy about half again per call.  The stiffness terms ke are formed
+    once, and the Gauss values of the states last evaluated are kept for the
+    linearizations.  A dual norm is one dpttrs over all columns and a dot
+    product per point; each point has its own LDL^T.
+    """
+
+    def __init__(self, oracle: PdeOracle, data: PdeData, ke: np.ndarray):
+        self.oracle, self.data, self.ke, self._uq = oracle, data, ke, None
+        self.size = np.size(data.g)
+
+    def _rows(self, x: np.ndarray, rows: list) -> np.ndarray:
+        """x at the points `rows`, with no leading axis for one."""
+        if len(rows) == self.size:
+            return x
+        return x[rows[0]] if len(rows) == 1 else x[rows]
+
+    def eval(self, us: list) -> tuple[np.ndarray, list]:
+        mesh = self.oracle.mesh
+        full = mesh.expand(us[0] if self.size == 1 else us)
+        uq = self._uq = mesh._gauss_values(full)
+        self.oracle._quad_cache = (us[-1], uq if self.size == 1 else uq[-1])
+        res = _residual(mesh, self.data, self.oracle.nl, full, uq).reshape(self.size, -1)
+        riesz = _ldl_solve(mesh._h1_factors, res.T).T
+        return res, [math.sqrt(max(float(r @ x), 0.0)) for r, x in zip(res, riesz)]
+
+    def solve_linearized(self, rows: list, rhs: list) -> list:
+        bands = _linearization(self.oracle.mesh, self._rows(self.data.b, rows), self.oracle.nl,
+                               self._rows(self._uq, rows), self._rows(self.ke, rows))
+        steps = []
+        for diag, off, r in zip(*(band.reshape(len(rows), -1) for band in bands), rhs):
+            factors = _ldl(diag, off)
+            if factors is None:
+                raise LinearizationError("state linearization is not positive definite")
+            steps.append(_ldl_solve(factors, r))
+        return steps
+
+    def take(self, rows: list) -> "_PdeStack":
+        data = self.data
+        return _PdeStack(self.oracle, PdeData(*(self._rows(x, rows) for x in (
+            data.a, data.b, data.f, data.g))), self._rows(self.ke, rows))
 
 
 class _TaylorExpansion:

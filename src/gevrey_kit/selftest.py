@@ -385,13 +385,13 @@ def check_scalar_higher_derivatives() -> None:
 
 def check_fd_oracle() -> None:
     quad = scalar_quadratic_oracle()
-    smap = lambda d: solve_residual(quad, d, 0.0, 1e-14)
+    smap = lambda ds: [solve_residual(quad, d, 0.0, 1e-14) for d in ds]
     est, ind = finite_difference_check(smap, np.array([3.0]), [np.array([1.0])],
                                        [1e-2, 5e-3, 2.5e-3])
     assert abs(est - 6.0) < 1e-8 and ind < 1e-8
 
     cubic = scalar_cubic_oracle()
-    smap3 = lambda d: solve_residual(cubic, d, 0.0, 1e-14)
+    smap3 = lambda ds: [solve_residual(cubic, d, 0.0, 1e-14) for d in ds]
     h = np.array([1.0])
     est3, ind3 = finite_difference_check(smap3, np.array([0.0]), [h, h, h],
                                          [0.08, 0.04, 0.02, 0.01])
@@ -552,7 +552,7 @@ def check_data_partials() -> None:
     for k in (1, 2):
         direction = np.zeros(2)
         direction[k - 1] = 1.0
-        smap = lambda yy: TildeData(dmap, hat, mesh, yy).data
+        smap = lambda ys: [TildeData(dmap, hat, mesh, yy).data for yy in ys]
         est, _ = finite_difference_check(smap, y, [direction], [0.05, 0.025, 0.0125],
                                          norm=dnorm)
         exact = tilde_y.partial(MultiIndex.unit(k))
@@ -587,8 +587,8 @@ def check_mixed_fd_match() -> None:
     alpha = MultiIndex.make({1: 1, 2: 1})
     engine = table.entry(alpha)
 
-    smap = lambda yy: newton_solve(mesh, TildeData(dmap, hat, mesh, yy).data, nl,
-                                   tol=1e-13)
+    smap = lambda ys: [newton_solve(mesh, TildeData(dmap, hat, mesh, yy).data, nl, tol=1e-13)
+                       for yy in ys]
     e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     est, ind = finite_difference_check(smap, y, [e1, e2], [0.08, 0.04, 0.02],
                                        norm=mesh.h1_norm, eval_noise=1.5e-13)

@@ -155,8 +155,8 @@ def test_criterion_6_pde_derivative_verification():
         oracle = PdeOracle(mesh, nl)
         table = parametric_derivative_table(oracle, tilde, 3, tol=tol)
         consts = estimate_constants(mesh, tilde.data, nl, table.entry(MultiIndex()))
-        smap = lambda yy: newton_solve(mesh, TildeData(dmap, hat, mesh, yy).data,
-                                       nl, tol=tol)
+        smap = lambda ys: [newton_solve(mesh, TildeData(dmap, hat, mesh, yy).data, nl, tol=tol)
+                           for yy in ys]
         for alpha in multi_indices_up_to(2, 3):
             if alpha.is_zero():
                 continue

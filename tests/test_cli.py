@@ -338,14 +338,15 @@ class TestDerivatives:
                           "1+1+1", "1+1+2", "1+2+2", "2+2+2"]
 
     def test_fd_check_solves_each_stencil_point_once(self, tmp_path, monkeypatch):
-        calls = []
-        solve = cli.solve_residual
+        calls = []  # the points of each stacked solve
+        solve = cli.solve_residual_stack
 
-        def counting_solve(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
+        def counting_solve(oracle, ds, *args, **kwargs):
+            ds = list(ds)
+            calls.append(len(ds))
+            return solve(oracle, ds, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "solve_residual", counting_solve)
+        monkeypatch.setattr(cli, "solve_residual_stack", counting_solve)
         dirs = tmp_path / "dirs.json"
         dirs.write_text(json.dumps([{"f": 1.0}, {"a": 0.2, "b": 0.1}]))
         out = tmp_path / "deriv.csv"
@@ -353,8 +354,9 @@ class TestDerivatives:
                         "--mesh-n", "24", "--directions", str(dirs), "--fd-check",
                         "--output", str(out)])
         assert code == 0
-        # 40 distinct nonzero stencil points per step, three steps, and the base point
-        assert len(calls) == 121
+        # 40 distinct nonzero stencil points per step, three steps, and the
+        # base point, in one stacked solve
+        assert calls == [121]
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         assert sum(1 for r in rows if r[2]) == 14
 

@@ -31,6 +31,7 @@ from gevrey_kit.implicit_diff import (
     scalar_cubic_oracle,
     scalar_quadratic_oracle,
     solve_residual,
+    solve_residual_stack,
 )
 from gevrey_kit.pde1d import Mesh1D, Nonlinearity, PdeData, PdeOracle
 from gevrey_kit.selftest import CompositionTable, higher_derivative_reference, invert_cubic_series
@@ -47,7 +48,54 @@ def test_series_oracle_consistency():
     assert got == CUBIC_DERIVATIVES
 
 
+def reference_scalar_newton(oracle, d, u, tol):
+    """`solve_residual` at one point, written out with the oracle's one-point
+    forms; returns u, the steps taken and the halvings of the steps taken."""
+    res = oracle.eval(d, u)
+    rnorm = oracle.residual_norm(res)
+    iterations = halvings = 0
+    for _ in range(100):
+        if rnorm <= tol:
+            return u, iterations, halvings
+        step = oracle.solve_linearized(d, u, res)
+        lam = 1.0
+        for tries in range(31):
+            u_new = u - lam * step
+            res_new = oracle.eval(d, u_new)
+            rnorm_new = oracle.residual_norm(res_new)
+            if rnorm_new < rnorm:
+                break
+            lam *= 0.5
+        else:
+            assert abs(step) <= 16.0 * np.finfo(float).eps * abs(u)
+            return u, iterations, halvings
+        u, res, rnorm = u_new, res_new, rnorm_new
+        iterations, halvings = iterations + 1, halvings + tries
+    raise AssertionError("reference Newton did not converge")
+
+
 class TestSolveResidual:
+    @pytest.mark.parametrize("tol", [1e-14, 0.0])  # 0.0 ends at the round-off floor
+    def test_stack_is_each_point_alone(self, tol):
+        # the per-point stack forms in lockstep: points that take different
+        # numbers of steps, halve steps or are solved at u0
+        oracle = scalar_cubic_oracle()
+        ds = [np.array([v]) for v in (2.0, 0.0, 100.0, 0.5, -30.0, 1e-3)]
+        want = [reference_scalar_newton(oracle, d, 0.0, tol) for d in ds]
+        got = solve_residual_stack(oracle, iter(ds), 0.0, tol)
+        assert [(type(u), u) for u in got] == [(type(u), u) for u, _, _ in want]
+        assert len({iterations for _, iterations, _ in want}) > 2
+        assert want[1][1] == 0 and want[2][2] > 0
+
+    def test_error_at_one_point_of_a_stack_propagates(self):
+        # u**2 - d has no real root for d < 0 and a singular linearization at u = 0
+        oracle = PolynomialOracle(1, {(0, 2): 1.0, (1, 0): -1.0})
+        with pytest.raises(NonConvergenceError):
+            solve_residual_stack(oracle, [np.array([4.0]), np.array([-1.0]), np.array([9.0])],
+                                 3.0, 1e-12, max_iter=40)
+        with pytest.raises(LinearizationError):
+            solve_residual_stack(oracle, [np.array([0.0]), np.array([1.0])], 0.0, 1e-12)
+
     def test_quadratic_closed_form(self):
         oracle = scalar_quadratic_oracle()
         u = solve_residual(oracle, np.array([3.0]), 0.0, 1e-14)
@@ -271,7 +319,7 @@ class TestDerivativeTable:
 class TestFiniteDifferenceCheck:
     def test_quadratic_first_derivative(self):
         oracle = scalar_quadratic_oracle()
-        smap = lambda d: solve_residual(oracle, d, 0.0, 1e-14)
+        smap = lambda ds: [solve_residual(oracle, d, 0.0, 1e-14) for d in ds]
         est, ind = finite_difference_check(smap, np.array([3.0]), [np.array([1.0])],
                                            [1e-2, 5e-3, 2.5e-3])
         assert abs(est - 6.0) < 1e-8
@@ -279,7 +327,7 @@ class TestFiniteDifferenceCheck:
 
     def test_cubic_third_derivative(self):
         oracle = scalar_cubic_oracle()
-        smap = lambda d: solve_residual(oracle, d, 0.0, 1e-14)
+        smap = lambda ds: solve_residual_stack(oracle, ds, 0.0, 1e-14)
         h = np.array([1.0])
         est, ind = finite_difference_check(smap, np.array([0.0]), [h, h, h],
                                            [0.08, 0.04, 0.02, 0.01])
@@ -287,12 +335,12 @@ class TestFiniteDifferenceCheck:
         assert ind < 1e-4
 
     def test_constant_map(self):
-        est, ind = finite_difference_check(lambda d: 0.0, np.array([0.0]),
+        est, ind = finite_difference_check(lambda ds: [0.0 for _ in ds], np.array([0.0]),
                                            [np.array([1.0])], [0.1, 0.05])
         assert est == 0.0 and ind == 0.0
 
     def test_eval_noise_enters_indicator(self):
-        smap = lambda d: float(d[0] ** 2)
+        smap = lambda ds: [float(d[0] ** 2) for d in ds]
         _, clean = finite_difference_check(smap, np.array([1.0]), [np.array([1.0])],
                                            [0.1, 0.05])
         _, noisy = finite_difference_check(smap, np.array([1.0]), [np.array([1.0])],
@@ -300,7 +348,7 @@ class TestFiniteDifferenceCheck:
         assert noisy >= clean + 2.0 * 1e-10 / 0.05
 
     def test_validation(self):
-        smap = lambda d: 0.0
+        smap = lambda ds: [0.0 for _ in ds]
         with pytest.raises(ValueError):
             finite_difference_check(smap, np.array([0.0]), [np.array([1.0])] * 5,
                                     [0.1, 0.05])
@@ -336,12 +384,16 @@ def sign_sum_reference(solution_map, d, directions, steps):
 
 
 class CountingMap:
+    """A solution map over an iterable of points from a one-point map, counting
+    the points it solves."""
+
     def __init__(self, fn):
         self.fn, self.calls = fn, 0
 
-    def __call__(self, d):
-        self.calls += 1
-        return self.fn(d)
+    def __call__(self, ds):
+        states = [self.fn(d) for d in ds]
+        self.calls += len(states)
+        return states
 
 
 def keys_up_to(n_dirs, max_order):
@@ -392,7 +444,7 @@ class TestFiniteDifferenceTable:
         d = rng.uniform(-0.5, 0.5, 3)
         dirs = [rng.uniform(-1.0, 1.0, 3) for _ in range(n)]
         steps = [0.1, 0.05, 0.025]
-        est, ind = finite_difference_check(smap, d, dirs, steps)
+        est, ind = finite_difference_check(lambda ps: list(map(smap, ps)), d, dirs, steps)
         ref_est, ref_ind = sign_sum_reference(smap, d, dirs, steps)
         assert est.tobytes() == ref_est.tobytes()
         assert ind == ref_ind
@@ -404,7 +456,10 @@ class TestFiniteDifferenceTable:
         assert smap.calls == 2 * 2 ** 3
 
     def test_failing_point_propagates(self):
-        def smap(d):
+        def smap(ds):
+            return [point(d) for d in ds]
+
+        def point(d):
             if d[0] > 0.15:
                 raise LinearizationError("state linearization is not positive definite")
             return float(d[0] ** 3)
@@ -413,14 +468,21 @@ class TestFiniteDifferenceTable:
                                     [MultiIndex.make({1: 2})], [0.1, 0.05])
 
     def test_validation(self):
-        smap = lambda d: 0.0
+        smap = lambda ds: [0.0 for _ in ds]
         h = [np.array([1.0])]
         for key in (MultiIndex(), MultiIndex.make({1: 5}), MultiIndex.unit(2)):
             with pytest.raises(ValueError):
                 finite_difference_table(smap, np.array([0.0]), h, [key], [0.1, 0.05])
-        with pytest.raises(ValueError):
-            finite_difference_table(smap, np.array([0.0]), h, [MultiIndex.unit(1)],
-                                    [0.1, 0.1])
+        # steps that repeat or are not finite and positive; nan != nan, so
+        # two NaN steps are distinct floats
+        for steps in ([0.1, 0.1], [0.1, math.nan], [math.inf, 0.1], [math.nan, math.nan],
+                      [0.1, -0.05]):
+            with pytest.raises(ValueError, match="steps"):
+                finite_difference_table(smap, np.array([0.0]), h, [MultiIndex.unit(1)], steps)
+        for noise in (-1e-12, math.nan):
+            with pytest.raises(ValueError, match="eval_noise"):
+                finite_difference_table(smap, np.array([0.0]), h, [MultiIndex.unit(1)],
+                                        [0.1, 0.05], eval_noise=noise)
 
 
 class TestTableEnvelopeCompliance:

@@ -22,7 +22,6 @@ from gevrey_kit.implicit_diff import (
     fill_table,
     finite_difference_check,
     first_derivative,
-    scalar_cubic_oracle,
     solve_residual,
 )
 from gevrey_kit.parametric import (
@@ -199,7 +198,7 @@ class TestDataPartials:
         for _ in range(5):
             y = rng.uniform(-0.3, 0.3, 3)
             tilde = TildeData(self.dmap, self.hat, self.mesh, y)
-            smap = lambda yy: TildeData(self.dmap, self.hat, self.mesh, yy).data
+            smap = lambda ys: [TildeData(self.dmap, self.hat, self.mesh, yy).data for yy in ys]
             for alpha in [MultiIndex.unit(1), MultiIndex.unit(3),
                           MultiIndex.make({1: 1, 2: 1}), MultiIndex.make({2: 2})]:
                 dirs = []
@@ -292,8 +291,8 @@ class TestSolutionPartials:
         tilde = TildeData(dmap, hat, mesh, y)
         oracle = PdeOracle(mesh, nl)
         table = parametric_derivative_table(oracle, tilde, 2, tol=1e-13)
-        smap = lambda yy: newton_solve(mesh, TildeData(dmap, hat, mesh, yy).data, nl,
-                                       tol=1e-13)
+        smap = lambda ys: [newton_solve(mesh, TildeData(dmap, hat, mesh, yy).data, nl, tol=1e-13)
+                           for yy in ys]
         est, ind = finite_difference_check(
             smap, y, [np.array([1.0, 0.0]), np.array([0.0, 1.0])],
             [0.08, 0.04, 0.02], norm=mesh.h1_norm, eval_noise=2e-13,
@@ -436,20 +435,6 @@ class TestTaylorFill:
         monkeypatch.setattr(SplitPlan, "_reduction", counting)
         parametric_derivative_table(PdeOracle(mesh, nl), tilde, 5, u=u)
         assert sorted(built) == [(m, k) for m in range(2, 6) for k in range(1, m)]
-
-    @pytest.mark.parametrize("oracle_kind", ["pde", "scalar"])
-    def test_decreasing_orders_rejected(self, oracle_kind):
-        if oracle_kind == "pde":
-            mesh = Mesh1D.uniform(8)
-            base = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
-            oracle = PdeOracle(mesh, Nonlinearity.cubic())
-            direction = PdeData.from_spec(mesh, f=1.0)
-        else:
-            oracle, base, direction = scalar_cubic_oracle(), np.array([0.5]), np.array([1.0])
-        u = solve_residual(oracle, base, oracle.zero_state(), 1e-12)
-        table = DerivativeTable(oracle, base, u, affine_data_map(oracle, base, [direction]))
-        with pytest.raises(ValueError, match="nondecreasing order"):
-            fill_table(table, SplitPlan([MultiIndex.make({1: 2}), MultiIndex.unit(1)]))
 
     def test_indefinite_linearization_raises(self):
         mesh = Mesh1D.uniform(16)

@@ -12,10 +12,12 @@ from gevrey_kit.combinatorics import MultiIndex
 from gevrey_kit.envelopes import GevreyEnvelope, StabilityConstant, envelope_check, implicit_envelope
 from gevrey_kit.implicit_diff import (
     LinearizationError,
+    NonConvergenceError,
     derivative_table,
     finite_difference_check,
     finite_difference_table,
     solve_residual,
+    solve_residual_stack,
 )
 from gevrey_kit.pde1d import (
     Mesh1D,
@@ -325,17 +327,19 @@ class TestKernelsBitwise:
 
 
 def reference_newton(mesh, data, nl, tol):
-    """`solve_residual` through `PdeOracle`, written out with the public
-    residual and linearization and a fresh LDL^T at every iterate."""
+    """`solve_residual` through `PdeOracle` at one point, written out with the
+    public residual and linearization and a fresh LDL^T at every iterate;
+    returns u, the steps taken and the halvings of the steps taken."""
     u = np.zeros(mesh.n_free)
     res = assemble_residual(mesh, data, nl, u)
     rnorm = mesh.dual_norm(res)
+    iterations = halvings = 0
     for _ in range(100):
         if rnorm <= tol:
-            return u
+            return u, iterations, halvings
         step = pde1d._ldl_solve(pde1d._ldl(*linearization_matrix(mesh, data, nl, u)), res)
         lam = 1.0
-        for _ in range(31):
+        for tries in range(31):
             u_new = u - lam * step
             res_new = assemble_residual(mesh, data, nl, u_new)
             rnorm_new = mesh.dual_norm(res_new)
@@ -344,8 +348,9 @@ def reference_newton(mesh, data, nl, tol):
             lam *= 0.5
         else:
             assert mesh.h1_norm(step) <= 16.0 * np.finfo(float).eps * u.size * mesh.h1_norm(u)
-            return u
+            return u, iterations, halvings
         u, res, rnorm = u_new, res_new, rnorm_new
+        iterations, halvings = iterations + 1, halvings + tries
     raise AssertionError("reference Newton did not converge")
 
 
@@ -354,18 +359,35 @@ class TestNewtonReuse:
     value's stiffness term once, with the bytes of the public forms."""
 
     @staticmethod
-    def data(mesh, seed):
+    def data(mesh, seed, scale=1.0, g=0.5):
         rng = np.random.default_rng(seed)
         a, b, f = (rng.uniform(0.5, 2.0, mesh.quad_x.shape) for _ in range(3))
-        return PdeData(a, b, 3.0 * f, 0.5 if mesh.right_bc == "neumann" else 0.0)
+        return PdeData(a, b, 3.0 * scale * f, g if mesh.right_bc == "neumann" else 0.0)
 
     @KERNEL_MESHES
     @NONLINEARITIES
     @pytest.mark.parametrize("tol", [1e-12, 0.0])  # 0.0 ends at the round-off floor
-    def test_newton_is_bitwise_the_public_forms(self, mesh, nl, tol):
-        data = self.data(mesh, 11)
-        got = solve_residual(PdeOracle(mesh, nl), data, np.zeros(mesh.n_free), tol)
-        assert_same_bytes(got, reference_newton(mesh, data, nl, tol))
+    def test_newton_is_bitwise_the_public_forms(self, mesh, nl, tol, monkeypatch):
+        # seven points in blocks of three: forcings of several sizes take
+        # different numbers of steps, the one of -1000 halves a step, and a
+        # Neumann stack mixes g = 0 with g != 0
+        monkeypatch.setattr(pde1d, "_STACK_BYTES", 3 * mesh.quad_x.nbytes)
+        points = [self.data(mesh, seed, scale, g) for seed, scale, g in [
+            (11, 1.0, 0.5), (21, 0.01, 0.0), (22, 0.3, 0.5), (23, 10.0, 0.0),
+            (24, 100.0, 0.5), (26, -1000.0, 0.5), (25, 1.0, 0.0)]]
+        want = [reference_newton(mesh, d, nl, tol) for d in points]
+        oracle = PdeOracle(mesh, nl)
+        assert oracle.stack_points == 3
+        got = solve_residual_stack(oracle, iter(points), np.zeros(mesh.n_free), tol)
+        assert len(got) == len(points)
+        for state, (u, _, _) in zip(got, want):
+            assert_same_bytes(state, u)
+        assert_same_bytes(solve_residual(PdeOracle(mesh, nl), points[0],
+                                         np.zeros(mesh.n_free), tol), want[0][0])
+        assert len({iterations for _, iterations, _ in want}) > 1
+        assert want[5][2] > 0
+        if mesh.right_bc == "neumann":
+            assert {d.g for d in points} == {0.0, 0.5}
 
     @KERNEL_MESHES
     @NONLINEARITIES
@@ -391,56 +413,45 @@ class TestNewtonReuse:
         oracle = PdeOracle(mesh, Nonlinearity.cubic())
         base = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
         dirs = [PdeData.from_spec(mesh, a=0.2, b=0.1, f=0.5), PdeData.from_spec(mesh, f=-1.0)]
-        seen = {name: {} for name in ("state", "data", "residual_uq", "uq", "ke")}
-        linearizations = []
-        eval_, solve_linearized = PdeOracle.eval, PdeOracle.solve_linearized
-        residual, linearization = pde1d._residual, pde1d._linearization
+        mesh.dual_norm(np.ones(mesh.n_free))  # the mesh's own forms come first
+        points = dict.fromkeys(["_gauss_values", "_stiffness_term", "_residual",
+                                "_linearization"], 0)  # points each kernel was called for
 
-        def record(name, value):  # by identity, holding the value so no id is reused
-            seen[name][id(value)] = value
+        def counting(owner, name, lead):  # lead: the arguments' leading shape
+            kernel = getattr(owner, name)
 
-        def counting_eval(self, d, u):
-            record("state", u)
-            return eval_(self, d, u)
+            def counted(*args):
+                points[name] += math.prod(lead(*args))
+                return kernel(*args)
+            monkeypatch.setattr(owner, name, counted)
 
-        def counting_solve_linearized(self, d, u, rhs):
-            record("state", u)
-            record("data", d)
-            return solve_linearized(self, d, u, rhs)
-
-        def counting_residual(mesh, d, nl, full, uq):
-            record("residual_uq", uq)
-            record("uq", uq)
-            return residual(mesh, d, nl, full, uq)
-
-        def counting_linearization(mesh, d, nl, uq, ke):
-            record("uq", uq)
-            record("ke", ke)
-            linearizations.append(id(uq) in seen["residual_uq"])
-            return linearization(mesh, d, nl, uq, ke)
-
-        monkeypatch.setattr(PdeOracle, "eval", counting_eval)
-        monkeypatch.setattr(PdeOracle, "solve_linearized", counting_solve_linearized)
-        monkeypatch.setattr(pde1d, "_residual", counting_residual)
-        monkeypatch.setattr(pde1d, "_linearization", counting_linearization)
+        counting(Mesh1D, "_gauss_values", lambda mesh, full: full.shape[:-1])
+        counting(Mesh1D, "_stiffness_term", lambda mesh, weight: np.shape(weight)[:-2])
+        counting(pde1d, "_residual", lambda mesh, d, nl, full, uq: full.shape[:-1])
+        counting(pde1d, "_linearization", lambda mesh, b, nl, uq, ke: np.shape(ke)[:-1])
 
         def check(run, n_data):
-            for values in seen.values():
-                values.clear()
-            linearizations.clear()
+            points.update(dict.fromkeys(points, 0))
             result = run()
             # one Gauss evaluation per state, all of them by residuals, and
-            # one stiffness term per data value, though Newton linearizes
+            # one stiffness term per data point, though Newton linearizes
             # several times at each
-            assert len(seen["uq"]) == len(seen["residual_uq"]) == len(seen["state"])
-            assert len(seen["ke"]) == len(seen["data"]) == n_data
-            assert all(linearizations) and len(linearizations) > 2 * n_data
+            assert points["_gauss_values"] == points["_residual"]
+            assert points["_stiffness_term"] == n_data
+            assert points["_linearization"] > 2 * n_data
             return result
 
-        table = check(lambda: derivative_table(oracle, base, dirs, 3), 1)
-        solve = lambda d: solve_residual(oracle, d, oracle.zero_state(), 1e-13)
+        # a one-point solve, then the linearized solves of a table fill at
+        # its solution
+        rhs = np.ones((mesh.n_free, 2))
+        u = check(lambda: solve_residual(oracle, base, oracle.zero_state(), 1e-13), 1)
+        check(lambda: [oracle.solve_linearized(base, u, rhs) for _ in range(3)], 0)
+        table = derivative_table(oracle, base, dirs, 3)
+        solve = lambda ds: solve_residual_stack(oracle, ds, oracle.zero_state(), 1e-13)
         keys = [alpha for alpha, _ in table.items() if 1 <= alpha.order() <= 2]
-        # 12 distinct nonzero stencil points per step, two steps, and the base point
+        # 12 distinct nonzero stencil points per step, two steps, and the base
+        # point, in blocks of 10
+        monkeypatch.setattr(pde1d, "_STACK_BYTES", 10 * mesh.quad_x.nbytes)
         check(lambda: finite_difference_table(solve, base, dirs, keys, [0.1, 0.05],
                                               norm=oracle.state_norm), 25)
 
@@ -531,25 +542,38 @@ class TestNewton:
         u = newton_solve(mesh, data, Nonlinearity.cubic())
         assert np.all(u == 0.0)
 
-    def test_linear_problem_single_step(self):
+    def test_linear_problem_single_step(self, monkeypatch):
         mesh = Mesh1D.uniform(32)
         data = PdeData.from_spec(mesh, a=2.0, b=0.0, f=1.0)
         nl = Nonlinearity.cubic()
         oracle = PdeOracle(mesh, nl)
-        solves = 0
-        original = oracle.solve_linearized
+        linearized = []  # the leading shape of each linearization
+        original = pde1d._linearization
 
-        def counting(d, u, rhs):
-            nonlocal solves
-            solves += 1
-            return original(d, u, rhs)
+        def counting(mesh, b, nl, uq, ke):
+            linearized.append(np.shape(ke)[:-1])
+            return original(mesh, b, nl, uq, ke)
 
-        oracle.solve_linearized = counting
+        monkeypatch.setattr(pde1d, "_linearization", counting)
         u = solve_residual(oracle, data, oracle.zero_state(), 1e-12)
-        assert solves == 1
+        assert linearized == [()]  # one point, linearized once
         direct = np.linalg.solve(dense(mesh.bilinear_form(stiffness=data.a)),
                                  mesh.assemble_load(None, data.f))
         assert np.allclose(u, direct, rtol=1e-12)
+
+    def test_failure_at_one_point_of_a_stack_raises(self):
+        mesh = Mesh1D.uniform(8)
+        oracle = PdeOracle(mesh, Nonlinearity.cubic())
+        good = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
+        linear = PdeData.from_spec(mesh, a=1.0, b=0.0, f=1.0)  # solved in one step
+        indefinite = PdeData.from_spec(mesh, a=-1.0, b=0.0, f=1.0)
+        with pytest.raises(LinearizationError, match="not positive definite"):
+            solve_residual_stack(oracle, [good, indefinite, good], oracle.zero_state(), 1e-12)
+        with pytest.raises(NonConvergenceError, match="after 1 iterations"):
+            solve_residual_stack(oracle, [linear, good], oracle.zero_state(), 1e-12, max_iter=1)
+        assert_same_bytes(solve_residual_stack(oracle, [linear], oracle.zero_state(), 1e-12,
+                                               max_iter=1)[0],
+                          solve_residual(oracle, linear, oracle.zero_state(), 1e-12))
 
     def test_benchmark_against_shooting(self):
         mesh = Mesh1D.uniform(256)
@@ -783,7 +807,7 @@ class TestMonotonicityAndBound:
         base = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
         d_dir = PdeData.from_spec(mesh, a=0.2, b=0.1, f=0.5)
         table = derivative_table(oracle, base, [d_dir], 3, tol=1e-13)
-        smap = lambda d: solve_residual(oracle, d, oracle.zero_state(), 1e-13)
+        smap = lambda ds: solve_residual_stack(oracle, ds, oracle.zero_state(), 1e-13)
         for n in range(1, 4):
             est, ind = finite_difference_check(smap, base, [d_dir] * n,
                                                [0.1, 0.05, 0.025],
