@@ -427,8 +427,6 @@ class TestSplitPlan:
                 assert np.array_equal(out.view(np.int64), expected.view(np.int64))
 
     def test_rejects_repeated_keys_and_missing_sub_indices(self):
-        # `fill_table` takes its keys as a plan, so this is also where a fill
-        # with decreasing orders fails, for every oracle and before it runs
         e1 = MultiIndex.unit(1)
         with pytest.raises(ValueError, match="nondecreasing order"):
             SplitPlan([MultiIndex.make({1: 2}), e1])

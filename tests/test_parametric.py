@@ -22,6 +22,7 @@ from gevrey_kit.implicit_diff import (
     fill_table,
     finite_difference_check,
     first_derivative,
+    scalar_cubic_oracle,
     solve_residual,
 )
 from gevrey_kit.parametric import (
@@ -435,6 +436,20 @@ class TestTaylorFill:
         monkeypatch.setattr(SplitPlan, "_reduction", counting)
         parametric_derivative_table(PdeOracle(mesh, nl), tilde, 5, u=u)
         assert sorted(built) == [(m, k) for m in range(2, 6) for k in range(1, m)]
+
+    @pytest.mark.parametrize("oracle_kind", ["pde", "scalar"])
+    def test_decreasing_orders_rejected(self, oracle_kind):
+        if oracle_kind == "pde":
+            mesh = Mesh1D.uniform(8)
+            base = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
+            oracle = PdeOracle(mesh, Nonlinearity.cubic())
+            direction = PdeData.from_spec(mesh, f=1.0)
+        else:
+            oracle, base, direction = scalar_cubic_oracle(), np.array([0.5]), np.array([1.0])
+        u = solve_residual(oracle, base, oracle.zero_state(), 1e-12)
+        table = DerivativeTable(oracle, base, u, affine_data_map(oracle, base, [direction]))
+        with pytest.raises(ValueError, match="nondecreasing order"):
+            fill_table(table, SplitPlan([MultiIndex.make({1: 2}), MultiIndex.unit(1)]))
 
     def test_indefinite_linearization_raises(self):
         mesh = Mesh1D.uniform(16)
