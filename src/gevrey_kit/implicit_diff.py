@@ -48,9 +48,8 @@ the map solves them in one call, as one stack for a stacked solve; the
 point c = 0 is shared by all steps.  `finite_difference_check` is the
 one-key case for a list of directions.
 
-An oracle may cache factorizations between calls (`PdeOracle` does), so
-use one oracle per thread.  A `DerivativeTable` is filled order by order
-and treated as immutable afterwards.
+A `DerivativeTable` is filled order by order and treated as immutable
+afterwards.
 """
 
 from __future__ import annotations
@@ -132,12 +131,11 @@ class ResidualOracle:
         """Taylor-coefficient form of the fill of the table's plan.
 
         The expansion reads the data through `table.data_block(m)` and has
-        `residual_coefficients(m)`: the alpha-coefficients of
-        t -> R(data(t), u(t)) for the keys alpha of order m, in plan
-        order, with each u_alpha = d^alpha u / alpha! set to zero, as the
-        columns of one array.  `record(m, solved)` takes the solved
-        coefficients of order m as the columns of `solved`.  `fill_table`
-        asks for order m only after every lower order is recorded.
+        `solve(m)`: the coefficients u_alpha = d^alpha u / alpha! of the
+        keys alpha of order m, in plan order, as the columns of one array,
+        solved from the alpha-coefficients of t -> R(data(t), u(t)) with
+        each u_alpha set to zero and taken into its series.  `fill_table`
+        asks for order m only after every lower order.
         """
         raise NotImplementedError
 
@@ -274,7 +272,7 @@ def solve_residual_stack(oracle: ResidualOracle, ds: Iterable, u0, tol: float,
     the step is round-off, at most 16 * eps * dim(u) * ||u|| (the P1
     benchmark stalls at about 0.1 * eps * dim(u) * ||u||), u is converged
     and is returned although its residual norm sits above tol; otherwise,
-    and after `max_iter` iterations, NonConvergenceError is raised.
+    and after `max_iter` (>= 0) iterations, NonConvergenceError is raised.
 
     Blocks of `oracle.stack_points` points are solved in lockstep through
     the oracle's `stack` forms: each round linearizes the points at a new
@@ -283,6 +281,8 @@ def solve_residual_stack(oracle: ResidualOracle, ds: Iterable, u0, tol: float,
     take alone, so its state is a one-point solve's bytes; an error at any
     point propagates.
     """
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     out = []
     ds = iter(ds)
     while block := list(itertools.islice(ds, oracle.stack_points)):
@@ -378,16 +378,13 @@ def fill_table(table: DerivativeTable, plan: SplitPlan) -> DerivativeTable:
 
     Each order is filled at once through the oracle's Taylor expansion:
     the residual coefficients of all its keys are the columns of one
-    right-hand side, one call of `solve_linearized` gives their u_alpha,
-    and the order's array is alpha! u_alpha, a row per key.
+    right-hand side, one linearized solve gives their u_alpha, and the
+    order's array is alpha! u_alpha, a row per key.
     """
-    oracle, d, u = table.oracle, table.d, table.u
     table.plan, table.orders = plan, table.orders[:1]
-    taylor = oracle.taylor_expansion(table)
+    taylor = table.oracle.taylor_expansion(table)
     for m in range(1, plan.max_order + 1):
-        solved = -oracle.solve_linearized(d, u, taylor.residual_coefficients(m))
-        taylor.record(m, solved)
-        rows = np.moveaxis(solved, -1, 0)
+        rows = np.moveaxis(taylor.solve(m), -1, 0)
         facts = plan.factorials(m).astype(float).reshape((-1,) + (1,) * (rows.ndim - 1))
         table.orders.append(np.multiply(facts, rows, order="C"))
     return table
@@ -645,10 +642,12 @@ class _PolynomialExpansion:
     coefficients first, u_alpha last.  A monomial's series is the Cauchy
     product of its factors' series, formed anew per order up to that order,
     so u_alpha of the order itself is zero in it, and the residual
-    coefficients sum the monomials' series with their coefficients.
+    coefficients sum the monomials' series with their coefficients;
+    `solve(m)` divides them through `oracle.solve_linearized`.
     """
 
     def __init__(self, oracle: PolynomialOracle, table: DerivativeTable):
+        self._oracle, self._d, self._u = oracle, table.d, table.u
         plan = self._plan = table.plan
         self._series = [np.append(table.d, table.u)[None]]
         for m in range(1, plan.max_order + 1):
@@ -678,9 +677,11 @@ class _PolynomialExpansion:
             out += c * product[m][:, 0]
         return out
 
-    def record(self, m: int, solved: np.ndarray) -> None:
-        """Write the solved u_alpha of order m into u's column."""
+    def solve(self, m: int) -> np.ndarray:
+        """The u_alpha of every key of order m, written into u's column."""
+        solved = -self._oracle.solve_linearized(self._d, self._u, self.residual_coefficients(m))
         self._series[m][:, -1] = solved
+        return solved
 
 
 def scalar_quadratic_oracle() -> PolynomialOracle:

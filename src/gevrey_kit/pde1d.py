@@ -179,7 +179,7 @@ class Mesh1D:
         if isinstance(boundary, np.ndarray):
             np.add(full[..., -1], boundary, out=full[..., -1], where=boundary != 0.0)
         elif boundary:
-            full[-1] += boundary
+            full[..., -1] += boundary
         return full[..., 1:self.n_free + 1]
 
     def bilinear_form(self, stiffness=None, mass=None) -> tuple[np.ndarray, np.ndarray]:
@@ -555,6 +555,15 @@ def _linearization(mesh: Mesh1D, b: np.ndarray, nl: Nonlinearity, uq: np.ndarray
     return mesh._bands(ke, b * nl.deriv(1, uq))
 
 
+def _linearization_factors(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_ldl` of the bands of one state linearization; LinearizationError
+    when it is not positive definite."""
+    factors = _ldl(diag, off)
+    if factors is None:
+        raise LinearizationError("state linearization is not positive definite")
+    return factors
+
+
 #: Bytes of one Gauss-point field of the points that `PdeOracle` solves
 #: together: a block of 26 points at mesh 256, of one point at mesh 4096.
 _STACK_BYTES = 160 << 10
@@ -565,24 +574,19 @@ class PdeOracle(ResidualOracle):
 
     Data vectors are PdeData values, states free-node numpy vectors, and
     residuals free-node dual vectors; norms are the discrete H1 norm and
-    its dual.  The LDL^T factors of the linearization are cached per base
-    point; a linearization that is not positive definite raises
-    LinearizationError.
+    its dual.  The oracle holds its mesh and nonlinearity and nothing else:
+    `solve_linearized` factors the linearization anew at each call, and a
+    linearization that is not positive definite raises LinearizationError.
 
     Newton solves stacks of points in blocks of `stack_points`, as many as
     fit `_STACK_BYTES` with one Gauss-point field each (`_PdeStack`).  A
-    stack leaves its last point's stiffness term and last evaluated Gauss
-    values in caches that `solve_linearized` reads, so the linearizations
-    after a one-point solve form neither again; each of the three caches
-    holds one entry, keyed by object identity.
+    table fill factors the linearization at its base point once, in its
+    `_TaylorExpansion`.
     """
 
     def __init__(self, mesh: Mesh1D, nl: Nonlinearity):
         self.mesh = mesh
         self.nl = nl
-        self._lin_cache: tuple | None = None
-        self._quad_cache: tuple = (None, None)  # (u, its Gauss values)
-        self._ke_cache: tuple = (None, None)  # (d, the stiffness term of d.a)
 
     def eval(self, d: PdeData, u: np.ndarray) -> np.ndarray:
         return assemble_residual(self.mesh, d, self.nl, u)
@@ -591,18 +595,8 @@ class PdeOracle(ResidualOracle):
         return apply_residual_derivative(self.mesh, d, self.nl, u, r, args)
 
     def solve_linearized(self, d: PdeData, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        cache = self._lin_cache
-        if cache is None or cache[0] is not d or cache[1] is not u:
-            quad, ke = self._quad_cache, self._ke_cache
-            if quad[0] is not u:
-                quad = self._quad_cache = (u, self.mesh.at_quad(u))
-            if ke[0] is not d:
-                ke = self._ke_cache = (d, self.mesh._stiffness_term(d.a))
-            factors = _ldl(*_linearization(self.mesh, d.b, self.nl, quad[1], ke[1]))
-            if factors is None:
-                raise LinearizationError("state linearization is not positive definite")
-            cache = self._lin_cache = (d, u, factors)
-        return _ldl_solve(cache[2], rhs)
+        bands = linearization_matrix(self.mesh, d, self.nl, u)
+        return _ldl_solve(_linearization_factors(*bands), rhs)
 
     @property
     def stack_points(self) -> int:
@@ -612,9 +606,7 @@ class PdeOracle(ResidualOracle):
         data = ds[0] if len(ds) == 1 else PdeData(
             *(np.stack([getattr(d, name) for d in ds]) for name in "abf"),
             np.array([d.g for d in ds]))
-        ke = self.mesh._stiffness_term(data.a)
-        self._ke_cache = (ds[-1], ke if len(ds) == 1 else ke[-1])
-        return _PdeStack(self, data, ke)
+        return _PdeStack(self, data, self.mesh._stiffness_term(data.a))
 
     def taylor_expansion(self, table) -> "_TaylorExpansion":
         return _TaylorExpansion(self.mesh, self.nl, table)
@@ -638,8 +630,9 @@ class _PdeStack:
     the bytes of the one-point forms; one point has no leading axis, which
     costs numpy about half again per call.  The stiffness terms ke are formed
     once, and the Gauss values of the states last evaluated are kept for the
-    linearizations.  A dual norm is one dpttrs over all columns and a dot
-    product per point; each point has its own LDL^T.
+    linearizations; the stack reads its oracle's mesh and nonlinearity and
+    writes nothing into it.  A dual norm is one dpttrs over all columns and
+    a dot product per point; each point has its own LDL^T.
     """
 
     def __init__(self, oracle: PdeOracle, data: PdeData, ke: np.ndarray):
@@ -656,7 +649,6 @@ class _PdeStack:
         mesh = self.oracle.mesh
         full = mesh.expand(us[0] if self.size == 1 else us)
         uq = self._uq = mesh._gauss_values(full)
-        self.oracle._quad_cache = (us[-1], uq if self.size == 1 else uq[-1])
         res = _residual(mesh, self.data, self.oracle.nl, full, uq).reshape(self.size, -1)
         riesz = _ldl_solve(mesh._h1_factors, res.T).T
         return res, [math.sqrt(max(float(r @ x), 0.0)) for r, x in zip(res, riesz)]
@@ -664,13 +656,8 @@ class _PdeStack:
     def solve_linearized(self, rows: list, rhs: list) -> list:
         bands = _linearization(self.oracle.mesh, self._rows(self.data.b, rows), self.oracle.nl,
                                self._rows(self._uq, rows), self._rows(self.ke, rows))
-        steps = []
-        for diag, off, r in zip(*(band.reshape(len(rows), -1) for band in bands), rhs):
-            factors = _ldl(diag, off)
-            if factors is None:
-                raise LinearizationError("state linearization is not positive definite")
-            steps.append(_ldl_solve(factors, r))
-        return steps
+        return [_ldl_solve(_linearization_factors(diag, off), r)
+                for diag, off, r in zip(*(band.reshape(len(rows), -1) for band in bands), rhs)]
 
     def take(self, rows: list) -> "_PdeStack":
         data = self.data
@@ -714,7 +701,9 @@ class _TaylorExpansion:
     Every alpha-coefficient is affine in u_alpha, with the state
     linearization as the slope of the residual's, so
     `residual_coefficients(m)` computes all keys of order m with their
-    u_alpha = 0, and `record(m, ...)` adds the part linear in u_alpha,
+    u_alpha = 0, and `solve(m)` solves them with the LDL^T factors of the
+    linearization at the table's base point, formed once for all orders,
+    and adds the part linear in u_alpha to the series:
     G(q_0) u_alpha to q_alpha and j q_0^(j-1) times that to (q^j)_alpha.
     A series is kept only while a later order reads it: q, u and the powers
     below the top for the orders that follow, the top power only when G
@@ -741,7 +730,10 @@ class _TaylorExpansion:
                     field = field.reshape(len(field), -1)
                 self._data[name][m] = field
 
-        uq = mesh.at_quad(table.u).ravel()
+        uq = mesh.at_quad(table.u)
+        self._factors = _linearization_factors(*_linearization(
+            mesh, table.d.b, nl, uq, mesh._stiffness_term(table.d.a)))
+        uq = uq.ravel()
         q0 = nl._g(uq)
         self._n = {0: nl.deriv(0, uq)[None]}
         self._slope = {0: mesh.slopes(table.u)[None]}
@@ -800,7 +792,7 @@ class _TaylorExpansion:
                     cauchy(acc, m, m // 2, powers[1][m // 2], powers[1][m // 2])
             else:
                 acc = powers[1][0] * tilde[j - 1]
-                if last and self._p0[j - 1] == 0.0:  # read by no record and not by N
+                if last and self._p0[j - 1] == 0.0:  # read by no solve and not by N
                     tilde[j - 1] = None
                 if q is not None:
                     acc += q * powers[j - 1][0]
@@ -808,7 +800,7 @@ class _TaylorExpansion:
                     cauchy(acc, m, k, powers[1][k], powers[j - 1][m - k])
             tilde.append(acc)
         n_tilde = self._composed(tilde)
-        if self._b0 is not None and n_tilde is not None:  # in place once no record reads it
+        if self._b0 is not None and n_tilde is not None:  # in place once no solve reads it
             mass = np.multiply(n_tilde, self._b0, out=n_tilde if last else None)
         else:
             mass = np.zeros((n_m, width))
@@ -835,13 +827,14 @@ class _TaylorExpansion:
             full[:, -1] -= self._data["g"][m]
         return full[:, mesh.free].T
 
-    def record(self, m: int, solved: np.ndarray) -> None:
-        """Take the solved u_alpha of every key of order m, as the columns
-        of `solved`, into the series; one array update per series.  No
-        later order reads the last one."""
+    def solve(self, m: int) -> np.ndarray:
+        """The u_alpha of every key of order m, as the columns of one array,
+        taken into the series with one array update per series; no later
+        order reads the last one."""
+        solved = -_ldl_solve(self._factors, self.residual_coefficients(m))
         mesh, powers, tilde = self.mesh, self._powers, self._tilde
         if m == self._plan.max_order:
-            return
+            return solved
         delta = mesh.at_quad(solved.T).reshape(solved.shape[1], -1)
         lin = delta if self._dq0 is None else self._dq0 * delta
         values = [None, lin if tilde[1] is None else tilde[1] + lin]
@@ -861,6 +854,7 @@ class _TaylorExpansion:
                 series[m] = value
             for r in [r for r in series if r and r + max(orders) <= m]:
                 del series[r]
+        return solved
 
 
 # -- solving and measured constants --------------------------------------------

@@ -48,40 +48,14 @@ def test_series_oracle_consistency():
     assert got == CUBIC_DERIVATIVES
 
 
-def reference_scalar_newton(oracle, d, u, tol):
-    """`solve_residual` at one point, written out with the oracle's one-point
-    forms; returns u, the steps taken and the halvings of the steps taken."""
-    res = oracle.eval(d, u)
-    rnorm = oracle.residual_norm(res)
-    iterations = halvings = 0
-    for _ in range(100):
-        if rnorm <= tol:
-            return u, iterations, halvings
-        step = oracle.solve_linearized(d, u, res)
-        lam = 1.0
-        for tries in range(31):
-            u_new = u - lam * step
-            res_new = oracle.eval(d, u_new)
-            rnorm_new = oracle.residual_norm(res_new)
-            if rnorm_new < rnorm:
-                break
-            lam *= 0.5
-        else:
-            assert abs(step) <= 16.0 * np.finfo(float).eps * abs(u)
-            return u, iterations, halvings
-        u, res, rnorm = u_new, res_new, rnorm_new
-        iterations, halvings = iterations + 1, halvings + tries
-    raise AssertionError("reference Newton did not converge")
-
-
 class TestSolveResidual:
     @pytest.mark.parametrize("tol", [1e-14, 0.0])  # 0.0 ends at the round-off floor
-    def test_stack_is_each_point_alone(self, tol):
+    def test_stack_is_each_point_alone(self, tol, reference_newton):
         # the per-point stack forms in lockstep: points that take different
         # numbers of steps, halve steps or are solved at u0
         oracle = scalar_cubic_oracle()
         ds = [np.array([v]) for v in (2.0, 0.0, 100.0, 0.5, -30.0, 1e-3)]
-        want = [reference_scalar_newton(oracle, d, 0.0, tol) for d in ds]
+        want = [reference_newton(oracle, d, 0.0, tol) for d in ds]
         got = solve_residual_stack(oracle, iter(ds), 0.0, tol)
         assert [(type(u), u) for u in got] == [(type(u), u) for u, _, _ in want]
         assert len({iterations for _, iterations, _ in want}) > 2
@@ -95,6 +69,15 @@ class TestSolveResidual:
                                  3.0, 1e-12, max_iter=40)
         with pytest.raises(LinearizationError):
             solve_residual_stack(oracle, [np.array([0.0]), np.array([1.0])], 0.0, 1e-12)
+
+    def test_negative_max_iter_rejected(self):
+        # d = 100 needs steps, so no limit >= 0 below them converges
+        oracle = scalar_cubic_oracle()
+        for max_iter in (0, 2):
+            with pytest.raises(NonConvergenceError):
+                solve_residual(oracle, np.array([100.0]), 0.0, 1e-12, max_iter=max_iter)
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_residual(oracle, np.array([100.0]), 0.0, 1e-12, max_iter=-1)
 
     def test_quadratic_closed_form(self):
         oracle = scalar_quadratic_oracle()

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from gevrey_kit import combinatorics
+from gevrey_kit import combinatorics, pde1d
 from gevrey_kit.combinatorics import MultiIndex, SplitPlan, multi_indices_up_to
 from gevrey_kit.envelopes import GevreyEnvelope, ParametricEnvelope
 from gevrey_kit.implicit_diff import (
@@ -400,23 +400,26 @@ class TestTaylorFill:
 
     def test_one_solve_per_order(self, monkeypatch):
         # the batched fill solves each order's loads as the columns of one
-        # right-hand side: 5 solves for the 125 entries of p = 4, order 5
+        # right-hand side, with the factors of one linearization: 5 solves
+        # for the 125 entries of p = 4, order 5
         mesh = Mesh1D.uniform(32)
         nl = Nonlinearity.cubic()
         tilde = TildeData(DomainMap1D(p=4), PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0),
                           mesh, np.full(4, 0.25))
         u = newton_solve(mesh, tilde.data, nl)
-        columns = []
-        solve = PdeOracle.solve_linearized
+        columns, factorizations = [], []
+        solve, ldl = pde1d._ldl_solve, pde1d._ldl
 
-        def counting(self, d, u, rhs):
+        def counting(factors, rhs):
             columns.append(np.shape(rhs)[1])
-            return solve(self, d, u, rhs)
+            return solve(factors, rhs)
 
-        monkeypatch.setattr(PdeOracle, "solve_linearized", counting)
+        monkeypatch.setattr(pde1d, "_ldl_solve", counting)
+        monkeypatch.setattr(pde1d, "_ldl", lambda *bands: factorizations.append(1) or ldl(*bands))
         table = parametric_derivative_table(PdeOracle(mesh, nl), tilde, 5, u=u)
         assert len(table) == 126
         assert columns == [4, 10, 20, 35, 56]
+        assert factorizations == [1]
 
     def test_one_reduction_per_split_order(self, monkeypatch):
         # the slopes and the Gauss-point series share the reduction of each

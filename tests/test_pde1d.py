@@ -8,17 +8,21 @@ import scipy.linalg
 from numpy.polynomial import polynomial as npoly
 
 from gevrey_kit import pde1d
-from gevrey_kit.combinatorics import MultiIndex
+from gevrey_kit.combinatorics import MultiIndex, SplitPlan
 from gevrey_kit.envelopes import GevreyEnvelope, StabilityConstant, envelope_check, implicit_envelope
 from gevrey_kit.implicit_diff import (
+    DerivativeTable,
     LinearizationError,
     NonConvergenceError,
+    affine_data_map,
     derivative_table,
+    fill_table,
     finite_difference_check,
     finite_difference_table,
     solve_residual,
     solve_residual_stack,
 )
+from gevrey_kit.parametric import DomainMap1D, TildeData, parametric_derivative_table
 from gevrey_kit.pde1d import (
     Mesh1D,
     Nonlinearity,
@@ -113,6 +117,21 @@ class TestMesh:
             maps = getattr(mesh, name)
             assert np.array_equal(maps(stack), np.array([maps(v) for v in stack])), name
         assert np.array_equal(mesh.slopes(stack), np.diff(full) / mesh.h)
+
+    @pytest.mark.parametrize("right_bc", ["dirichlet", "neumann"])
+    def test_stacked_load_with_a_scalar_boundary_is_per_point(self, right_bc):
+        mesh = Mesh1D.uniform(4, right_bc)
+        rng = np.random.default_rng(6)
+        grad, mass = rng.standard_normal((2, 3, mesh.n_elements, 3))
+        for parts in [(None, mass), (grad, None), (grad, mass)]:
+            got = mesh.assemble_load(*parts, boundary=1.0)
+            want = [mesh.assemble_load(*(None if x is None else x[i] for x in parts),
+                                       boundary=1.0) for i in range(3)]
+            assert np.array_equal(got, np.array(want))
+            # the flux reaches the last free node of every point, and only on a Neumann end
+            added = got - mesh.assemble_load(*parts)
+            assert np.array_equal(added[:, :-1], np.zeros((3, mesh.n_free - 1)))
+            assert np.allclose(added[:, -1], 1.0 if right_bc == "neumann" else 0.0)
 
     def test_h1_norm_matches_hand_integration(self):
         mesh = Mesh1D.uniform(64)
@@ -326,37 +345,10 @@ class TestKernelsBitwise:
             assert_same_bytes(got, want)
 
 
-def reference_newton(mesh, data, nl, tol):
-    """`solve_residual` through `PdeOracle` at one point, written out with the
-    public residual and linearization and a fresh LDL^T at every iterate;
-    returns u, the steps taken and the halvings of the steps taken."""
-    u = np.zeros(mesh.n_free)
-    res = assemble_residual(mesh, data, nl, u)
-    rnorm = mesh.dual_norm(res)
-    iterations = halvings = 0
-    for _ in range(100):
-        if rnorm <= tol:
-            return u, iterations, halvings
-        step = pde1d._ldl_solve(pde1d._ldl(*linearization_matrix(mesh, data, nl, u)), res)
-        lam = 1.0
-        for tries in range(31):
-            u_new = u - lam * step
-            res_new = assemble_residual(mesh, data, nl, u_new)
-            rnorm_new = mesh.dual_norm(res_new)
-            if rnorm_new < rnorm:
-                break
-            lam *= 0.5
-        else:
-            assert mesh.h1_norm(step) <= 16.0 * np.finfo(float).eps * u.size * mesh.h1_norm(u)
-            return u, iterations, halvings
-        u, res, rnorm = u_new, res_new, rnorm_new
-        iterations, halvings = iterations + 1, halvings + tries
-    raise AssertionError("reference Newton did not converge")
-
-
 class TestNewtonReuse:
     """The oracle's Newton computes each state's Gauss values and each data
-    value's stiffness term once, with the bytes of the public forms."""
+    value's stiffness term once, with the bytes of the one-point forms (the
+    public residual and linearization, a fresh LDL^T at every iterate)."""
 
     @staticmethod
     def data(mesh, seed, scale=1.0, g=0.5):
@@ -367,7 +359,8 @@ class TestNewtonReuse:
     @KERNEL_MESHES
     @NONLINEARITIES
     @pytest.mark.parametrize("tol", [1e-12, 0.0])  # 0.0 ends at the round-off floor
-    def test_newton_is_bitwise_the_public_forms(self, mesh, nl, tol, monkeypatch):
+    def test_newton_is_bitwise_the_public_forms(self, mesh, nl, tol, monkeypatch,
+                                                reference_newton):
         # seven points in blocks of three: forcings of several sizes take
         # different numbers of steps, the one of -1000 halves a step, and a
         # Neumann stack mixes g = 0 with g != 0
@@ -375,7 +368,8 @@ class TestNewtonReuse:
         points = [self.data(mesh, seed, scale, g) for seed, scale, g in [
             (11, 1.0, 0.5), (21, 0.01, 0.0), (22, 0.3, 0.5), (23, 10.0, 0.0),
             (24, 100.0, 0.5), (26, -1000.0, 0.5), (25, 1.0, 0.0)]]
-        want = [reference_newton(mesh, d, nl, tol) for d in points]
+        want = [reference_newton(PdeOracle(mesh, nl), d, np.zeros(mesh.n_free), tol)
+                for d in points]
         oracle = PdeOracle(mesh, nl)
         assert oracle.stack_points == 3
         got = solve_residual_stack(oracle, iter(points), np.zeros(mesh.n_free), tol)
@@ -392,21 +386,28 @@ class TestNewtonReuse:
     @KERNEL_MESHES
     @NONLINEARITIES
     def test_caches_follow_the_objects(self, mesh, nl):
-        rng = np.random.default_rng(12)
-        data, other = self.data(mesh, 13), self.data(mesh, 14)
-        u1, u2 = rng.standard_normal(mesh.n_free), rng.standard_normal(mesh.n_free)
-        rhs = rng.standard_normal(mesh.n_free)
-
-        def fresh(d, u):
-            return PdeOracle(mesh, nl).solve_linearized(d, u, rhs)
-
-        oracle = PdeOracle(mesh, nl)
-        oracle.eval(data, u1)
-        assert_same_bytes(oracle.solve_linearized(data, u1, rhs), fresh(data, u1))
-        for d, u in [(data, u2), (data, u1.copy()), (PdeData(*map(np.copy, (data.a, data.b,
-                     data.f)), data.g), u1), (other, u1), (other, u2)]:
-            assert_same_bytes(oracle.solve_linearized(d, u, rhs), fresh(d, u))
-            oracle.eval(data, u1)
+        # an oracle keeps nothing between calls: one oracle shared by a
+        # solve, linearized solves, a directional table, an FD stack and a
+        # parametric table gives the bytes of a fresh oracle for each, and
+        # holds only its mesh and nonlinearity
+        base = self.data(mesh, 13)
+        dirs = [0.1 * self.data(mesh, 14), -0.2 * self.data(mesh, 15)]
+        tilde = TildeData(DomainMap1D(p=2), base, mesh, np.array([0.2, -0.1]))
+        u = solve_residual(PdeOracle(mesh, nl), base, np.zeros(mesh.n_free), 1e-12)
+        rhs = np.random.default_rng(12).standard_normal((mesh.n_free, 2))
+        runs = [
+            lambda oracle: [solve_residual(oracle, base, oracle.zero_state(), 1e-12)],
+            lambda oracle: [oracle.solve_linearized(d, u, rhs) for d in (base, base + dirs[0])],
+            lambda oracle: [v for _, v in derivative_table(oracle, base, dirs, 3).items()],
+            lambda oracle: solve_residual_stack(oracle, [base + d for d in dirs] + [base - dirs[0]],
+                                                oracle.zero_state(), 1e-12),
+            lambda oracle: [v for _, v in parametric_derivative_table(oracle, tilde, 3).items()],
+        ]
+        shared = PdeOracle(mesh, nl)
+        for run in runs:
+            for got, want in zip(run(shared), run(PdeOracle(mesh, nl)), strict=True):
+                assert_same_bytes(got, want)
+        assert vars(shared).keys() == {"mesh", "nl"}
 
     def test_each_gauss_and_stiffness_value_is_computed_once(self, monkeypatch):
         mesh = Mesh1D.uniform(32)
@@ -441,12 +442,17 @@ class TestNewtonReuse:
             assert points["_linearization"] > 2 * n_data
             return result
 
-        # a one-point solve, then the linearized solves of a table fill at
-        # its solution
-        rhs = np.ones((mesh.n_free, 2))
+        # a one-point solve, then a table fill of three orders at its
+        # solution, which linearizes and factors once
         u = check(lambda: solve_residual(oracle, base, oracle.zero_state(), 1e-13), 1)
-        check(lambda: [oracle.solve_linearized(base, u, rhs) for _ in range(3)], 0)
-        table = derivative_table(oracle, base, dirs, 3)
+        factorizations = []
+        ldl = pde1d._ldl
+        monkeypatch.setattr(pde1d, "_ldl", lambda *bands: factorizations.append(1) or ldl(*bands))
+        points.update(dict.fromkeys(points, 0))
+        table = fill_table(DerivativeTable(oracle, base, u, affine_data_map(oracle, base, dirs)),
+                           SplitPlan.up_to(2, 3))
+        assert points["_linearization"] == points["_stiffness_term"] == 1
+        assert factorizations == [1]
         solve = lambda ds: solve_residual_stack(oracle, ds, oracle.zero_state(), 1e-13)
         keys = [alpha for alpha, _ in table.items() if 1 <= alpha.order() <= 2]
         # 12 distinct nonzero stencil points per step, two steps, and the base
@@ -694,7 +700,7 @@ class TestConstants:
             for j in range(rhs.shape[1]):
                 assert np.array_equal(got[:, j], pde1d._ldl_solve(factors, rhs[:, j].copy()))
 
-    def test_solve_linearized_takes_columns_with_cached_factors(self, monkeypatch):
+    def test_solve_linearized_takes_columns(self, monkeypatch):
         mesh = Mesh1D.uniform(32)
         nl = Nonlinearity.cubic()
         data = PdeData.from_spec(mesh, a=lambda x: 1.0 + x, b=2.0, f=1.0)
@@ -706,7 +712,7 @@ class TestConstants:
         ldl = pde1d._ldl
         monkeypatch.setattr(pde1d, "_ldl", lambda *bands: factorizations.append(1) or ldl(*bands))
         got = oracle.solve_linearized(data, u, rhs)
-        assert factorizations == []
+        assert factorizations == [1]  # factored anew at every call
         assert got.shape == rhs.shape
         assert np.array_equal(got[:, 0], first)
         expected = np.linalg.solve(dense(linearization_matrix(mesh, data, nl, u)), rhs)

@@ -9,6 +9,8 @@ that claims the same numbers must leave byte-identical:
   mesh 256, seeds 1-3, y_samples 1 and 2: CSV and report;
 * `derivatives --problem pde1d --order 6 --fd-check` along two {a, b, f}
   directions at mesh 256: CSV;
+* `derivatives --problem scalar-cubic` and `--problem scalar-quadratic`,
+  `--order 8 --fd-check` along the directions [1.0, 0.5, -0.25]: CSV;
 * `solve --report` for cubic with Dirichlet ends at mesh 4096 and for
   tanh_shifted with a Neumann right end (g = 0.5) at mesh 512: CSV and report;
 * `selftest`: stdout.
@@ -52,6 +54,11 @@ def commands(out: Path):
         "derivatives", "--problem", "pde1d", "--order", "6", "--mesh-n", "256",
         "--directions", _config(out, "directions.json", directions), "--fd-check",
         "--output", str(out / "derivatives-fd.csv")]
+    for problem in ("scalar-cubic", "scalar-quadratic"):
+        yield f"derivatives-{problem}", [
+            "derivatives", "--problem", problem, "--order", "8",
+            "--directions", _config(out, "scalar-directions.json", [1.0, 0.5, -0.25]),
+            "--fd-check", "--output", str(out / f"derivatives-{problem}.csv")]
     for name, cfg in (
             ("solve-cubic", {"mesh_n": 4096, "bc": "dirichlet", "a": 1.0, "b": 1.0, "f": 1.0,
                              "nonlinearity": {"kind": "cubic"}, "seed": 1}),
