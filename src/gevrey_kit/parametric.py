@@ -13,9 +13,10 @@ and everything else moves to the right-hand side of a linearized solve.
 `parametric_derivative_table` fills its tables, one array per order, by
 Taylor-coefficient propagation (`fill_table` with `PdeOracle`'s
 expansion), the data of an order entering as one block
-(`TildeData.coefficients`).  `verify_derivative_bounds` shares one plan
-across its points and forms the H1 norms and log-bounds an order at a
-time.  The composition sum of the chain rule
+(`TildeData.coefficients`).  `verify_derivative_bounds` makes one pass
+over its points (solve, constants, fill) with one plan for all; it takes
+the H1 norms of an order's block with `Mesh1D.h1_norms` and the
+log-bounds an order at a time.  The composition sum of the chain rule
 (`parametric_solution_derivative`) gives single entries and is the oracle
 the tests compare the tables with.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,7 +61,6 @@ __all__ = [
     "parametric_solution_derivative",
     "parametric_derivative_table",
     "data_envelope",
-    "solution_envelope",
     "verify_derivative_bounds",
     "DerivativeBoundRow",
     "DerivativeBoundReport",
@@ -265,29 +265,13 @@ def data_envelope(dmap: DomainMap1D, hat: PdeData, mesh: Mesh1D) -> ParametricEn
     )
 
 
-def _solve_at(dmap, hat, mesh, nl, ys, tol):
-    """(tilde data, solution) at each parameter point; raises ValueError when
-    there is none, since constants measured on no point certify nothing."""
-    solves = []
-    for y in ys:
-        tilde = TildeData(dmap, hat, mesh, y)
-        solves.append((tilde, newton_solve(mesh, tilde.data, nl, tol=tol)))
-    if not solves:
-        raise ValueError("need at least one parameter point")
-    return solves
-
-
-def _envelope_from_solves(dmap, hat, mesh, nl, solves):
-    alpha_max = sigma_max = digamma_max = 1.0
-    u_norm_max = 0.0
-    per_point = []
-    for tilde, u in solves:
-        consts = estimate_constants(mesh, tilde.data, nl, u)
-        per_point.append(consts)
-        alpha_max = max(alpha_max, consts.alpha)
-        sigma_max = max(sigma_max, consts.sigma)
-        digamma_max = max(digamma_max, consts.digamma)
-        u_norm_max = max(u_norm_max, mesh.h1_norm(u))
+def _envelope_from_constants(dmap, hat, mesh, per_point, u_norm_max):
+    """Composed envelope of the parameters-to-solution map and its constants
+    detail, from the constants measured at each sampled point and the
+    largest ||u|| over them."""
+    alpha_max = max([1.0] + [c.alpha for c in per_point])
+    sigma_max = max([1.0] + [c.sigma for c in per_point])
+    digamma_max = max([1.0] + [c.digamma for c in per_point])
     solution_env = implicit_envelope(
         StabilityConstant(alpha_max), GevreyEnvelope(1.0, sigma_max, digamma_max)
     )
@@ -310,19 +294,6 @@ def _envelope_from_solves(dmap, hat, mesh, nl, solves):
         "per_point": [c.as_dict() for c in per_point],
     }
     return envelope, constants
-
-
-def solution_envelope(dmap: DomainMap1D, hat: PdeData, mesh: Mesh1D,
-                      nl: Nonlinearity, ys: Sequence):
-    """Composed envelope for the parameters-to-solution map.
-
-    Chains the constructive data envelope with the implicit-solution
-    envelope built from constants measured at the sampled parameter
-    points (stability bound, residual-derivative constants).  Returns
-    (envelope, constants detail); raises ValueError when ys is empty.
-    """
-    solves = _solve_at(dmap, hat, mesh, nl, ys, 1e-12)
-    return _envelope_from_solves(dmap, hat, mesh, nl, solves)
 
 
 class DerivativeBoundRow(NamedTuple):
@@ -350,43 +321,42 @@ class DerivativeBoundReport:
 
 
 def verify_derivative_bounds(dmap: DomainMap1D, hat: PdeData, mesh: Mesh1D,
-                    nl: Nonlinearity, ys: Sequence, max_order: int = 4,
+                    nl: Nonlinearity, ys: Iterable, max_order: int = 4,
                     envelope: ParametricEnvelope | None = None,
                     tol: float = 1e-12) -> DerivativeBoundReport:
     """Measure H1 norms of every d^alpha u with |alpha| <= max_order at the
     sampled parameter points and compare them against the envelope.
 
-    When no envelope is passed, the composed-envelope pipeline of
-    `solution_envelope` is used with constants measured on the same
-    samples.  An entry passes when measured <= bound, with no slack.  One
-    plan serves every point.  Raises ValueError when ys is empty.
+    One pass over ys: at each point a Newton solve, the measured constants
+    and ||u|| (only when no envelope is passed), and the table's norms.
+    Without an envelope, the data envelope is then composed with the
+    implicit-solution envelope built from those constants (stability bound,
+    residual-derivative constants).  An entry passes when measured <= bound,
+    with no slack.  One plan serves every point.  Raises ValueError when ys
+    is empty, since constants measured on no point certify nothing.
     """
-    solves = _solve_at(dmap, hat, mesh, nl, ys, tol)
+    oracle = PdeOracle(mesh, nl)
+    plan = SplitPlan.up_to(dmap.p, max_order)
+    per_point, u_norm_max, measured = [], 0.0, []
+    for y in ys:
+        tilde = TildeData(dmap, hat, mesh, y)
+        u = newton_solve(mesh, tilde.data, nl, tol=tol)
+        if envelope is None:
+            per_point.append(estimate_constants(mesh, tilde.data, nl, u))
+            u_norm_max = max(u_norm_max, mesh.h1_norm(u))
+        table = parametric_derivative_table(oracle, tilde, max_order, u=u, tol=tol, plan=plan)
+        measured.append([x for block in table.orders for x in mesh.h1_norms(block)])
+    if not measured:
+        raise ValueError("need at least one parameter point")
     constants: dict = {}
     if envelope is None:
-        envelope, constants = _envelope_from_solves(dmap, hat, mesh, nl, solves)
-    plan = SplitPlan.up_to(dmap.p, max_order)
+        envelope, constants = _envelope_from_constants(dmap, hat, mesh, per_point, u_norm_max)
     log_bounds = np.concatenate([envelope.log_bounds(m, exps)
                                  for m, exps in enumerate(plan.exps)]).tolist()
-    rows = []
-    for y_index, (tilde, u) in enumerate(solves):
-        table = parametric_derivative_table(PdeOracle(mesh, nl), tilde, max_order,
-                                            u=u, tol=tol, plan=plan)
-        measured = [x for block in table.orders for x in _h1_norms(mesh, block)]
-        for alpha, value, lb in zip(plan.keys(), measured, log_bounds):
-            rows.append(DerivativeBoundRow(alpha, y_index, value, lb,
-                                           *compare_to_log_bound(value, lb)))
+    rows = [DerivativeBoundRow(alpha, y_index, value, lb, *compare_to_log_bound(value, lb))
+            for y_index, values in enumerate(measured)
+            for alpha, value, lb in zip(plan.keys(), values, log_bounds)]
     return DerivativeBoundReport(tuple(rows), envelope, constants)
-
-
-def _h1_norms(mesh: Mesh1D, rows: np.ndarray) -> list[float]:
-    """`Mesh1D.h1_norm` of every row, bit for bit: one Gram product, then a
-    dot product per row (a batched one sums in another order)."""
-    diag, off = mesh.h1_gram
-    gram = diag * rows
-    gram[:, 1:] += off * rows[:, :-1]
-    gram[:, :-1] += off * rows[:, 1:]
-    return [math.sqrt(max(float(v @ g), 0.0)) for v, g in zip(rows, gram)]
 
 
 @dataclass(frozen=True)

@@ -221,12 +221,21 @@ class Mesh1D:
     def _h1_factors(self) -> tuple[np.ndarray, np.ndarray]:
         return _ldl(*self.h1_gram)
 
-    def h1_norm(self, v: np.ndarray) -> float:
+    def _h1_gram_product(self, v: np.ndarray) -> np.ndarray:
         diag, off = self.h1_gram
-        gram_v = diag * v  # row by row, so no cancellation between band sums
-        gram_v[1:] += off * v[:-1]
-        gram_v[:-1] += off * v[1:]
-        return math.sqrt(max(float(v @ gram_v), 0.0))
+        gram_v = diag * v  # last axis, row by row: no cancellation between band sums
+        gram_v[..., 1:] += off * v[..., :-1]
+        gram_v[..., :-1] += off * v[..., 1:]
+        return gram_v
+
+    def h1_norm(self, v: np.ndarray) -> float:
+        return math.sqrt(max(float(v @ self._h1_gram_product(v)), 0.0))
+
+    def h1_norms(self, rows: np.ndarray) -> list[float]:
+        """`h1_norm` of every row, bit for bit: one Gram product, then a dot
+        product per row (a batched one sums in another order)."""
+        gram = self._h1_gram_product(rows)
+        return [math.sqrt(max(float(v @ g), 0.0)) for v, g in zip(rows, gram)]
 
     def riesz(self, functional: np.ndarray) -> np.ndarray:
         return _ldl_solve(self._h1_factors, functional)
@@ -863,7 +872,7 @@ class _TaylorExpansion:
 def validate_admissible(mesh: Mesh1D, data: PdeData, nl: Nonlinearity) -> None:
     if float(np.min(data.a)) <= 0.0:
         raise ValueError("diffusion coefficient must be uniformly positive")
-    if float(np.min(data.b)) < -1e-14:
+    if float(np.min(data.b)) < 0.0:
         raise ValueError("reaction weight must be nonnegative")
     if mesh.right_bc == "dirichlet" and data.g != 0.0:
         raise ValueError("Neumann value must vanish for a Dirichlet right end")

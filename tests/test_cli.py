@@ -221,6 +221,44 @@ class TestSolve:
         assert "unknown keys for nonlinearity" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,message", [
+        (None, "cannot read config"), ("{", "cannot read config"),
+        ("[1, 2]", "config must be a JSON object"),
+    ], ids=["missing", "not-json", "not-an-object"])
+    def test_unusable_config_file_rejected(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "solve.json"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "u.csv"
+        assert run_cli(["solve", "--config", str(cfg), "--output", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec,message", [
+        ("cubic", "nonlinearity must be an object with a 'kind'"),
+        ({"coeffs": [1.0]}, "nonlinearity must be an object with a 'kind'"),
+        ({"kind": "quintic"}, "unknown nonlinearity kind 'quintic'"),
+        ({"kind": "polynomial"}, "polynomial nonlinearity needs 'coeffs'"),
+    ], ids=["string", "no-kind", "unknown-kind", "polynomial-without-coeffs"])
+    def test_unusable_nonlinearity_rejected(self, tmp_path, capsys, spec, message):
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps({"mesh_n": 16, "a": 1.0, "b": 1.0, "f": 1.0,
+                                   "nonlinearity": spec}))
+        out = tmp_path / "u.csv"
+        assert run_cli(["solve", "--config", str(cfg), "--output", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_reaction_weight_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps({"mesh_n": 64, "a": 1.0, "b": -1e-15, "f": 1.0,
+                                   "nonlinearity": {"kind": "cubic"}}))
+        out, rep = tmp_path / "u.csv", tmp_path / "report.json"
+        assert run_cli(["solve", "--config", str(cfg), "--output", str(out),
+                        "--report", str(rep)]) == 1
+        assert "reaction weight must be nonnegative" in capsys.readouterr().err
+        assert not out.exists() and not rep.exists()
+
     def test_csv_is_the_per_value_format(self, tmp_path, monkeypatch):
         u = np.array([-0.0, 1e-300, 1e300, -1e300, -1e-300, -2.5, 1.0 / 3.0, 5e-324, -0.1])
         monkeypatch.setattr(cli, "newton_solve", lambda *args, **kwargs: u)
@@ -317,6 +355,24 @@ class TestDerivatives:
                         "--mesh-n", "8", "--directions", str(dirs)])
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        (None, "cannot read directions"), ("[{", "cannot read directions"),
+        ("[]", "directions file must hold a nonempty JSON list"),
+        ('{"f": 1.0}', "directions file must hold a nonempty JSON list"),
+        ("[1.0]", "pde1d directions must be objects with keys a, b, f, g"),
+        ('[{"f": 1.0}, {"h": 1.0}]', "pde1d directions must be objects with keys a, b, f, g"),
+    ], ids=["missing", "not-json", "empty", "not-a-list", "number", "unknown-key"])
+    def test_unusable_directions_rejected(self, tmp_path, capsys, text, message):
+        dirs = tmp_path / "dirs.json"
+        if text is not None:
+            dirs.write_text(text)
+        out = tmp_path / "deriv.csv"
+        code = run_cli(["derivatives", "--problem", "pde1d", "--order", "2", "--mesh-n", "8",
+                        "--directions", str(dirs), "--output", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pde_problem_smoke(self, tmp_path):
         out = tmp_path / "deriv.csv"

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from gevrey_kit import combinatorics, pde1d
+from gevrey_kit import combinatorics, parametric, pde1d
 from gevrey_kit.combinatorics import MultiIndex, SplitPlan, multi_indices_up_to
 from gevrey_kit.envelopes import GevreyEnvelope, ParametricEnvelope
 from gevrey_kit.implicit_diff import (
@@ -29,7 +29,6 @@ from gevrey_kit.parametric import (
     DomainMap1D,
     TildeData,
     data_envelope,
-    solution_envelope,
     gevrey_rate_fit,
     parametric_derivative_table,
     parametric_solution_derivative,
@@ -502,8 +501,6 @@ class TestPerOrderBitwise:
             tilde.coefficients(SplitPlan.up_to(3, 2), 1)
 
     def test_h1_norms_match_mesh_norm(self):
-        from gevrey_kit.parametric import _h1_norms
-
         mesh = Mesh1D.uniform(256)
         nl = Nonlinearity.cubic()
         tilde = TildeData(DomainMap1D(p=4), PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0),
@@ -513,7 +510,7 @@ class TestPerOrderBitwise:
         for m, block in enumerate(table.orders):
             # each entry as its own array, as the per-key table stored it
             expected = [mesh.h1_norm(table.entry(alpha).copy()) for alpha in table.plan.keys(m)]
-            assert same_bits(_h1_norms(mesh, block), expected), m
+            assert same_bits(mesh.h1_norms(block), expected), m
 
     def test_log_bounds_match_per_key_log_bound(self):
         # a zero weight and two coordinates past the stored weights (tail)
@@ -573,7 +570,7 @@ class TestVerifyDubounds:
         hat = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
         nl = Nonlinearity.cubic()
         ys = [np.array([0.25, 0.25])]
-        env, _ = solution_envelope(dmap, hat, mesh, nl, ys)
+        env = verify_derivative_bounds(dmap, hat, mesh, nl, ys, max_order=0).envelope
         shrunk = ParametricEnvelope(
             GevreyEnvelope(env.base.s, env.base.scale * 1e-10, env.base.rate / 100.0),
             env.weights, env.tail,
@@ -605,6 +602,43 @@ class TestVerifyDubounds:
                                              envelope=report.envelope)
             mine = [(r.alpha, r.measured) for r in report.rows if r.y_index == y_index]
             assert mine == [(r.alpha, r.measured) for r in alone.rows]
+
+    def test_each_point_measures_as_if_alone(self):
+        mesh = Mesh1D.uniform(32)
+        dmap = DomainMap1D(p=2)
+        hat = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
+        nl = Nonlinearity.cubic()
+        ys = [np.array([0.3, -0.45]), np.array([-0.2, 0.1])]
+        report = verify_derivative_bounds(dmap, hat, mesh, nl, (y for y in ys), max_order=3)
+        assert len(report.constants["per_point"]) == 2
+        for y_index, y in enumerate(ys):
+            alone = verify_derivative_bounds(dmap, hat, mesh, nl, [y], max_order=3)
+            mine = [r for r in report.rows if r.y_index == y_index]
+            assert [r.alpha for r in mine] == [r.alpha for r in alone.rows]
+            assert same_bits([r.measured for r in mine], [r.measured for r in alone.rows])
+
+    def test_passed_envelope_measures_no_constants(self, monkeypatch):
+        mesh = Mesh1D.uniform(32)
+        dmap = DomainMap1D(p=2)
+        hat = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
+        nl = Nonlinearity.cubic()
+        ys = [np.array([0.25, 0.25])]
+        env = verify_derivative_bounds(dmap, hat, mesh, nl, ys, max_order=0).envelope
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("estimate_constants called with an envelope passed")
+
+        monkeypatch.setattr(parametric, "estimate_constants", forbidden)
+        report = verify_derivative_bounds(dmap, hat, mesh, nl, ys, max_order=2, envelope=env)
+        assert report.envelope is env and report.constants == {}
+        assert len(report.rows) == len(multi_indices_up_to(2, 2))
+
+    def test_no_parameter_points_rejected(self):
+        mesh = Mesh1D.uniform(16)
+        hat = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
+        with pytest.raises(ValueError, match="at least one parameter point"):
+            verify_derivative_bounds(DomainMap1D(p=2), hat, mesh, Nonlinearity.cubic(),
+                                     (y for y in []), max_order=2)
 
     def test_deterministic(self):
         mesh = Mesh1D.uniform(24)

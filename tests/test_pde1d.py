@@ -598,6 +598,12 @@ class TestNewton:
             validate_admissible(mesh, PdeData.from_spec(mesh, a=1.0, g=1.0),
                                 Nonlinearity.cubic())
 
+    def test_negative_reaction_weight_rejected(self):
+        mesh, nl = Mesh1D.uniform(8), Nonlinearity.cubic()
+        with pytest.raises(ValueError, match="reaction weight must be nonnegative"):
+            validate_admissible(mesh, PdeData.from_spec(mesh, a=1.0, b=-1e-15), nl)
+        validate_admissible(mesh, PdeData.from_spec(mesh, a=1.0, b=-0.0), nl)
+
     def test_tanh_shifted_solve(self):
         mesh = Mesh1D.uniform(64)
         data = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)

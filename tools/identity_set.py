@@ -7,6 +7,10 @@ that claims the same numbers must leave byte-identical:
 
 * `verify-bounds` for cubic (p = 4) and tanh_shifted (p = 3), order 5,
   mesh 256, seeds 1-3, y_samples 1 and 2: CSV and report;
+* `verify-bounds` for the polynomial nonlinearity with coefficients
+  [1.0, 0.5, 1.0] (not a single power, so the general composition sum
+  of the Taylor fill runs), p = 3, order 5, mesh 256, seed 1,
+  y_samples 2: CSV and report;
 * `derivatives --problem pde1d --order 6 --fd-check` along two {a, b, f}
   directions at mesh 256: CSV;
 * `derivatives --problem scalar-cubic` and `--problem scalar-quadratic`,
@@ -39,16 +43,18 @@ def _config(out: Path, name: str, value) -> str:
 
 def commands(out: Path):
     """(name, argv) of every command of the set; inputs go to out/inputs."""
-    for kind, p in (("cubic", 4), ("tanh_shifted", 3)):
-        for seed in (1, 2, 3):
-            for y_samples in (1, 2):
-                name = f"verify-{kind}-seed{seed}-y{y_samples}"
-                cfg = {"mesh_n": 256, "p": p, "c": 0.5, "vartheta": 2.0,
-                       "nonlinearity": {"kind": kind}, "max_order": 5,
-                       "y_samples": y_samples, "seed": seed, "tol": 1e-12}
-                yield name, ["verify-bounds", "--config", _config(out, f"{name}.json", cfg),
-                             "--output", str(out / f"{name}.csv"),
-                             "--report", str(out / f"{name}.json")]
+    runs = [(kind, {"kind": kind}, p, seed, y_samples)
+            for kind, p in (("cubic", 4), ("tanh_shifted", 3))
+            for seed in (1, 2, 3) for y_samples in (1, 2)]
+    runs.append(("polynomial", {"kind": "polynomial", "coeffs": [1.0, 0.5, 1.0]}, 3, 1, 2))
+    for kind, nonlinearity, p, seed, y_samples in runs:
+        name = f"verify-{kind}-seed{seed}-y{y_samples}"
+        cfg = {"mesh_n": 256, "p": p, "c": 0.5, "vartheta": 2.0,
+               "nonlinearity": nonlinearity, "max_order": 5,
+               "y_samples": y_samples, "seed": seed, "tol": 1e-12}
+        yield name, ["verify-bounds", "--config", _config(out, f"{name}.json", cfg),
+                     "--output", str(out / f"{name}.csv"),
+                     "--report", str(out / f"{name}.json")]
     directions = [{"a": 0.2, "b": 0.1, "f": 1.0}, {"a": -0.3, "b": 0.25, "f": -0.5}]
     yield "derivatives-fd", [
         "derivatives", "--problem", "pde1d", "--order", "6", "--mesh-n", "256",
