@@ -84,16 +84,21 @@ def _fmt(x: float) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write through a temp file and a rename; a path that cannot be
+    written is a configuration error, and leaves no temp file behind."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gevrey-tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gevrey-tmp-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -297,7 +302,10 @@ def _derivative_problem(args, values):
     for spec in values or [{"f": 1.0}]:
         if not isinstance(spec, dict) or set(spec) - {"a", "b", "f", "g"}:
             raise ConfigError("pde1d directions must be objects with keys a, b, f, g")
-        directions.append(_pde_data(mesh, spec, dict.fromkeys("abfg", 0.0)))
+        direction = _pde_data(mesh, spec, dict.fromkeys("abfg", 0.0))
+        if direction.g != 0.0:  # the mesh's right end is Dirichlet, where g is dropped
+            raise ConfigError("Neumann value must vanish for a Dirichlet right end")
+        directions.append(direction)
     steps = [0.1, 0.05, 0.025]
     return oracle, base, directions, steps
 

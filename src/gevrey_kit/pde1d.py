@@ -716,8 +716,8 @@ class _TaylorExpansion:
     G(q_0) u_alpha to q_alpha and j q_0^(j-1) times that to (q^j)_alpha.
     A series is kept only while a later order reads it: q, u and the powers
     below the top for the orders that follow, the top power only when G
-    reads it, and N (stored once when it is a power) and the slopes only
-    as far as the data coefficients reach.
+    reads it, and N (formed by `_composed`, and not stored where it
+    vanishes) and the slopes only as far as the data coefficients reach.
     """
 
     def __init__(self, mesh: Mesh1D, nl: Nonlinearity, table):
@@ -757,19 +757,15 @@ class _TaylorExpansion:
         else:
             self._u, self._dq0, self._dg = {0: uq[None]}, npoly.polyval(q0, nl._dg), nl._dg
             self._kept |= set(np.flatnonzero(nl._dg[1:]) + 1)
-        nonzero = np.flatnonzero(p0[1:]) + 1
-        self._n_power = nonzero[0] if len(nonzero) == 1 and p0[nonzero[0]] == 1.0 else None
         self._tilde: list | None = None
 
     def _composed(self, series: list) -> np.ndarray | None:
         """sum_{j >= 1} p0[j] (q^j) from the per-power entries of `series`
-        (None for a vanishing one); the power itself when N is one."""
-        if self._n_power is not None:
-            return series[self._n_power]
+        (None for a vanishing one or sum); a term with p0[j] == 1 is the entry itself."""
         acc = None
         for j in range(1, len(self._p0)):
             if self._p0[j] != 0.0 and series[j] is not None:
-                term = self._p0[j] * series[j]
+                term = series[j] if self._p0[j] == 1.0 else self._p0[j] * series[j]
                 acc = term if acc is None else acc + term
         return acc
 
@@ -803,8 +799,7 @@ class _TaylorExpansion:
                 acc = powers[1][0] * tilde[j - 1]
                 if last and self._p0[j - 1] == 0.0:  # read by no solve and not by N
                     tilde[j - 1] = None
-                if q is not None:
-                    acc += q * powers[j - 1][0]
+                # no q (q^(j-1))_0 term: only tanh_shifted sets q, and its powers stop at q^2
                 for k in range(1, m):
                     cauchy(acc, m, k, powers[1][k], powers[j - 1][m - k])
             tilde.append(acc)
@@ -816,7 +811,7 @@ class _TaylorExpansion:
         self._tilde = None if last else tilde
         del tilde, n_tilde
         for k, b in self._data["b"].items():
-            if k <= m:
+            if m - k in self._n:  # a missing order of N is a vanishing one
                 cauchy(mass, m, k, b, self._n[m - k])
         grad = np.zeros((n_m, mesh.n_elements))
         for k, aw in self._data["a"].items():
@@ -859,7 +854,7 @@ class _TaylorExpansion:
         # of b and a add to theirs
         for series, orders, value in ((self._n, self._data["b"], self._composed(values)),
                                       (self._slope, self._data["a"], mesh.slopes(solved.T))):
-            if orders and m + min(orders) <= self._plan.max_order:
+            if orders and m + min(orders) <= self._plan.max_order and value is not None:
                 series[m] = value
             for r in [r for r in series if r and r + max(orders) <= m]:
                 del series[r]

@@ -138,6 +138,17 @@ class TestSolve:
         assert report["bound_checks"]["monotonicity"]["ok"]
         assert report["constants"]["alpha"] >= 1.0
 
+    def test_tanh_shifted_spec(self, tmp_path):
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps({"mesh_n": 32, "b": 1.0, "f": 1.0,
+                                   "nonlinearity": {"kind": "tanh_shifted"}}))
+        out, rep = tmp_path / "u.csv", tmp_path / "report.json"
+        code = run_cli(["solve", "--config", str(cfg), "--output", str(out),
+                        "--report", str(rep)])
+        assert code == 0
+        assert len(out.read_text().strip().splitlines()) == 34
+        assert json.loads(rep.read_text())["residual_norm"] <= 1e-12
+
     def test_cubic_benchmark(self, tmp_path):
         cfg = tmp_path / "solve.json"
         cfg.write_text(json.dumps({
@@ -356,13 +367,25 @@ class TestDerivatives:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_pde_direction_with_zero_neumann_value_accepted(self, tmp_path):
+        dirs = tmp_path / "dirs.json"
+        dirs.write_text(json.dumps([{"f": 1.0, "g": 0.0}]))
+        out = tmp_path / "deriv.csv"
+        code = run_cli(["derivatives", "--problem", "pde1d", "--order", "2", "--mesh-n", "16",
+                        "--directions", str(dirs), "--output", str(out)])
+        assert code == 0
+        assert len(out.read_text().strip().splitlines()) == 4
+
     @pytest.mark.parametrize("text,message", [
         (None, "cannot read directions"), ("[{", "cannot read directions"),
         ("[]", "directions file must hold a nonempty JSON list"),
         ('{"f": 1.0}', "directions file must hold a nonempty JSON list"),
         ("[1.0]", "pde1d directions must be objects with keys a, b, f, g"),
         ('[{"f": 1.0}, {"h": 1.0}]', "pde1d directions must be objects with keys a, b, f, g"),
-    ], ids=["missing", "not-json", "empty", "not-a-list", "number", "unknown-key"])
+        # the pde1d problem's right end is Dirichlet, where g would be dropped
+        ('[{"f": 1.0}, {"g": 1.0}]', "Neumann value must vanish for a Dirichlet right end"),
+    ], ids=["missing", "not-json", "empty", "not-a-list", "number", "unknown-key",
+            "neumann-value"])
     def test_unusable_directions_rejected(self, tmp_path, capsys, text, message):
         dirs = tmp_path / "dirs.json"
         if text is not None:
@@ -456,6 +479,20 @@ class TestVerifyBounds:
         report = json.loads(rep.read_text())
         assert report["passed"] is True
         assert report["envelope"]["rate"] > 1.0
+
+    @pytest.mark.parametrize("spec,max_order,n_alphas", [
+        ({"kind": "tanh_shifted"}, 2, 6),
+        ({"kind": "polynomial", "coeffs": []}, 3, 10),
+        ({"kind": "polynomial", "coeffs": [0.0]}, 3, 10),
+    ], ids=["tanh_shifted", "zero-empty", "zero"])
+    def test_pass_run_of_other_nonlinearities(self, tmp_path, spec, max_order, n_alphas):
+        cfg = self.config(tmp_path, nonlinearity=spec, max_order=max_order)
+        out, rep = tmp_path / "bounds.csv", tmp_path / "bounds.json"
+        code = run_cli(["verify-bounds", "--config", str(cfg), "--output", str(out),
+                        "--report", str(rep)])
+        assert code == 0
+        assert len(out.read_text().strip().splitlines()) == 1 + 2 * n_alphas
+        assert json.loads(rep.read_text())["passed"] is True
 
     def test_deterministic_output(self, tmp_path):
         cfg = self.config(tmp_path)
@@ -560,9 +597,39 @@ class TestGlobalBehavior:
     def test_thread_cap_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("GEVREY_KIT_THREADS", "not-a-number")
         assert run_cli(["kappa", "--max-n", "3"]) == 1
+        monkeypatch.setenv("GEVREY_KIT_THREADS", "0")
+        assert run_cli(["kappa", "--max-n", "3"]) == 1
         monkeypatch.setenv("GEVREY_KIT_THREADS", "2")
         out = tmp_path / "k.csv"
         assert run_cli(["kappa", "--max-n", "3", "--output", str(out)]) == 0
+
+    def test_output_in_missing_directory_rejected(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "k.csv"
+        assert run_cli(["kappa", "--max-n", "3", "--output", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: cannot write {path}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_in_missing_directory_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps({"mesh_n": 16, "b": 1.0, "f": 1.0,
+                                   "nonlinearity": {"kind": "cubic"}}))
+        report = tmp_path / "missing" / "r.json"
+        code = run_cli(["solve", "--config", str(cfg), "--output", str(tmp_path / "u.csv"),
+                        "--report", str(report)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: cannot write {report}: ")
+        # the CSV comes before the report
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["solve.json", "u.csv"]
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys):
+        # the temp file is written, then cannot replace a directory
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert run_cli(["kappa", "--max-n", "3", "--output", str(taken)]) == 1
+        assert f"config error: cannot write {taken}: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [taken] and list(taken.iterdir()) == []
 
     def test_selftest_passes(self):
         assert run_cli(["selftest"]) == 0

@@ -315,6 +315,18 @@ class TestSolutionPartials:
             parametric_solution_derivative(oracle, tilde, table,
                                            MultiIndex.make({1: 2}))
 
+    def test_oracle_at_orders_zero_and_one_matches_the_fill(self):
+        mesh = Mesh1D.uniform(16)
+        hat = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
+        tilde = TildeData(DomainMap1D(p=2), hat, mesh, np.array([0.3, -0.2]))
+        oracle = PdeOracle(mesh, Nonlinearity.cubic())
+        table = parametric_derivative_table(oracle, tilde, 1)
+        assert parametric_solution_derivative(oracle, tilde, table, MultiIndex()) is table.u
+        for k in (1, 2):
+            engine = table.entry(MultiIndex.unit(k))
+            first = parametric_solution_derivative(oracle, tilde, table, MultiIndex.unit(k))
+            assert mesh.h1_norm(engine - first) <= 1e-12 * mesh.h1_norm(engine), k
+
 
 def composition_table(oracle, d, u, data_coefficient, alphas):
     """Partials by the composition sum of the chain rule, the independent
@@ -333,6 +345,10 @@ NONLINEARITIES = pytest.mark.parametrize("nl", [
     Nonlinearity.tanh_shifted(),
     Nonlinearity.polynomial([3.0, -3.0, 1.0]),
 ], ids=["cubic", "tanh", "poly-3-3-1"])
+
+#: Coefficients of N = 0, a linear problem whatever the reaction weight b.
+ZERO_NONLINEARITY = pytest.mark.parametrize("coeffs", [[], [0.0], [0.0, 0.0, 0.0]],
+                                            ids=["empty", "zero", "zeros"])
 
 
 class TestTaylorFill:
@@ -367,6 +383,34 @@ class TestTaylorFill:
         reference = composition_table(PdeOracle(mesh, nl), base, table.u,
                                       affine_data_map(oracle, base, directions),
                                       [alpha for alpha, _ in table.items()])
+        assert largest_relative_h1_gap(mesh, table, reference) <= 1e-10
+
+    @ZERO_NONLINEARITY
+    def test_zero_nonlinearity_table_matches_leibniz_recursion(self, coeffs):
+        # b and its partials are nonzero, but multiply N(u) = 0: the recursion,
+        # which reads only a, f and g, is exact
+        mesh = Mesh1D.uniform(32)
+        hat = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
+        tilde = TildeData(DomainMap1D(p=2), hat, mesh, np.array([0.25, -0.25]))
+        assert np.any(tilde.partial(MultiIndex.unit(1)).b)
+        oracle = PdeOracle(mesh, Nonlinearity.polynomial(coeffs))
+        table = parametric_derivative_table(oracle, tilde, 3)
+        reference = linear_leibniz_partials(mesh, tilde.partial, 2, 3)
+        assert len(table) == len(reference)
+        assert largest_relative_h1_gap(mesh, table, reference) <= 1e-10
+
+    @ZERO_NONLINEARITY
+    def test_zero_nonlinearity_directional_table_matches_leibniz_recursion(self, coeffs):
+        mesh = Mesh1D.uniform(32)
+        base = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
+        direction = PdeData.from_spec(mesh, a=lambda x: 0.3 * x, b=0.5, f=-1.0)
+        oracle = PdeOracle(mesh, Nonlinearity.polynomial(coeffs))
+        table = derivative_table(oracle, base, [direction], 4)
+        # the partials in t of the affine data map base + t direction
+        partial = lambda alpha: (base if alpha.is_zero() else direction if alpha.order() == 1
+                                 else PdeData.zeros(mesh))
+        reference = linear_leibniz_partials(mesh, partial, 1, 4)
+        assert len(table) == len(reference)
         assert largest_relative_h1_gap(mesh, table, reference) <= 1e-10
 
     def test_fill_is_deterministic(self):

@@ -100,6 +100,9 @@ class TestMesh:
         assert mesh.field(flat).shape == mesh.quad_x.shape
         with pytest.raises(ValueError):
             mesh.field(np.zeros(7))
+        values = np.arange(12.0).reshape(mesh.quad_x.shape)  # (n_elements, 3), copied
+        field = mesh.field(values)
+        assert np.array_equal(field, values) and not np.shares_memory(field, values)
 
     def test_free_node_layout(self):
         assert Mesh1D.uniform(8).n_free == 7
@@ -156,6 +159,12 @@ class TestNonlinearity:
         assert float(nl.deriv(3, 5.0)) == 6.0
         assert float(nl.deriv(4, 5.0)) == 0.0
         assert nl.zero_value == 0.0
+
+    def test_polynomial_trailing_zeros_stripped(self):
+        nl = Nonlinearity.polynomial([1.0, 0.0])
+        assert nl.degree == 1
+        assert np.array_equal(nl._poly(0), [0.0, 1.0])
+        assert float(nl.deriv(0, 3.0)) == 3.0 and float(nl.deriv(2, 3.0)) == 0.0
 
     def test_polynomial_constant_term_rejected(self):
         with pytest.raises(ValueError):

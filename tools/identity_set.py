@@ -8,9 +8,13 @@ that claims the same numbers must leave byte-identical:
 * `verify-bounds` for cubic (p = 4) and tanh_shifted (p = 3), order 5,
   mesh 256, seeds 1-3, y_samples 1 and 2: CSV and report;
 * `verify-bounds` for the polynomial nonlinearity with coefficients
-  [1.0, 0.5, 1.0] (not a single power, so the general composition sum
-  of the Taylor fill runs), p = 3, order 5, mesh 256, seed 1,
+  [1.0, 0.5, 1.0] (a sum of several powers in the composition of the
+  Taylor fill), p = 3, order 5, mesh 256, seed 1,
   y_samples 2: CSV and report;
+* `verify-bounds` for the polynomial nonlinearity with coefficients
+  [1.0] (N = z, the one polynomial whose single power is the inner
+  function q itself), p = 3, order 5, mesh 256, seed 1, y_samples 2:
+  CSV and report;
 * `derivatives --problem pde1d --order 6 --fd-check` along two {a, b, f}
   directions at mesh 256: CSV;
 * `derivatives --problem scalar-cubic` and `--problem scalar-quadratic`,
@@ -47,6 +51,7 @@ def commands(out: Path):
             for kind, p in (("cubic", 4), ("tanh_shifted", 3))
             for seed in (1, 2, 3) for y_samples in (1, 2)]
     runs.append(("polynomial", {"kind": "polynomial", "coeffs": [1.0, 0.5, 1.0]}, 3, 1, 2))
+    runs.append(("linear", {"kind": "polynomial", "coeffs": [1.0]}, 3, 1, 2))
     for kind, nonlinearity, p, seed, y_samples in runs:
         name = f"verify-{kind}-seed{seed}-y{y_samples}"
         cfg = {"mesh_n": 256, "p": p, "c": 0.5, "vartheta": 2.0,
