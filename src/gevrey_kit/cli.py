@@ -27,6 +27,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -60,7 +61,7 @@ from .pde1d import (
     PdeOracle,
     assemble_residual,
     estimate_constants,
-    monotonicity_probe,
+    monotonicity_certificate,
     newton_solve,
     solution_bound_check,
 )
@@ -99,6 +100,14 @@ def _write_text(path: str, text: str) -> None:
             raise
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_output_directories(args) -> None:
+    """An output path in a missing directory is a configuration error before
+    any work, so the run leaves no output of its own behind."""
+    for path in (getattr(args, "output", None), getattr(args, "report", None)):
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(f"cannot write {path}: no such directory")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -250,7 +259,7 @@ def _cmd_solve(args) -> int:
                           right_bc=cfg.get("bc", "dirichlet"))
     nl = _nonlinearity_from_spec(cfg["nonlinearity"])
     data = _pde_data(mesh, cfg, {"a": 1.0, "b": 0.0, "f": 0.0, "g": 0.0})
-    seed = _number(cfg.get("seed", 0), "seed", integer=True)
+    _number(cfg.get("seed", 0), "seed", integer=True)  # accepted; solve draws nothing
     tol = _number(cfg.get("tol", 1e-12), "tol", nonnegative=True)
     u = newton_solve(mesh, data, nl, tol=tol)
 
@@ -258,19 +267,13 @@ def _cmd_solve(args) -> int:
     _emit("x,u\n" + "".join(rows), args.output)
 
     if args.report is not None:
-        rng = np.random.default_rng(seed)
         bound = solution_bound_check(mesh, data, nl, u)
-        probe = monotonicity_probe(mesh, data, nl, rng)
         report = {
             "residual_norm": mesh.dual_norm(assemble_residual(mesh, data, nl, u)),
             "constants": estimate_constants(mesh, data, nl, u).as_dict(),
             "bound_checks": {
                 "solution_bound": {"lhs": bound.lhs, "rhs": bound.rhs, "ok": bound.ok},
-                "monotonicity": {
-                    "min_ratio": probe.min_ratio,
-                    "threshold": probe.threshold,
-                    "ok": probe.ok,
-                },
+                "monotonicity": asdict(monotonicity_certificate(mesh, data, nl)),
             },
         }
         _write_text(args.report, json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -457,6 +460,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _thread_cap()
+        _check_output_directories(args)
         return args.handler(args)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

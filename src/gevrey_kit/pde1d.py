@@ -43,6 +43,7 @@ __all__ = [
     "PdeOracle",
     "PdeConstants",
     "BoundCheck",
+    "MonotonicityCertificate",
     "MonotonicityProbe",
     "assemble_residual",
     "apply_residual_derivative",
@@ -50,6 +51,7 @@ __all__ = [
     "validate_admissible",
     "data_norm",
     "solution_bound_check",
+    "monotonicity_certificate",
     "monotonicity_probe",
     "estimate_constants",
     "linearization_matrix",
@@ -365,7 +367,8 @@ class Nonlinearity:
     Admissibility is decided exactly, with no sample grid.  Monotonicity:
     P_1 >= 0 on the closure of g's range (the real line, or [-1, 1]), from
     its limits at infinite ends and its values at the ends and critical
-    points.  Growth: deg P_0 <= q - 1, and since |g(z)| <= max(1, |z|) the
+    points; the decision is kept as `monotone`, and a non-monotone N is
+    rejected.  Growth: deg P_0 <= q - 1, and since |g(z)| <= max(1, |z|) the
     sum of |P_0 coefficients| is a constant c with
     |N(z)| <= c * (1 + |z|**(q-1)) for all real z.  Candidates without a
     polynomial bound (exp) are rejected.
@@ -396,7 +399,9 @@ class Nonlinearity:
                 f"degree {len(p0) - 1} exceeds floor(q-1) = {math.floor(self.q - 1.0)}"
             )
         self._polys = [p0]
-        self._check_monotone()
+        self.monotone = self._is_monotone()
+        if not self.monotone:
+            raise ValueError("nonlinearity is not monotone: N' < 0 somewhere on the real line")
         self.growth_constant = float(np.sum(np.abs(p0)))
 
     # -- factories ----------------------------------------------------------
@@ -428,7 +433,7 @@ class Nonlinearity:
 
     # -- validation ----------------------------------------------------------
 
-    def _check_monotone(self) -> None:
+    def _is_monotone(self) -> bool:
         # N' = P_1(g) >= 0 iff P_1 >= 0 on the closure of g's range: at an
         # infinite end the leading term decides the sign, elsewhere the values
         # at the ends and critical points, up to evaluation round-off.
@@ -437,8 +442,8 @@ class Nonlinearity:
         limits = [p1[-1] * x ** (len(p1) - 1) for x in (lo, hi) if math.isinf(x)]
         pts = _critical_points(p1, lo, hi)
         floor = -1e-12 * npoly.polyval(np.abs(pts), np.abs(p1))
-        if min(limits, default=0.0) < 0.0 or np.any(npoly.polyval(pts, p1) < floor):
-            raise ValueError("nonlinearity is not monotone: N' < 0 somewhere on the real line")
+        return bool(min(limits, default=0.0) >= 0.0
+                    and not np.any(npoly.polyval(pts, p1) < floor))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -903,6 +908,33 @@ def solution_bound_check(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
     return BoundCheck(lhs, rhs, lhs <= rhs * (1.0 + 1e-9))
 
 
+@dataclass(frozen=True)
+class MonotonicityCertificate:
+    min_a: float
+    min_b: float
+    nonlinearity_monotone: bool
+    c_pf: float
+    threshold: float
+    ok: bool
+
+
+def monotonicity_certificate(mesh: Mesh1D, data: PdeData,
+                             nl: Nonlinearity) -> MonotonicityCertificate:
+    """Exact strong monotonicity of the discrete residual:
+    (R(d,u1) - R(d,u2))(u1 - u2) >= min(1, min a) / c_pf^2 * ||u1 - u2||_H1^2
+    for all states when min a > 0 and b >= 0 at the Gauss points and N' >= 0
+    on the real line.  The diffusion term is at least min a * <v', v'> (v' is
+    constant on an element and the weights are positive), the reaction term
+    is a positively weighted sum of (N(x) - N(y))(x - y) >= 0, and
+    ||v||_H1^2 <= c_pf^2 <v', v'>; the bisection rounds c_pf up, so the
+    threshold errs low (Zeidler, Nonlinear Functional Analysis II/B, ch. 25)."""
+    min_a, min_b = float(np.min(data.a)), float(np.min(data.b))
+    c_pf = mesh.poincare_constant
+    threshold = min(1.0, min_a) / c_pf**2
+    ok = min_a > 0.0 and min_b >= 0.0 and nl.monotone
+    return MonotonicityCertificate(min_a, min_b, nl.monotone, c_pf, threshold, ok)
+
+
 def newton_solve(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
                  tol: float = 1e-12) -> np.ndarray:
     """Damped Newton iteration for the residual equation, from u = 0.
@@ -932,7 +964,9 @@ class MonotonicityProbe:
 def monotonicity_probe(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
                        rng: np.random.Generator) -> MonotonicityProbe:
     """Check (R(d,u1) - R(d,u2))(u1 - u2) >= c_a/c_pf^2 * ||u1 - u2||_H1^2
-    on 8 pairs of standard normal states."""
+    on 8 pairs of states drawn by `rng.standard_normal`.  A sampled test
+    oracle of `monotonicity_certificate`, which decides the inequality
+    exactly; no command runs it."""
     c_a = min(1.0, float(np.min(data.a)))
     threshold = c_a / mesh.poincare_constant**2
     worst = float("inf")

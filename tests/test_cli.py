@@ -187,6 +187,34 @@ class TestSolve:
             reports.append(rep.read_bytes())
         assert reports[0] == reports[1]
 
+    def test_seed_has_no_effect(self, tmp_path):
+        reports = []
+        for seed in (0, 12345):
+            cfg = tmp_path / f"solve{seed}.json"
+            cfg.write_text(json.dumps({
+                "mesh_n": 64, "a": 1.0, "b": 1.0, "f": 1.0,
+                "nonlinearity": {"kind": "cubic"}, "seed": seed,
+            }))
+            rep = tmp_path / f"report{seed}.json"
+            assert run_cli(["solve", "--config", str(cfg), "--output",
+                            str(tmp_path / f"u{seed}.csv"), "--report", str(rep)]) == 0
+            reports.append(rep.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_report_monotonicity_certificate(self, tmp_path):
+        cfg = tmp_path / "solve.json"
+        a = [0.5] * 48 + [2.0] * 48  # 32 elements, 3 Gauss points each
+        cfg.write_text(json.dumps({"mesh_n": 32, "bc": "neumann", "a": a, "b": 1.0,
+                                   "f": 1.0, "g": 0.5, "nonlinearity": {"kind": "cubic"}}))
+        rep = tmp_path / "report.json"
+        assert run_cli(["solve", "--config", str(cfg), "--report", str(rep)]) == 0
+        block = json.loads(rep.read_text())["bound_checks"]["monotonicity"]
+        assert set(block) == {"min_a", "min_b", "nonlinearity_monotone", "c_pf",
+                              "threshold", "ok"}
+        assert block["min_a"] == 0.5 and block["min_b"] == 1.0
+        assert block["nonlinearity_monotone"] is True and block["ok"] is True
+        assert block["threshold"] == 0.5 / block["c_pf"] ** 2
+
     def test_exponential_nonlinearity_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "solve.json"
         cfg.write_text(json.dumps({
@@ -620,8 +648,20 @@ class TestGlobalBehavior:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: cannot write {report}: ")
-        # the CSV comes before the report
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["solve.json", "u.csv"]
+        # the directories are checked before the solve, so no CSV is written
+        assert not (tmp_path / "u.csv").exists()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["solve.json"]
+
+    def test_verify_report_in_missing_directory_rejected_before_the_run(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_derivative_bounds", None)  # never reached
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps({"mesh_n": 16, "p": 2, "max_order": 2, "y_samples": 1}))
+        report = tmp_path / "missing" / "r.json"
+        assert run_cli(["verify-bounds", "--config", str(cfg), "--output",
+                        str(tmp_path / "out.csv"), "--report", str(report)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {report}: ")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["verify.json"]
 
     def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys):
         # the temp file is written, then cannot replace a directory

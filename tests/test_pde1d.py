@@ -1,5 +1,6 @@
 """P1 discretization: assembly, derivative formulas, solver, constants."""
 
+import itertools
 import math
 
 import numpy as np
@@ -33,6 +34,7 @@ from gevrey_kit.pde1d import (
     data_norm,
     estimate_constants,
     linearization_matrix,
+    monotonicity_certificate,
     monotonicity_probe,
     newton_solve,
     solution_bound_check,
@@ -853,3 +855,73 @@ class TestMonotonicityAndBound:
         )
         norms = {n: oracle.state_norm(table.entry(MultiIndex.make({1: n}))) for n in range(1, 5)}
         assert envelope_check(norms, env, tolerance=1e-6).passed
+
+
+class _States:
+    """Stands in for the probe's generator: `standard_normal` returns the
+    given states in turn."""
+
+    def __init__(self, states):
+        self._states = itertools.cycle(states)
+
+    def standard_normal(self, n):
+        return next(self._states)
+
+
+class TestMonotonicityCertificate:
+    """The sampled `monotonicity_probe` is the oracle of the exact certificate:
+    no pair of states may pair below the certificate's threshold."""
+
+    NONLINEARITIES = {
+        "cubic": Nonlinearity.cubic(),
+        "tanh_shifted": Nonlinearity.tanh_shifted(),
+        "polynomial": Nonlinearity.polynomial([1.0, 0.5, 1.0]),
+    }
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("kind", NONLINEARITIES)
+    def test_probe_never_below_threshold(self, kind, bc):
+        nl = self.NONLINEARITIES[kind]
+        rng = np.random.default_rng(23)
+        mesh = Mesh1D.uniform(40, right_bc=bc)
+        shape = mesh.quad_x.shape
+        b = rng.uniform(0.0, 2.0, shape)
+        b[::7] = 0.0
+        data = PdeData(0.2 + rng.uniform(0.0, 2.0, shape), b, rng.normal(0.0, 2.0, shape),
+                       0.5 if bc == "neumann" else 0.0)
+        cert = monotonicity_certificate(mesh, data, nl)
+        assert cert.ok is True and cert.nonlinearity_monotone is True
+        assert cert.min_a == float(np.min(data.a)) < 1.0 and cert.min_b == 0.0
+        assert cert.c_pf == mesh.poincare_constant
+        assert cert.threshold == cert.min_a / cert.c_pf**2
+
+        sine = np.sin(math.pi * mesh.nodes[1:mesh.n_free + 1])
+        scaled = [[s * sine, u2] for s in (1.0, 1e2, 1e4, 1e6)
+                  for u2 in (0.0 * sine, -s * sine, 0.5 * s * sine)]
+        draws = [rng] * 3 + [_States(pair) for pair in scaled]
+        for draw in draws:
+            probe = monotonicity_probe(mesh, data, nl, draw)
+            assert probe.threshold == cert.threshold
+            assert probe.min_ratio >= cert.threshold * (1.0 - 1e-10), (draw, probe)
+
+    def test_threshold_is_attained(self):
+        # b = 0 leaves <v', v'>, whose smallest ratio to ||v||_H1^2 the nodal
+        # sine attains on a uniform Dirichlet mesh: the threshold is sharp
+        mesh = Mesh1D.uniform(64)
+        data = PdeData.from_spec(mesh, a=1.0, b=0.0)
+        cert = monotonicity_certificate(mesh, data, Nonlinearity.cubic())
+        sine = np.sin(math.pi * mesh.nodes[1:mesh.n_free + 1])
+        probe = monotonicity_probe(mesh, data, Nonlinearity.cubic(),
+                                   _States([sine, 0.0 * sine]))
+        assert cert.threshold * (1.0 - 1e-10) <= probe.min_ratio
+        assert probe.min_ratio <= cert.threshold * (1.0 + 1e-10)
+
+    @pytest.mark.parametrize("a,b", [(1.0, -1e-3), (0.0, 1.0), (-1.0, 1.0)])
+    def test_inadmissible_data_not_certified(self, a, b):
+        mesh = Mesh1D.uniform(16)
+        field = np.full(mesh.quad_x.shape, 1.0)
+        field[3, 1] = b
+        data = PdeData(mesh.field(a), field, mesh.field(1.0))
+        cert = monotonicity_certificate(mesh, data, Nonlinearity.cubic())
+        assert cert.ok is False
+        assert cert.min_b == min(b, 1.0) and cert.min_a == a

@@ -19,8 +19,10 @@ that claims the same numbers must leave byte-identical:
   directions at mesh 256: CSV;
 * `derivatives --problem scalar-cubic` and `--problem scalar-quadratic`,
   `--order 8 --fd-check` along the directions [1.0, 0.5, -0.25]: CSV;
-* `solve --report` for cubic with Dirichlet ends at mesh 4096 and for
-  tanh_shifted with a Neumann right end (g = 0.5) at mesh 512: CSV and report;
+* `solve --report` for cubic with Dirichlet ends at mesh 4096, for
+  tanh_shifted with a Neumann right end (g = 0.5) at mesh 512, and for the
+  polynomial [1.0, 0.5, 1.0] with a Neumann right end and a list-valued
+  diffusion field a (min a = 0.5 < 1) at mesh 512: CSV and report;
 * `selftest`: stdout.
 
 Every exit code goes to OUTDIR/exit_codes.txt.  Run it once with the
@@ -74,7 +76,12 @@ def commands(out: Path):
             ("solve-cubic", {"mesh_n": 4096, "bc": "dirichlet", "a": 1.0, "b": 1.0, "f": 1.0,
                              "nonlinearity": {"kind": "cubic"}, "seed": 1}),
             ("solve-tanh", {"mesh_n": 512, "bc": "neumann", "a": 1.0, "b": 1.0, "f": 1.0,
-                            "g": 0.5, "nonlinearity": {"kind": "tanh_shifted"}, "seed": 1})):
+                            "g": 0.5, "nonlinearity": {"kind": "tanh_shifted"}, "seed": 1}),
+            ("solve-polynomial", {"mesh_n": 512, "bc": "neumann",
+                                  "a": [0.5 + 0.25 * (i % 5) for i in range(3 * 512)],
+                                  "b": 1.0, "f": 1.0, "g": 0.5,
+                                  "nonlinearity": {"kind": "polynomial",
+                                                   "coeffs": [1.0, 0.5, 1.0]}})):
         yield name, ["solve", "--config", _config(out, f"{name}.json", cfg),
                      "--output", str(out / f"{name}.csv"), "--report", str(out / f"{name}.json")]
 
