@@ -103,11 +103,14 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _check_output_directories(args) -> None:
-    """An output path in a missing directory is a configuration error before
-    any work, so the run leaves no output of its own behind."""
+    """An output path in a missing directory, or one that is a directory, is
+    a configuration error before any work, so the run leaves no output of
+    its own behind."""
     for path in (getattr(args, "output", None), getattr(args, "report", None)):
         if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ConfigError(f"cannot write {path}: no such directory")
+        if path is not None and os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: is a directory")
 
 
 def _emit(text: str, path: str | None) -> None:

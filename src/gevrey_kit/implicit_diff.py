@@ -310,8 +310,7 @@ def solve_residual_stack(oracle: ResidualOracle, ds: Iterable, u0, tol: float,
                 if not keep:
                     break
                 points, stack = [points[row] for row in keep], stack.take(keep)
-            trial = [p.u - p.step if p.lam == 1.0 else p.u - p.lam * p.step  # 1.0 * step is exact
-                     for p in points]
+            trial = [p.u - p.lam * p.step for p in points]  # 1.0 * step is exact
             for p, u, res, rnorm in zip(points, trial, *stack.eval(trial)):
                 if rnorm < p.rnorm:
                     p.u, p.res, p.rnorm, p.step = u, res, rnorm, None

@@ -165,8 +165,7 @@ class Mesh1D:
     def assemble_load(self, grad_part=None, mass_part=None, boundary=0.0) -> np.ndarray:
         """Free-node vector of v -> <grad_part, v'> + <mass_part, v> + boundary*v(1),
         one for each point of a leading axis that the parts (and an array
-        `boundary`) share; a point's boundary term is added only where it is
-        nonzero."""
+        `boundary`) share."""
         part = grad_part if grad_part is not None else mass_part
         lead = np.shape(boundary) if part is None else np.shape(part)[:-2]
         full = np.zeros(lead + (self.n_nodes,))
@@ -178,10 +177,7 @@ class Mesh1D:
             wm = self.quad_w * mass_part
             full[..., :-1] += _gauss_sum(wm * self.phi_left)
             full[..., 1:] += _gauss_sum(wm * self.phi_right)
-        if isinstance(boundary, np.ndarray):
-            np.add(full[..., -1], boundary, out=full[..., -1], where=boundary != 0.0)
-        elif boundary:
-            full[..., -1] += boundary
+        full[..., -1] += boundary  # never -0.0 before this add, so a zero adds nothing
         return full[..., 1:self.n_free + 1]
 
     def bilinear_form(self, stiffness=None, mass=None) -> tuple[np.ndarray, np.ndarray]:
@@ -371,13 +367,18 @@ class Nonlinearity:
     rejected.  Growth: deg P_0 <= q - 1, and since |g(z)| <= max(1, |z|) the
     sum of |P_0 coefficients| is a constant c with
     |N(z)| <= c * (1 + |z|**(q-1)) for all real z.  Candidates without a
-    polynomial bound (exp) are rejected.
+    polynomial bound (exp) are rejected, and so are a non-finite q or
+    coefficient, before either decision.
     """
 
     def __init__(self, kind: str, coeffs: np.ndarray | None, q: float):
         self.q = float(q)
+        if not math.isfinite(self.q):
+            raise ValueError(f"growth exponent q must be finite, got {self.q}")
         if kind == "polynomial":
             p0 = np.asarray(coeffs, dtype=float)
+            if not np.all(np.isfinite(p0)):
+                raise ValueError("polynomial nonlinearity coefficients must be finite")
             while len(p0) > 1 and p0[-1] == 0.0:
                 p0 = p0[:-1]
             if p0[0] != 0.0:
@@ -617,9 +618,7 @@ class PdeOracle(ResidualOracle):
         return max(1, _STACK_BYTES // self.mesh.quad_x.nbytes)
 
     def stack(self, ds: list) -> "_PdeStack":
-        data = ds[0] if len(ds) == 1 else PdeData(
-            *(np.stack([getattr(d, name) for d in ds]) for name in "abf"),
-            np.array([d.g for d in ds]))
+        data = PdeData(*(np.array([getattr(d, name) for d in ds]) for name in "abfg"))
         return _PdeStack(self, data, self.mesh._stiffness_term(data.a))
 
     def taylor_expansion(self, table) -> "_TaylorExpansion":
@@ -640,43 +639,40 @@ class PdeOracle(ResidualOracle):
 
 class _PdeStack:
     """`PdeOracle`'s stack forms (see `implicit_diff.PointStack`): the one-point
-    kernels on data fields stacked along a leading axis, so each point gets
-    the bytes of the one-point forms; one point has no leading axis, which
-    costs numpy about half again per call.  The stiffness terms ke are formed
-    once, and the Gauss values of the states last evaluated are kept for the
-    linearizations; the stack reads its oracle's mesh and nonlinearity and
-    writes nothing into it.  A dual norm is one dpttrs over all columns and
-    a dot product per point; each point has its own LDL^T.
+    kernels on data fields stacked along a leading axis of points (of length
+    one for a single point), so each point gets the bytes of the one-point
+    forms.  The stiffness terms ke are formed once, and the Gauss values of
+    the states last evaluated are kept for the linearizations; the stack
+    reads its oracle's mesh and nonlinearity and writes nothing into it.  A
+    dual norm is one Riesz solve (`Mesh1D.riesz`) over all columns and a dot
+    product per point; each point has its own LDL^T.
     """
 
     def __init__(self, oracle: PdeOracle, data: PdeData, ke: np.ndarray):
         self.oracle, self.data, self.ke, self._uq = oracle, data, ke, None
-        self.size = np.size(data.g)
+        self.size = len(data.g)
 
     def _rows(self, x: np.ndarray, rows: list) -> np.ndarray:
-        """x at the points `rows`, with no leading axis for one."""
-        if len(rows) == self.size:
-            return x
-        return x[rows[0]] if len(rows) == 1 else x[rows]
+        """x at the points `rows`."""
+        return x if len(rows) == self.size else x[rows]
 
     def eval(self, us: list) -> tuple[np.ndarray, list]:
         mesh = self.oracle.mesh
-        full = mesh.expand(us[0] if self.size == 1 else us)
+        full = mesh.expand(np.asarray(us))
         uq = self._uq = mesh._gauss_values(full)
-        res = _residual(mesh, self.data, self.oracle.nl, full, uq).reshape(self.size, -1)
-        riesz = _ldl_solve(mesh._h1_factors, res.T).T
+        res = _residual(mesh, self.data, self.oracle.nl, full, uq)
+        riesz = mesh.riesz(res.T).T
         return res, [math.sqrt(max(float(r @ x), 0.0)) for r, x in zip(res, riesz)]
 
     def solve_linearized(self, rows: list, rhs: list) -> list:
         bands = _linearization(self.oracle.mesh, self._rows(self.data.b, rows), self.oracle.nl,
                                self._rows(self._uq, rows), self._rows(self.ke, rows))
         return [_ldl_solve(_linearization_factors(diag, off), r)
-                for diag, off, r in zip(*(band.reshape(len(rows), -1) for band in bands), rhs)]
+                for diag, off, r in zip(*bands, rhs)]
 
     def take(self, rows: list) -> "_PdeStack":
-        data = self.data
-        return _PdeStack(self.oracle, PdeData(*(self._rows(x, rows) for x in (
-            data.a, data.b, data.f, data.g))), self._rows(self.ke, rows))
+        data = PdeData(*(self._rows(getattr(self.data, name), rows) for name in "abfg"))
+        return _PdeStack(self.oracle, data, self._rows(self.ke, rows))
 
 
 class _TaylorExpansion:

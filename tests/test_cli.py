@@ -638,37 +638,56 @@ class TestGlobalBehavior:
         assert len(err) == 1 and err[0].startswith(f"config error: cannot write {path}: ")
         assert list(tmp_path.iterdir()) == []
 
-    def test_report_in_missing_directory_rejected(self, tmp_path, capsys):
+    @staticmethod
+    def unwritable_report(tmp_path, kind):
+        """A report path in a missing directory, or an existing directory."""
+        if kind == "missing":
+            return tmp_path / "missing" / "r.json"
+        (tmp_path / "taken").mkdir()
+        return tmp_path / "taken"
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unwritable_report_rejected_before_the_solve(self, tmp_path, capsys, kind):
         cfg = tmp_path / "solve.json"
         cfg.write_text(json.dumps({"mesh_n": 16, "b": 1.0, "f": 1.0,
                                    "nonlinearity": {"kind": "cubic"}}))
-        report = tmp_path / "missing" / "r.json"
+        report = self.unwritable_report(tmp_path, kind)
         code = run_cli(["solve", "--config", str(cfg), "--output", str(tmp_path / "u.csv"),
                         "--report", str(report)])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: cannot write {report}: ")
-        # the directories are checked before the solve, so no CSV is written
+        # the output paths are checked before the solve, so no CSV is written
         assert not (tmp_path / "u.csv").exists()
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["solve.json"]
+        assert [path.name for path in tmp_path.iterdir() if path != report] == ["solve.json"]
 
-    def test_verify_report_in_missing_directory_rejected_before_the_run(
-            self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unwritable_verify_report_rejected_before_the_run(
+            self, tmp_path, capsys, monkeypatch, kind):
         monkeypatch.setattr(cli, "verify_derivative_bounds", None)  # never reached
         cfg = tmp_path / "verify.json"
         cfg.write_text(json.dumps({"mesh_n": 16, "p": 2, "max_order": 2, "y_samples": 1}))
-        report = tmp_path / "missing" / "r.json"
+        report = self.unwritable_report(tmp_path, kind)
         assert run_cli(["verify-bounds", "--config", str(cfg), "--output",
                         str(tmp_path / "out.csv"), "--report", str(report)]) == 1
         assert capsys.readouterr().err.startswith(f"config error: cannot write {report}: ")
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["verify.json"]
+        assert not (tmp_path / "out.csv").exists()
+        assert [path.name for path in tmp_path.iterdir() if path != report] == ["verify.json"]
 
-    def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys):
-        # the temp file is written, then cannot replace a directory
+    def test_output_that_is_a_directory_rejected(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.mkdir()
         assert run_cli(["kappa", "--max-n", "3", "--output", str(taken)]) == 1
-        assert f"config error: cannot write {taken}: " in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: cannot write {taken}: is a directory\n"
+        assert list(tmp_path.iterdir()) == [taken] and list(taken.iterdir()) == []
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        # the temp file is written, then cannot replace a directory
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        with pytest.raises(cli.ConfigError) as exc:
+            cli._write_text(str(taken), "x")
+        assert str(exc.value).startswith(f"cannot write {taken}: ")
         assert list(tmp_path.iterdir()) == [taken] and list(taken.iterdir()) == []
 
     def test_selftest_passes(self):

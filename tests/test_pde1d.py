@@ -187,6 +187,19 @@ class TestNonlinearity:
         # N'(z) = 3 (z - 1)**2 touches zero at a double root
         Nonlinearity.polynomial([3.0, -3.0, 1.0])
 
+    @pytest.mark.parametrize("coeffs", [[math.nan, 0.0, 1.0], [0.0, math.inf], [1.0, math.nan],
+                                        [-math.inf, 0.0, 1.0]])
+    def test_non_finite_coefficient_rejected(self, coeffs):
+        # [nan, 0, 1] was accepted as monotone with growth constant nan
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            Nonlinearity.polynomial(coeffs)
+
+    @pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
+    def test_non_finite_growth_exponent_rejected(self, q):
+        # an infinite q overflowed in math.floor
+        with pytest.raises(ValueError, match="q must be finite"):
+            Nonlinearity.polynomial([0.0, 0.0, 1.0], q=q)
+
     def test_exponential_rejected_with_growth_message(self):
         with pytest.raises(ValueError, match="growth"):
             Nonlinearity.exponential()
@@ -328,8 +341,21 @@ class TestKernelsBitwise:
     @KERNEL_MESHES
     def test_assemble_load(self, mesh):
         grad, mass, _ = self.fields(mesh, 1)
-        for args in [(grad, None), (None, mass), (None, None, -0.3), (grad, mass, 0.7)]:
+        for args in [(grad, None), (None, mass), (None, None, -0.3), (grad, mass, 0.7),
+                     (grad, mass, -0.0), (grad, mass, math.nan), (None, None, math.nan)]:
             assert_same_bytes(mesh.assemble_load(*args), reference_load(mesh, *args))
+
+    @KERNEL_MESHES
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_stacked_assemble_load(self, mesh, points):
+        # each point's row is its one-point load, with a boundary term per
+        # point or one for all, -0.0 and NaN included
+        grads, masses = (np.array([self.fields(mesh, seed)[k] for seed in range(points)])
+                         for k in (0, 1))
+        for boundary in [np.array([-0.0, math.nan, 0.7][:points]), -0.0, math.nan]:
+            want = [reference_load(mesh, g, m, b)
+                    for g, m, b in zip(grads, masses, np.broadcast_to(boundary, (points,)))]
+            assert_same_bytes(mesh.assemble_load(grads, masses, boundary), np.array(want))
 
     @KERNEL_MESHES
     def test_bilinear_form(self, mesh):
@@ -573,7 +599,7 @@ class TestNewton:
 
         monkeypatch.setattr(pde1d, "_linearization", counting)
         u = solve_residual(oracle, data, oracle.zero_state(), 1e-12)
-        assert linearized == [()]  # one point, linearized once
+        assert linearized == [(1,)]  # one point, linearized once
         direct = np.linalg.solve(dense(mesh.bilinear_form(stiffness=data.a)),
                                  mesh.assemble_load(None, data.f))
         assert np.allclose(u, direct, rtol=1e-12)

@@ -17,6 +17,10 @@ that claims the same numbers must leave byte-identical:
   CSV and report;
 * `derivatives --problem pde1d --order 6 --fd-check` along two {a, b, f}
   directions at mesh 256: CSV;
+* `derivatives --problem pde1d --order 4 --fd-check` along the directions
+  {f: 10} and {a: 0.5, b: 2} at mesh 256, whose stencil points converge
+  in different numbers of Newton steps, so that a block of the stacked
+  solve drops its converged points (down to one) and goes on: CSV;
 * `derivatives --problem scalar-cubic` and `--problem scalar-quadratic`,
   `--order 8 --fd-check` along the directions [1.0, 0.5, -0.25]: CSV;
 * `solve --report` for cubic with Dirichlet ends at mesh 4096, for
@@ -67,6 +71,11 @@ def commands(out: Path):
         "derivatives", "--problem", "pde1d", "--order", "6", "--mesh-n", "256",
         "--directions", _config(out, "directions.json", directions), "--fd-check",
         "--output", str(out / "derivatives-fd.csv")]
+    uneven = [{"f": 10.0}, {"a": 0.5, "b": 2.0}]
+    yield "derivatives-fd-uneven", [
+        "derivatives", "--problem", "pde1d", "--order", "4", "--mesh-n", "256",
+        "--directions", _config(out, "uneven-directions.json", uneven), "--fd-check",
+        "--output", str(out / "derivatives-fd-uneven.csv")]
     for problem in ("scalar-cubic", "scalar-quadratic"):
         yield f"derivatives-{problem}", [
             "derivatives", "--problem", problem, "--order", "8",
