@@ -87,7 +87,7 @@ def _fmt(x: float) -> str:
 def _write_text(path: str, text: str) -> None:
     """Write through a temp file and a rename; a path that cannot be
     written is a configuration error, and leaves no temp file behind."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    directory = os.path.dirname(path) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gevrey-tmp-")
         try:
@@ -103,10 +103,12 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _check_output_directories(args) -> None:
-    """An output path in a missing directory, or one that is a directory, is
-    a configuration error before any work, so the run leaves no output of
-    its own behind."""
+    """An empty output path, one in a missing directory, or one that is a
+    directory, is a configuration error before any work, so the run leaves
+    no output of its own behind."""
     for path in (getattr(args, "output", None), getattr(args, "report", None)):
+        if path == "":
+            raise ConfigError("cannot write an empty path")
         if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ConfigError(f"cannot write {path}: no such directory")
         if path is not None and os.path.isdir(path):

@@ -453,33 +453,24 @@ class SplitPlan:
             self._targets[(m, k)] = cached
         return cached
 
-    def first_coordinate_weights(self, m: int, k: int) -> np.ndarray:
-        """beta_c / alpha_c for the pairs of `targets(m, k)`, c the first
-        coordinate of alpha = beta + rest."""
-        rows = self.targets(m, k)
-        first = np.argmax(self.exps[m] > 0, axis=1)[rows]
-        return self.exps[k][np.arange(len(rows))[:, None], first] / self.exps[m][rows, first]
-
     def cauchy(self, out: np.ndarray, m: int, k: int, left: np.ndarray,
-               right: np.ndarray, weighted: bool = False) -> None:
+               right: np.ndarray) -> None:
         """Add to `out`, one row per key of order m, the Cauchy terms that
         pair the order-k rows `left` of one series with the order-(m - k)
-        rows `right` of another; all rows have the same width.  `weighted`
-        scales each pair by its `first_coordinate_weights(m, k)`.  At k = 0
-        or k = m one side is the single row of order 0 and broadcasts.
+        rows `right` of another; all rows have the same width.  At k = 0 or
+        k = m one side is the single row of order 0 and broadcasts.
 
         Outer products larger than `_BLOCK_BYTES` are formed a few left rows
         at a time; the reduction of each block is built once per plan."""
         if k == 0 or k == m:
-            if not (weighted and k == 0):  # the weights are 0 at k = 0, 1 at k = m
-                out += left * right
+            out += left * right
             return
         width = right.shape[1]
         step = min(len(left), max(1, _BLOCK_BYTES // (8 * right.size)))  # left rows per block
-        key = (m, k, step, weighted)
+        key = (m, k, step)
         chunks = self._reductions.get(key)
         if chunks is None:
-            chunks = self._reductions[key] = self._reduction(m, k, step, weighted)
+            chunks = self._reductions[key] = self._reduction(m, k, step)
         for first, stop, hit, indptr, cols, data in chunks:
             block = (left[first:stop, None, :] * right[None, :, :]).reshape(-1, width)
             summed = np.zeros((len(indptr) - 1, width))  # as csr_matrix @ block
@@ -487,33 +478,27 @@ class SplitPlan:
                         block.ravel(), summed.ravel())
             out[hit] += summed
 
-    def _reduction(self, m: int, k: int, step: int, weighted: bool) -> list[tuple]:
+    def _reduction(self, m: int, k: int, step: int) -> list[tuple]:
         """Chunks (first, stop, hit, indptr, cols, data) of the reduction of
         `cauchy`, `step` left rows each: the pairs of left rows first:stop,
         in row-major order, go to the output rows `hit` (a slice of all of
-        them or their positions) through the CSR matrix (indptr, cols,
-        data).  Pairs that are no key or weigh 0 are dropped."""
+        them or their positions) through the 0/1 CSR matrix (indptr, cols,
+        data).  Pairs that are no key are dropped."""
         targets = self.targets(m, k)
-        values = self.first_coordinate_weights(m, k) if weighted else None
         n_out = self.size(m)
         chunks = []
         for first in range(0, len(targets), step):
             stop = min(first + step, len(targets))
             rows = targets[first:stop].ravel()
-            keep = rows >= 0
-            if values is not None:
-                weights = values[first:stop].ravel()
-                keep &= weights != 0.0
-            cols = np.flatnonzero(keep)
+            cols = np.flatnonzero(rows >= 0)
             if not len(cols):
                 continue
             counts = np.bincount(rows[cols], minlength=n_out)
             hit = np.flatnonzero(counts)
             order = np.argsort(rows[cols], kind="stable")
             indptr = np.concatenate(([0], np.cumsum(counts[hit])))
-            data = np.ones(len(cols)) if values is None else weights[cols][order]
             hit = slice(None) if len(hit) == n_out else hit
-            chunks.append((first, stop, hit, indptr, cols[order], data))
+            chunks.append((first, stop, hit, indptr, cols[order], np.ones(len(cols))))
         return chunks
 
 

@@ -690,23 +690,28 @@ class _TaylorExpansion:
     with the products expanded as Cauchy sums over beta <= alpha.  With
     N = P_0(q) for the inner function q, q' = G(q), the series of the powers
     q^j (j = 1..J, J the larger degree of P_0 and G) are Cauchy products,
-    and the inner series follows from q' = G(q):
+    and the inner series follows from q' = G(q) by Euler's identity
+    E q = G(q) E u, where E = sum_c t_c d/dt_c multiplies each term
+    t^beta by its order |beta|:
 
-        alpha_c q_alpha = sum_{beta <= alpha, beta_c >= 1} beta_c u_beta G(q)_(alpha-beta),
+        m q_alpha = sum_{0 < beta <= alpha} |beta| u_beta G(q)_(alpha-beta),   |alpha| = m,
 
-    c the first coordinate of alpha.  For q the identity (polynomial N) this
-    is u's own series.
+    the univariate k v_k = sum_j j u_j w_(k-j) lifted to total degree
+    (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008,
+    ch. 13).  The weight |beta| is the same for every key of an order, so
+    the expansion keeps the Euler series k u_k (order k), sums plain Cauchy
+    products of it with the powers of q and divides by m once.  For q the
+    identity (polynomial N) this is u's own series.
 
     Each series is an array per order with a row per position of the
     fill's `combinatorics.SplitPlan`, and a Cauchy sum over the splits of
-    one order k is an outer product of rows reduced by the plan (Taylor
-    arithmetic over many coefficients at once; Griewank & Walther,
-    *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  P1 slopes are
-    constant per element, so the term (a u')_alpha pairs them with a_gamma
-    summed against the quadrature weights, one value per element.  The
-    square q^2 adds each split and its mirror once, and the q' = G(q)
-    recursion puts beta_c / alpha_c into the reduction.  A data field is
-    skipped at an order where it vanishes for every key.
+    one order k is an outer product of rows reduced by the plan's 0/1
+    matrix of that split (Taylor arithmetic over many coefficients at once,
+    ch. 13 of the same book).  P1 slopes are constant per element, so the term
+    (a u')_alpha pairs them with a_gamma summed against the quadrature
+    weights, one value per element.  The square q^2 adds each split and its
+    mirror once.  A data field is skipped at an order where it vanishes for
+    every key.
 
     Every alpha-coefficient is affine in u_alpha, with the state
     linearization as the slope of the residual's, so
@@ -715,10 +720,10 @@ class _TaylorExpansion:
     linearization at the table's base point, formed once for all orders,
     and adds the part linear in u_alpha to the series:
     G(q_0) u_alpha to q_alpha and j q_0^(j-1) times that to (q^j)_alpha.
-    A series is kept only while a later order reads it: q, u and the powers
-    below the top for the orders that follow, the top power only when G
-    reads it, and N (formed by `_composed`, and not stored where it
-    vanishes) and the slopes only as far as the data coefficients reach.
+    A series is kept only while a later order reads it: q, the Euler series
+    and the powers below the top for the orders that follow, the top power
+    only when G reads it, and N (formed by `_composed`, and not stored where
+    it vanishes) and the slopes only as far as the data coefficients reach.
     """
 
     def __init__(self, mesh: Mesh1D, nl: Nonlinearity, table):
@@ -754,9 +759,9 @@ class _TaylorExpansion:
         # of the next one, and G(q) reads those of its terms
         self._kept = set(range(1, len(self._powers) - 1))
         if nl.degree is not None:
-            self._u, self._dq0, self._dg = self._powers[1], None, None
+            self._euler, self._dq0, self._dg = None, None, None
         else:
-            self._u, self._dq0, self._dg = {0: uq[None]}, npoly.polyval(q0, nl._dg), nl._dg
+            self._euler, self._dq0, self._dg = {}, npoly.polyval(q0, nl._dg), nl._dg
             self._kept |= set(np.flatnonzero(nl._dg[1:]) + 1)
         self._tilde: list | None = None
 
@@ -782,8 +787,9 @@ class _TaylorExpansion:
                 if self._dg[j] != 0.0:
                     acc = np.zeros((n_m, width))
                     for k in range(1, m):
-                        cauchy(acc, m, k, self._u[k], powers[j][m - k], weighted=True)
+                        cauchy(acc, m, k, self._euler[k], powers[j][m - k])
                     q += self._dg[j] * acc
+            q /= m
         last = m == self._plan.max_order
         tilde = [None, q]
         for j in range(2, len(powers)):
@@ -849,8 +855,8 @@ class _TaylorExpansion:
         self._tilde = None
         for j in self._kept:
             powers[j][m] = values[j]
-        if self._u is not powers[1]:
-            self._u[m] = delta
+        if self._euler is not None:
+            self._euler[m] = m * delta
         # N and the slopes are read at the orders that data coefficients
         # of b and a add to theirs
         for series, orders, value in ((self._n, self._data["b"], self._composed(values)),

@@ -639,40 +639,46 @@ class TestGlobalBehavior:
         assert list(tmp_path.iterdir()) == []
 
     @staticmethod
-    def unwritable_report(tmp_path, kind):
-        """A report path in a missing directory, or an existing directory."""
+    def unwritable_report(tmp_path, monkeypatch, kind):
+        """A report path in a missing directory, an existing directory or
+        the empty path (run from tmp_path), with its config error."""
+        monkeypatch.chdir(tmp_path)
         if kind == "missing":
-            return tmp_path / "missing" / "r.json"
+            report = tmp_path / "missing" / "r.json"
+            return str(report), f"cannot write {report}: no such directory"
+        if kind == "empty":
+            return "", "cannot write an empty path"
         (tmp_path / "taken").mkdir()
-        return tmp_path / "taken"
+        return str(tmp_path / "taken"), f"cannot write {tmp_path / 'taken'}: is a directory"
 
-    @pytest.mark.parametrize("kind", ["missing", "directory"])
-    def test_unwritable_report_rejected_before_the_solve(self, tmp_path, capsys, kind):
+    @pytest.mark.parametrize("kind", ["missing", "directory", "empty"])
+    def test_unwritable_report_rejected_before_the_solve(self, tmp_path, capsys, monkeypatch,
+                                                         kind):
         cfg = tmp_path / "solve.json"
         cfg.write_text(json.dumps({"mesh_n": 16, "b": 1.0, "f": 1.0,
                                    "nonlinearity": {"kind": "cubic"}}))
-        report = self.unwritable_report(tmp_path, kind)
+        report, message = self.unwritable_report(tmp_path, monkeypatch, kind)
         code = run_cli(["solve", "--config", str(cfg), "--output", str(tmp_path / "u.csv"),
-                        "--report", str(report)])
+                        "--report", report])
         assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"config error: cannot write {report}: ")
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
         # the output paths are checked before the solve, so no CSV is written
         assert not (tmp_path / "u.csv").exists()
-        assert [path.name for path in tmp_path.iterdir() if path != report] == ["solve.json"]
+        assert [path.name for path in tmp_path.iterdir() if path.name != "taken"] == ["solve.json"]
 
-    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "empty"])
     def test_unwritable_verify_report_rejected_before_the_run(
             self, tmp_path, capsys, monkeypatch, kind):
         monkeypatch.setattr(cli, "verify_derivative_bounds", None)  # never reached
         cfg = tmp_path / "verify.json"
         cfg.write_text(json.dumps({"mesh_n": 16, "p": 2, "max_order": 2, "y_samples": 1}))
-        report = self.unwritable_report(tmp_path, kind)
+        report, message = self.unwritable_report(tmp_path, monkeypatch, kind)
         assert run_cli(["verify-bounds", "--config", str(cfg), "--output",
-                        str(tmp_path / "out.csv"), "--report", str(report)]) == 1
-        assert capsys.readouterr().err.startswith(f"config error: cannot write {report}: ")
+                        str(tmp_path / "out.csv"), "--report", report]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
         assert not (tmp_path / "out.csv").exists()
-        assert [path.name for path in tmp_path.iterdir() if path != report] == ["verify.json"]
+        assert [path.name for path in tmp_path.iterdir()
+                if path.name != "taken"] == ["verify.json"]
 
     def test_output_that_is_a_directory_rejected(self, tmp_path, capsys):
         taken = tmp_path / "taken"
@@ -680,6 +686,12 @@ class TestGlobalBehavior:
         assert run_cli(["kappa", "--max-n", "3", "--output", str(taken)]) == 1
         assert capsys.readouterr().err == f"config error: cannot write {taken}: is a directory\n"
         assert list(tmp_path.iterdir()) == [taken] and list(taken.iterdir()) == []
+
+    def test_empty_output_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["kappa", "--max-n", "3", "--output", ""]) == 1
+        assert capsys.readouterr().err == "config error: cannot write an empty path\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_rename_leaves_no_temp_file(self, tmp_path):
         # the temp file is written, then cannot replace a directory

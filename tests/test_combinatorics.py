@@ -343,20 +343,8 @@ class TestSplitPlan:
         plan = SplitPlan([e1, e2, MultiIndex.make({1: 2})])
         assert plan.targets(2, 1).tolist() == [[0, -1], [-1, -1]]
 
-    def test_first_coordinate_weights(self):
-        keys = multi_indices_up_to(3, 4)[1:]
-        plan, orders = SplitPlan(keys), by_order(keys)
-        for m, k in [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)]:
-            weights = plan.first_coordinate_weights(m, k)
-            for i, beta in enumerate(orders[k]):
-                for j, rest in enumerate(orders[m - k]):
-                    alpha = beta + rest
-                    c = alpha.support()[0]
-                    assert weights[i, j] == beta[c] / alpha[c]
-
-    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
     @pytest.mark.parametrize("block_bytes", [None, 1], ids=["one-block", "row-blocks"])
-    def test_cauchy_matches_double_loop(self, weighted, block_bytes, monkeypatch):
+    def test_cauchy_matches_double_loop(self, block_bytes, monkeypatch):
         if block_bytes is not None:
             monkeypatch.setattr(combinatorics, "_BLOCK_BYTES", block_bytes)
         keys = multi_indices_up_to(3, 4)[1:]
@@ -372,18 +360,13 @@ class TestSplitPlan:
                 expected = out.copy()
                 for i, beta in enumerate(orders[k]):
                     for j, rest in enumerate(orders[m - k]):
-                        alpha = beta + rest
-                        c = alpha.support()[0]
-                        weight = beta[c] / alpha[c] if weighted else 1.0
-                        expected[orders[m].index(alpha)] += weight * left[i] * right[j]
-                plan.cauchy(out, m, k, left, right, weighted=weighted)
+                        expected[orders[m].index(beta + rest)] += left[i] * right[j]
+                plan.cauchy(out, m, k, left, right)
                 assert np.allclose(out, expected, rtol=1e-14, atol=1e-14)
 
     @pytest.mark.parametrize("width", [1, 6])
-    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
     @pytest.mark.parametrize("block_bytes", [None, 1], ids=["one-block", "row-blocks"])
-    def test_cauchy_is_bitwise_csr_matrix_product(self, weighted, block_bytes, width,
-                                                   monkeypatch):
+    def test_cauchy_is_bitwise_csr_matrix_product(self, block_bytes, width, monkeypatch):
         # reference: scipy's csr_matrix @ block over each block of left rows
         # (one block, or one left row per block), added to the rows it reaches
         from scipy.sparse import csr_matrix
@@ -411,19 +394,15 @@ class TestSplitPlan:
                     for i, beta in enumerate(orders[k][first:first + step]):
                         for j, rest in enumerate(orders[m - k]):
                             alpha = beta + rest
-                            if alpha not in orders[m]:
-                                continue
-                            c = alpha.support()[0]
-                            weight = beta[c] / alpha[c] if weighted else 1.0
-                            if weight != 0.0:
+                            if alpha in orders[m]:
                                 rows.append(orders[m].index(alpha))
                                 cols.append(i * len(right) + j)
-                                values.append(weight)
+                                values.append(1.0)
                     block = (left[first:first + step, None, :] * right[None]).reshape(-1, width)
                     matrix = csr_matrix((values, (rows, cols)), shape=(len(out), len(block)))
                     hit = np.flatnonzero(np.diff(matrix.indptr))
                     expected[hit] += (matrix @ block)[hit]
-                plan.cauchy(out, m, k, left, right, weighted=weighted)
+                plan.cauchy(out, m, k, left, right)
                 assert np.array_equal(out.view(np.int64), expected.view(np.int64))
 
     def test_rejects_repeated_keys_and_missing_sub_indices(self):

@@ -427,6 +427,21 @@ class TestTaylorFill:
                              for t in tables)
             assert first == second
 
+    @pytest.mark.parametrize("p, order", [(2, 7), (1, 9)])
+    def test_tanh_high_order_table_matches_composition_sum(self, p, order):
+        # the Euler series of the inner tanh(u) above the orders of the other cases
+        mesh = Mesh1D.uniform(16)
+        nl = Nonlinearity.tanh_shifted()
+        hat = PdeData.from_spec(mesh, a=lambda x: 1.0 + 0.5 * x, b=1.0, f=1.0)
+        y = np.random.default_rng(p).uniform(-0.5, 0.5, p)
+        tilde = TildeData(DomainMap1D(p=p), hat, mesh, y)
+        u = newton_solve(mesh, tilde.data, nl)
+        table = parametric_derivative_table(PdeOracle(mesh, nl), tilde, order, u=u)
+        reference = composition_table(PdeOracle(mesh, nl), tilde.data, u, tilde.coefficient,
+                                      multi_indices_up_to(p, order))
+        assert len(table) == len(reference)
+        assert largest_relative_h1_gap(mesh, table, reference) <= 1e-10
+
     @NONLINEARITIES
     def test_chunked_products_match_composition_sum(self, nl, monkeypatch):
         # one left row per outer-product block, as for the largest orders
@@ -464,20 +479,22 @@ class TestTaylorFill:
         assert columns == [4, 10, 20, 35, 56]
         assert factorizations == [1]
 
-    def test_one_reduction_per_split_order(self, monkeypatch):
-        # the slopes and the Gauss-point series share the reduction of each
-        # (m, k): 10 for the orders 1 <= k < m <= 5 of p = 4, order 5
+    @pytest.mark.parametrize("nl", [Nonlinearity.cubic(), Nonlinearity.tanh_shifted()],
+                             ids=["cubic", "tanh"])
+    def test_one_reduction_per_split_order(self, nl, monkeypatch):
+        # the slopes and the Gauss-point series, tanh's Euler series among
+        # them, share the reduction of each (m, k): 10 for the orders
+        # 1 <= k < m <= 5 of p = 4, order 5
         mesh = Mesh1D.uniform(32)
-        nl = Nonlinearity.cubic()
         tilde = TildeData(DomainMap1D(p=4), PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0),
                           mesh, np.full(4, 0.25))
         u = newton_solve(mesh, tilde.data, nl)
         built = []
         reduction = SplitPlan._reduction
 
-        def counting(self, m, k, step, weighted):
+        def counting(self, m, k, step):
             built.append((m, k))
-            return reduction(self, m, k, step, weighted)
+            return reduction(self, m, k, step)
 
         monkeypatch.setattr(SplitPlan, "_reduction", counting)
         parametric_derivative_table(PdeOracle(mesh, nl), tilde, 5, u=u)
