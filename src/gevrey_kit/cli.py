@@ -296,6 +296,8 @@ def _derivative_problem(args, values):
     """(oracle, base, directions, FD steps) of the named problem, with the
     directions read from `values` (None for the default direction)."""
     if args.problem in _SCALAR_PROBLEMS:
+        if args.mesh_n is not None:
+            raise ConfigError("--mesh-n applies only to the pde1d problem")
         make_oracle, at, steps = _SCALAR_PROBLEMS[args.problem]
         if args.at is not None:
             at = _number(args.at, "--at")
@@ -303,7 +305,7 @@ def _derivative_problem(args, values):
         return make_oracle(), np.array([at]), directions, steps
     if args.at is not None:
         raise ConfigError("--at applies only to the scalar problems")
-    mesh = Mesh1D.uniform(args.mesh_n)
+    mesh = Mesh1D.uniform(256 if args.mesh_n is None else args.mesh_n)
     oracle = PdeOracle(mesh, Nonlinearity.cubic())
     base = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
     directions = []
@@ -443,7 +445,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_der.add_argument("--fd-check", action="store_true")
     p_der.add_argument("--at", type=float, default=None,
                        help="scalar base point (defaults per problem)")
-    p_der.add_argument("--mesh-n", type=int, default=256)
+    p_der.add_argument("--mesh-n", type=int, default=None,
+                       help="pde1d mesh elements (default 256)")
     p_der.add_argument("--output", default=None)
     p_der.set_defaults(handler=_cmd_derivatives)
 

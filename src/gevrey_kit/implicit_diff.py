@@ -41,11 +41,12 @@ through the oracle's `stack` forms (point by point by default, see
 `finite_difference_table` checks a table against difference quotients of a
 black-box solution map.  The nested central difference of a key
 alpha = sum_k n_k e_k is a product of one-dimensional binomial central
-differences, so its stencil points are d + t sum_k c_k h_k with
+differences, so its stencil points are d + sum_k (c_k t) h_k with
 c_k = n_k - 2 j_k, 0 <= j_k <= n_k.  Keys of a table share most of these
-points, so the distinct (t, c) of all keys and steps are listed first and
-the map solves them in one call, as one stack for a stacked solve; the
-point c = 0 is shared by all steps.  `finite_difference_check` is the
+points, and halving steps repeat them (c t = 2c (t/2)), so the distinct
+offsets c_k t of all keys and steps are listed first and the map solves
+them in one call, as one stack for a stacked solve; the point c = 0 is
+shared by all steps.  `finite_difference_check` is the
 one-key case for a list of directions.
 
 A `DerivativeTable` is filled order by order and treated as immutable
@@ -439,12 +440,16 @@ def finite_difference_table(solution_map: Callable, d, directions: Sequence,
 
         (2t)^{-|alpha|} sum_j prod_k (-1)^{j_k} C(n_k, j_k) S(d + sum_k c_k t h_k)
 
-    with c_k = n_k - 2 j_k.  A stencil point depends on (t, c) only, and is
-    built the same way for every key (nonzero c_k only, in ascending k), so
-    the distinct points of all keys and steps are listed first, in the order
-    the stencils reach them, and the map is called once on all of them; the
-    point c = 0, which is d itself, is shared by all steps.  Each key keeps
-    its own Richardson table and indicator.
+    with c_k = n_k - 2 j_k.  A stencil point depends on its offsets c_k t
+    only, and is built from them the same way for every key and step
+    (nonzero c_k only, in ascending k).  Points whose offsets are equal
+    doubles are bitwise equal, so the distinct points of all keys and steps
+    are listed first, in the order the stencils reach them, and the map is
+    called once on all of them: a point that recurs across steps (c t =
+    2c (t/2) when the steps halve) is solved once, and the point c = 0, which
+    is d itself, is shared by all steps.  Offsets that differ by rounding
+    (3 * 0.1 != 0.3) stay separate points.  Each key keeps its own
+    Richardson table and indicator.
 
     Orders 1 <= |alpha| <= 4 are accepted; beyond that, cancellation
     destroys double precision.  Returns {alpha: (estimate, indicator)},
@@ -471,22 +476,23 @@ def finite_difference_table(solution_map: Callable, d, directions: Sequence,
     norm = norm or default_norm
 
     def stencil(alpha: MultiIndex, t: float) -> list:
-        """(coefficient, point) of each term, a point as (t, c) and d as ()."""
+        """(coefficient, point) of each term, a point as its offsets
+        ((k, c_k t), ...) and d as ()."""
         terms = []
         for js in itertools.product(*(range(n + 1) for _, n in alpha.entries)):
             coeff = 1.0
-            c = []
+            offsets = []
             for (k, n), j in zip(alpha.entries, js):
                 coeff *= (-1) ** j * math.comb(n, j)
                 if n != 2 * j:
-                    c.append((k, n - 2 * j))
-            terms.append((coeff, (t, tuple(c)) if c else ()))
+                    offsets.append((k, (n - 2 * j) * t))
+            terms.append((coeff, tuple(offsets)))
         return terms
 
-    def data_point(key: tuple):
+    def data_point(offsets: tuple):
         point = d
-        for k, ck in key[1] if key else ():
-            point = point + (ck * key[0]) * directions[k - 1]
+        for k, offset in offsets:
+            point = point + offset * directions[k - 1]
         return point
 
     stencils = {alpha: [stencil(alpha, t) for t in steps] for alpha in keys}

@@ -1027,7 +1027,8 @@ def estimate_constants(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
     ce = mesh.embedding_constant
     full = mesh.expand(u)
     lo, hi = float(np.min(full)), float(np.max(full))
-    sup = lambda r: nl.deriv_sup(r, lo, hi)
+    top = 7 if nl.degree is None else nl.degree + 2
+    sup = {r: nl.deriv_sup(r, lo, hi) for r in range(1, max(top, 3))}
     a_sup = float(np.max(np.abs(data.a)))
     b_sup = float(np.max(np.abs(data.b)))
     uq = mesh.at_quad(u)
@@ -1035,12 +1036,12 @@ def estimate_constants(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
 
     bounds = {
         0: mesh.dual_norm(assemble_residual(mesh, data, nl, u)),
-        1: mesh.h1_norm(u) + a_sup + nl_l2 + b_sup * sup(1) + 2.0,
-        2: 2.0 + b_sup * sup(2) * ce + 2.0 * sup(1),
+        1: mesh.h1_norm(u) + a_sup + nl_l2 + b_sup * sup[1] + 2.0,
+        2: 2.0 + b_sup * sup[2] * ce + 2.0 * sup[1],
     }
-    for r in range(3, 7 if nl.degree is None else nl.degree + 2):
-        bounds[r] = (b_sup * sup(r) * ce ** (r - 1)
-                     + r * sup(r - 1) * ce ** (r - 2))
+    for r in range(3, top):
+        bounds[r] = (b_sup * sup[r] * ce ** (r - 1)
+                     + r * sup[r - 1] * ce ** (r - 2))
     digamma, tail = 1.0, []
     if nl.degree is None:
         # Cauchy bound on a width-1 strip: sup_R |tanh^(n)| <= n! * tan(1),

@@ -376,6 +376,16 @@ class TestDerivatives:
         assert "--at applies only to the scalar problems" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("problem", ["scalar-cubic", "scalar-quadratic"])
+    def test_mesh_size_rejected_for_scalar_problems(self, tmp_path, capsys, problem):
+        out = tmp_path / "deriv.csv"
+        code = run_cli(["derivatives", "--problem", problem, "--order", "1", "--mesh-n", "7",
+                        "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: --mesh-n applies only to the pde1d problem"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["--at", "-inf"], ["--order", "two"]],
                              ids=["at-read-as-option", "order-not-an-integer"])
     def test_unusable_command_line_exits_1(self, capsys, argv):
@@ -461,9 +471,11 @@ class TestDerivatives:
                         "--mesh-n", "24", "--directions", str(dirs), "--fd-check",
                         "--output", str(out)])
         assert code == 0
-        # 40 distinct nonzero stencil points per step, three steps, and the
-        # base point, in one stacked solve
-        assert calls == [121]
+        # 40 nonzero stencil points c per step, three halving steps, and the
+        # base point, in one stacked solve; the 12 even points c of the steps
+        # 0.05 and 0.025 are the points c / 2 of the step before (2 * 0.05 is
+        # 0.1 in floating point), so 40 + 28 + 28 + 1 are distinct
+        assert calls == [97]
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         assert sum(1 for r in rows if r[2]) == 14
 

@@ -385,6 +385,89 @@ def keys_up_to(n_dirs, max_order):
             if 1 <= sum(e) <= max_order]
 
 
+def per_term_reference(solution_map, d, directions, keys, steps, norm):
+    """`finite_difference_table` with each stencil point keyed by its step t
+    and multiplier vector c, so that a point reached at two steps is solved
+    at each: {alpha: (estimate, indicator)}."""
+    steps = sorted(steps, reverse=True)
+    values = {}
+
+    def value(t, c):
+        if (t, c) not in values:
+            point = d
+            for k, ck in c:
+                point = point + (ck * t) * directions[k - 1]
+            values[t, c], = solution_map([point])
+        return values[t, c]
+
+    def row(alpha, t):
+        acc = None
+        for js in itertools.product(*(range(n + 1) for _, n in alpha.entries)):
+            coeff = math.prod((-1) ** j * math.comb(n, j) for (_, n), j in zip(alpha.entries, js))
+            c = tuple((k, n - 2 * j) for (k, n), j in zip(alpha.entries, js) if n != 2 * j)
+            term = float(coeff) * value(t if c else 0.0, c)
+            acc = term if acc is None else acc + term
+        return (1.0 / (2.0 * t) ** alpha.order()) * acc
+
+    out = {}
+    for alpha in keys:
+        rows = [row(alpha, t) for t in steps]
+        table = [[rows[0]]]
+        for i in range(1, len(steps)):
+            new = [rows[i]]
+            for j in range(1, i + 1):
+                fac = (steps[i - j] / steps[i]) ** 2 - 1.0
+                new.append(new[j - 1] + (1.0 / fac) * (new[j - 1] - table[i - 1][j - 1]))
+            table.append(new)
+        out[alpha] = table[-1][-1], float(norm(table[-1][-1] - table[-1][-2]))
+    return out
+
+
+def point_bytes(point) -> bytes:
+    if isinstance(point, PdeData):
+        return b"".join(np.asarray(x, dtype=float).tobytes()
+                        for x in (point.a, point.b, point.f, point.g))
+    return np.asarray(point, dtype=float).tobytes()
+
+
+def assert_bitwise_equal(got: dict, want: dict):
+    assert list(got) == list(want)
+    for alpha, (est, ind) in got.items():
+        assert np.asarray(est).tobytes() == np.asarray(want[alpha][0]).tobytes()
+        assert np.float64(ind).tobytes() == np.float64(want[alpha][1]).tobytes()
+
+
+class RecordingMap:
+    """A stacked solution map that keeps the bytes of every point it solves."""
+
+    def __init__(self, oracle):
+        self.oracle, self.points = oracle, []
+
+    def __call__(self, ds):
+        ds = list(ds)
+        self.points += map(point_bytes, ds)
+        return solve_residual_stack(self.oracle, ds, self.oracle.zero_state(), 1e-13)
+
+    def one(self, d):
+        return solve_residual_stack(self.oracle, [d], self.oracle.zero_state(), 1e-13)[0]
+
+
+def fd_problem(kind, n_dirs):
+    """(oracle, base, directions, steps) of a PDE or scalar stencil problem."""
+    if kind == "pde":
+        mesh = Mesh1D.uniform(12)
+        specs = [{"f": 1.0}, {"a": 0.2, "b": 0.1}, {"a": -0.3, "b": 0.25, "f": -0.5}]
+        return (PdeOracle(mesh, Nonlinearity.cubic()), PdeData.from_spec(mesh, b=1.0, f=1.0),
+                [PdeData.from_spec(mesh, **{"a": 0.0, **spec}) for spec in specs[:n_dirs]],
+                [0.1, 0.05, 0.025])
+    # R(d, u) = u^3 + u + d_3 u / 2 - d_1 - d_2 d_3: a scalar state over
+    # three data variables, along three independent directions
+    oracle = PolynomialOracle(3, {(0, 0, 0, 3): 1.0, (0, 0, 0, 1): 1.0, (0, 0, 1, 1): 0.5,
+                                  (1, 0, 0, 0): -1.0, (0, 1, 1, 0): -1.0})
+    dirs = [np.array([1.0, 0.0, 0.0]), np.array([0.5, 1.0, 0.0]), np.array([-0.25, 0.0, 1.0])]
+    return oracle, np.array([0.2, 0.3, -0.1]), dirs[:n_dirs], [0.08, 0.04, 0.02, 0.01]
+
+
 class TestFiniteDifferenceTable:
     def test_scalar_cubic_solves_each_point_once(self):
         oracle = scalar_cubic_oracle()
@@ -393,8 +476,10 @@ class TestFiniteDifferenceTable:
         steps = [0.08, 0.04, 0.02, 0.01]
         keys = keys_up_to(1, 3)
         got = finite_difference_table(smap, d, [h], keys, steps)
-        # points c in {+-1, +-2, +-3} at each step, plus the shared c = 0
-        assert smap.calls == 4 * 6 + 1
+        # points c in {+-1, +-2, +-3} at each step, plus the shared c = 0;
+        # the steps halve, so c = +-2 at each step after the first is c = +-1
+        # at the step before: 6 + 3 * 4 + 1 distinct points
+        assert smap.calls == 19
         assert set(got) == set(keys)
         for alpha in keys:
             est, ind = finite_difference_check(smap, d, [h] * alpha.order(), steps)
@@ -408,8 +493,10 @@ class TestFiniteDifferenceTable:
         dirs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         keys = keys_up_to(2, 4)
         got = finite_difference_table(smap, d, dirs, keys, [0.1, 0.05, 0.025])
-        # 40 points with 1 <= |c_1| + |c_2| <= 4 at each of three steps, plus c = 0
-        assert smap.calls == 121
+        # 40 points with 1 <= |c_1| + |c_2| <= 4 at each of three halving
+        # steps, plus c = 0; the 12 even points c of the second and third
+        # steps are the points c / 2 of the step before: 40 + 2 * 28 + 1
+        assert smap.calls == 97
         x, y = d
         sin_x = [math.sin(x), math.cos(x), -math.sin(x), -math.cos(x), math.sin(x)]
         cos_y = [math.cos(y), -math.sin(y), -math.cos(y), math.sin(y), math.cos(y)]
@@ -419,6 +506,34 @@ class TestFiniteDifferenceTable:
             exact = np.array([sin_x[n1] * math.exp(y), poly_x[n1] * cos_y[n2]])
             est, ind = got[alpha]
             assert np.linalg.norm(est - exact) <= ind + 1e-8
+
+    @pytest.mark.parametrize("n_dirs", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["pde", "scalar"])
+    def test_merged_points_are_bitwise_the_per_term_table(self, kind, n_dirs):
+        oracle, d, dirs, steps = fd_problem(kind, n_dirs)
+        keys = keys_up_to(n_dirs, 4)
+        smap = RecordingMap(oracle)
+        got = finite_difference_table(smap, d, dirs, keys, steps, norm=oracle.state_norm)
+        # no point is handed to the map twice, and points recur across the
+        # halving steps, so fewer are solved than the (t, c) pairs
+        assert len(set(smap.points)) == len(smap.points)
+        per_term = CountingMap(smap.one)
+        want = per_term_reference(per_term, d, dirs, keys, steps, oracle.state_norm)
+        assert len(smap.points) < per_term.calls
+        assert_bitwise_equal(got, want)
+
+    def test_offsets_that_differ_by_rounding_stay_apart(self):
+        # 3 * 0.1 is not 0.3 in floating point, so c = 3 at the step 0.1 and
+        # c = 1 at the step 0.3 are two points, and merging them would change
+        # the bits of the table: 2 * (3 + 3) + 1 distinct points
+        assert 3 * 0.1 != 0.3
+        oracle = scalar_cubic_oracle()
+        smap = RecordingMap(oracle)
+        d, h, keys, steps = np.array([0.0]), [np.array([1.0])], keys_up_to(1, 3), [0.3, 0.1]
+        got = finite_difference_table(smap, d, h, keys, steps, norm=oracle.state_norm)
+        assert len(set(smap.points)) == len(smap.points) == 13
+        assert_bitwise_equal(got, per_term_reference(CountingMap(smap.one), d, h, keys, steps,
+                                                     oracle.state_norm))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_check_is_bitwise_the_sign_sum(self, n):

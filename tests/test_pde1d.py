@@ -492,11 +492,12 @@ class TestNewtonReuse:
         assert factorizations == [1]
         solve = lambda ds: solve_residual_stack(oracle, ds, oracle.zero_state(), 1e-13)
         keys = [alpha for alpha, _ in table.items() if 1 <= alpha.order() <= 2]
-        # 12 distinct nonzero stencil points per step, two steps, and the base
-        # point, in blocks of 10
+        # 12 nonzero stencil points per step, two steps, and the base point,
+        # in blocks of 10; the points c = (+-2, 0) and (0, +-2) at the step
+        # 0.05 are c / 2 at the step 0.1, so 12 + 8 + 1 are distinct
         monkeypatch.setattr(pde1d, "_STACK_BYTES", 10 * mesh.quad_x.nbytes)
         check(lambda: finite_difference_table(solve, base, dirs, keys, [0.1, 0.05],
-                                              norm=oracle.state_norm), 25)
+                                              norm=oracle.state_norm), 21)
 
 
 class TestResidualDerivative:
@@ -802,6 +803,22 @@ class TestConstants:
                                 subset_by_index=[0, 0])[0]
         consts = estimate_constants(mesh, data, nl, u)
         assert math.isclose(consts.alpha_measured, 1.0 / lam, rel_tol=1e-10)
+
+    @pytest.mark.parametrize("nl, orders", [(Nonlinearity.cubic(), [1, 2, 3, 4]),
+                                            (Nonlinearity.tanh_shifted(), [1, 2, 3, 4, 5, 6]),
+                                            (Nonlinearity.polynomial([0.0]), [1, 2])],
+                             ids=["cubic", "tanh", "zero"])
+    def test_each_derivative_sup_is_computed_once(self, nl, orders, monkeypatch):
+        # each sup is an eigenvalue solve, and the bound of order r reads the
+        # sups of orders r and r - 1
+        mesh = Mesh1D.uniform(16)
+        data = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
+        u = newton_solve(mesh, data, nl)
+        calls = []
+        sup = nl.deriv_sup
+        monkeypatch.setattr(nl, "deriv_sup", lambda n, lo, hi: calls.append(n) or sup(n, lo, hi))
+        estimate_constants(mesh, data, nl, u)
+        assert calls == orders
 
     def test_residual_envelope_certifies_operator_norms(self):
         # randomized probe: (r!)^s * sigma * digamma^r dominates |D^r R| action

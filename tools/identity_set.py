@@ -21,6 +21,10 @@ that claims the same numbers must leave byte-identical:
   {f: 10} and {a: 0.5, b: 2} at mesh 256, whose stencil points converge
   in different numbers of Newton steps, so that a block of the stacked
   solve drops its converged points (down to one) and goes on: CSV;
+* `derivatives --problem pde1d --order 4 --fd-check` along the three
+  directions {f: 1}, {a: 0.2, b: 0.1} and {a: -0.3, b: 0.25, f: -0.5} at
+  mesh 64, where 48 of the 385 (step, c) stencil points coincide with a
+  point of the step before and are solved once: CSV;
 * `derivatives --problem scalar-cubic` and `--problem scalar-quadratic`,
   `--order 8 --fd-check` along the directions [1.0, 0.5, -0.25]: CSV;
 * `solve --report` for cubic with Dirichlet ends at mesh 4096, for
@@ -76,6 +80,11 @@ def commands(out: Path):
         "derivatives", "--problem", "pde1d", "--order", "4", "--mesh-n", "256",
         "--directions", _config(out, "uneven-directions.json", uneven), "--fd-check",
         "--output", str(out / "derivatives-fd-uneven.csv")]
+    three = [{"f": 1.0}, {"a": 0.2, "b": 0.1}, {"a": -0.3, "b": 0.25, "f": -0.5}]
+    yield "derivatives-fd-three", [
+        "derivatives", "--problem", "pde1d", "--order", "4", "--mesh-n", "64",
+        "--directions", _config(out, "three-directions.json", three), "--fd-check",
+        "--output", str(out / "derivatives-fd-three.csv")]
     for problem in ("scalar-cubic", "scalar-quadratic"):
         yield f"derivatives-{problem}", [
             "derivatives", "--problem", problem, "--order", "8",
