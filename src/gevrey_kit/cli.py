@@ -59,6 +59,7 @@ from .pde1d import (
     Nonlinearity,
     PdeData,
     PdeOracle,
+    SolutionBoundError,
     assemble_residual,
     estimate_constants,
     monotonicity_certificate,
@@ -473,7 +474,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (NonConvergenceError, LinearizationError, ArithmeticError,
+    except (NonConvergenceError, LinearizationError, SolutionBoundError, ArithmeticError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

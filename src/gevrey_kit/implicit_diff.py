@@ -16,17 +16,18 @@ A `DerivativeTable` is one array per order in the order of its
 `combinatorics.SplitPlan`, and holds its data map once, as the normalized
 coefficients d^alpha data / alpha!.
 
-`fill_table` fills a table order by order in one form, for every oracle:
-the oracle's `taylor_expansion` propagates normalized coefficients
+`fill_table` builds a finished table from the solved base point, the plan
+and the data map, order by order in one form for every oracle: the
+oracle's `taylor_expansion` propagates normalized coefficients
 u_alpha = d^alpha u / alpha!.  The alpha-coefficient of
 t -> R(data(t), u(t)) is affine in u_alpha with the state linearization as
 its slope, so with u_alpha set to zero it gives the right-hand side of a
 linearized solve (Taylor arithmetic; Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., SIAM 2008, ch. 13).  All keys of one order are
 independent of each other, so the expansion forms their right-hand sides
-at once and one solve takes them as columns.  Both expansions, the PDE's
-and the scalar `PolynomialOracle`'s, form their Cauchy products with
-`combinatorics.SplitPlan.cauchy`.  The composition sum
+at once, one solve takes them as columns, and one call does the order.
+Both expansions, the PDE's and the scalar `PolynomialOracle`'s, form their
+Cauchy products with `combinatorics.SplitPlan.cauchy`.  The composition sum
 (`first_derivative`, `higher_derivative`) fills no table: it is the
 independent oracle the tests compare the Taylor tables with, and the
 literal permutation-and-composition form that cross-checks it at small
@@ -48,9 +49,6 @@ offsets c_k t of all keys and steps are listed first and the map solves
 them in one call, as one stack for a stacked solve; the point c = 0 is
 shared by all steps.  `finite_difference_check` is the
 one-key case for a list of directions.
-
-A `DerivativeTable` is filled order by order and treated as immutable
-afterwards.
 """
 
 from __future__ import annotations
@@ -128,15 +126,16 @@ class ResidualOracle:
         right-hand sides."""
         raise NotImplementedError
 
-    def taylor_expansion(self, table: "DerivativeTable"):
-        """Taylor-coefficient form of the fill of the table's plan.
+    def taylor_expansion(self, d, u, plan: SplitPlan, data_block: Callable[[int], object]):
+        """Taylor-coefficient form of the fill of `plan` at the solved state
+        u of d, whose data coefficients of order m are `data_block(m)`.
 
-        The expansion reads the data through `table.data_block(m)` and has
-        `solve(m)`: the coefficients u_alpha = d^alpha u / alpha! of the
-        keys alpha of order m, in plan order, as the columns of one array,
-        solved from the alpha-coefficients of t -> R(data(t), u(t)) with
-        each u_alpha set to zero and taken into its series.  `fill_table`
-        asks for order m only after every lower order.
+        The expansion has `solve(m)`: the coefficients
+        u_alpha = d^alpha u / alpha! of the keys alpha of order m, a row
+        each (an entry for a scalar state) in plan order, solved from the
+        alpha-coefficients of t -> R(data(t), u(t)) with each u_alpha set to
+        zero and taken into its series.  `fill_table` asks for order m only
+        after every lower order.
         """
         raise NotImplementedError
 
@@ -186,26 +185,20 @@ class PointStack:
 
 
 class DerivativeTable:
-    """Partials d^alpha u of t -> S(data(t)) at a fixed base point.
+    """Partials d^alpha u of t -> S(data(t)) at a fixed base point, as
+    `fill_table` builds them.
 
     `orders[m]` holds the partials of the keys of order m of `plan`, a row
     each (an entry for a scalar state) in plan order; order 0 is u = S(d)
-    itself.  A new table has order 0 alone and no plan; `fill_table` gives
-    it its plan and fills every order.  The data map enters once, as
-    `data_coefficient(alpha)` = d^alpha data / alpha! at the base point,
-    read by the fill an order at a time (`data_block`).
+    itself.  The data map enters once, as `data_coefficient(alpha)` =
+    d^alpha data / alpha! at the base point.
     """
 
-    def __init__(self, oracle: ResidualOracle, d, u,
-                 data_coefficient: Callable[[MultiIndex], object],
-                 data_block: Callable[[SplitPlan, int], object] | None = None):
-        self.oracle = oracle
-        self.d = d
-        self.u = u
+    def __init__(self, oracle: ResidualOracle, d, u, plan: SplitPlan, orders: list,
+                 data_coefficient: Callable[[MultiIndex], object]):
+        self.oracle, self.d, self.u = oracle, d, u
+        self.plan, self.orders = plan, orders
         self.data_coefficient = data_coefficient
-        self._data_block = data_block
-        self.plan: SplitPlan | None = None
-        self.orders = [np.asarray(u)[None]]
 
     def data_partial(self, alpha: MultiIndex):
         """d^alpha data = alpha! * data_coefficient(alpha)."""
@@ -213,33 +206,18 @@ class DerivativeTable:
         coefficient = self.data_coefficient(alpha)
         return coefficient if fact == 1 else fact * coefficient
 
-    def data_block(self, m: int):
-        """The data coefficients of the keys of order m, stacked along a
-        leading axis (field by field for a dataclass): the table's
-        `data_block(plan, m)` when it was given one."""
-        if self._data_block is not None:
-            return self._data_block(self.plan, m)
-        coefficients = [self.data_coefficient(alpha) for alpha in self.plan.keys(m)]
-        if dataclasses.is_dataclass(coefficients[0]):
-            return type(coefficients[0])(*(np.array([getattr(c, f.name) for c in coefficients])
-                                           for f in dataclasses.fields(coefficients[0])))
-        return np.array(coefficients)
-
     def entry(self, alpha: MultiIndex):
-        if self.plan is not None:
-            try:
-                m, row = self.plan.position(alpha)
-                return self.orders[m][row]
-            except (LookupError, IndexError):
-                pass
-        raise LookupError(f"derivative table has no entry for {alpha.label()}; "
-                          "lower orders must be computed first")
+        try:
+            m, row = self.plan.position(alpha)
+        except LookupError:
+            raise LookupError(f"derivative table has no entry for {alpha.label()}") from None
+        return self.orders[m][row]
 
     def __len__(self) -> int:
         return sum(map(len, self.orders))
 
     def items(self):
-        """(alpha, entry) pairs of a filled table, order by order in plan order."""
+        """(alpha, entry) pairs, order by order in plan order."""
         return zip(self.plan.keys(), (row for block in self.orders for row in block))
 
     def norms(self) -> dict:
@@ -372,22 +350,35 @@ def higher_derivative(oracle: ResidualOracle, table: DerivativeTable,
     return -oracle.solve_linearized(table.d, table.u, rhs)
 
 
-def fill_table(table: DerivativeTable, plan: SplitPlan) -> DerivativeTable:
-    """Fill d^alpha u into the table for every key of the plan, which the
-    table takes.
+def fill_table(oracle: ResidualOracle, d, u, plan: SplitPlan,
+               data_coefficient: Callable[[MultiIndex], object],
+               data_block: Callable[[int], object] | None = None) -> DerivativeTable:
+    """The table of d^alpha u for every key of the plan at the solved state
+    u of d, along the data map with coefficients `data_coefficient`.
 
-    Each order is filled at once through the oracle's Taylor expansion:
-    the residual coefficients of all its keys are the columns of one
-    right-hand side, one linearized solve gives their u_alpha, and the
-    order's array is alpha! u_alpha, a row per key.
+    `data_block(m)` gives the data coefficients of the keys of order m
+    stacked along a leading axis, field by field for a dataclass; by
+    default, those of `data_coefficient`, key by key.  Each order is filled
+    in one call of the oracle's Taylor expansion: the residual coefficients
+    of all its keys are the columns of one right-hand side, one linearized
+    solve gives their u_alpha, and the order's array is alpha! u_alpha, a
+    row per key.
     """
-    table.plan, table.orders = plan, table.orders[:1]
-    taylor = table.oracle.taylor_expansion(table)
+    if data_block is None:
+        def data_block(m: int):
+            coefficients = [data_coefficient(alpha) for alpha in plan.keys(m)]
+            if dataclasses.is_dataclass(coefficients[0]):
+                return type(coefficients[0])(*(np.array([getattr(c, f.name) for c in coefficients])
+                                               for f in dataclasses.fields(coefficients[0])))
+            return np.array(coefficients)
+
+    taylor = oracle.taylor_expansion(d, u, plan, data_block)
+    orders = [np.asarray(u)[None]]
     for m in range(1, plan.max_order + 1):
-        rows = np.moveaxis(taylor.solve(m), -1, 0)
+        rows = taylor.solve(m)
         facts = plan.factorials(m).astype(float).reshape((-1,) + (1,) * (rows.ndim - 1))
-        table.orders.append(np.multiply(facts, rows, order="C"))
-    return table
+        orders.append(np.multiply(facts, rows, order="C"))
+    return DerivativeTable(oracle, d, u, plan, orders, data_coefficient)
 
 
 def affine_data_map(oracle: ResidualOracle, d, directions: Sequence):
@@ -417,13 +408,11 @@ def derivative_table(oracle: ResidualOracle, d, directions: Sequence,
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     u = solve_residual(oracle, d, oracle.zero_state(), tol)
-    table = DerivativeTable(oracle, d, u, affine_data_map(oracle, d, directions))
     coords = range(1, len(directions) + 1)
-    return fill_table(table, SplitPlan([
-        MultiIndex.make(Counter(combo))
-        for k in range(1, max_order + 1)
-        for combo in itertools.combinations_with_replacement(coords, k)
-    ]))
+    plan = SplitPlan([MultiIndex.make(Counter(combo))
+                      for k in range(1, max_order + 1)
+                      for combo in itertools.combinations_with_replacement(coords, k)])
+    return fill_table(oracle, d, u, plan, affine_data_map(oracle, d, directions))
 
 
 def finite_difference_table(solution_map: Callable, d, directions: Sequence,
@@ -628,8 +617,8 @@ class PolynomialOracle(ResidualOracle):
             raise LinearizationError("state linearization is singular")
         return rhs / du
 
-    def taylor_expansion(self, table) -> "_PolynomialExpansion":
-        return _PolynomialExpansion(self, table)
+    def taylor_expansion(self, d, u, plan, data_block) -> "_PolynomialExpansion":
+        return _PolynomialExpansion(self, d, u, plan, data_block)
 
     def zero_data(self) -> np.ndarray:
         return np.zeros(self.n_data)
@@ -640,7 +629,7 @@ class PolynomialOracle(ResidualOracle):
 
 class _PolynomialExpansion:
     """Normalized Taylor coefficients of a `PolynomialOracle`'s variables
-    along a table's data map, filled one order at a time for `fill_table`.
+    along a data map, filled one order at a time for `fill_table`.
 
     Each variable's series is an array per order, with a row per position
     of the fill's `SplitPlan` and a column per variable: the data
@@ -651,21 +640,21 @@ class _PolynomialExpansion:
     `solve(m)` divides them through `oracle.solve_linearized`.
     """
 
-    def __init__(self, oracle: PolynomialOracle, table: DerivativeTable):
-        self._oracle, self._d, self._u = oracle, table.d, table.u
-        plan = self._plan = table.plan
-        self._series = [np.append(table.d, table.u)[None]]
+    def __init__(self, oracle: PolynomialOracle, d, u, plan: SplitPlan,
+                 data_block: Callable[[int], np.ndarray]):
+        self._oracle, self._d, self._u, self._plan = oracle, d, u, plan
+        self._series = [np.append(d, u)[None]]
         for m in range(1, plan.max_order + 1):
-            block = table.data_block(m)
+            block = data_block(m)
             self._series.append(np.append(block, np.zeros((len(block), 1)), axis=1))
         # each monomial of positive degree as its coefficient and the
         # column of every factor, repeated by exponent
         self._monomials = [(c, [i for i, e in enumerate(exps) for _ in range(e)])
                            for exps, c in oracle.coeffs.items() if any(exps)]
 
-    def residual_coefficients(self, m: int) -> np.ndarray:
-        """Residual coefficients of every key of order m with its own
-        u_alpha set to zero."""
+    def solve(self, m: int) -> np.ndarray:
+        """The u_alpha of every key of order m, solved from the residual
+        coefficients with u_alpha set to zero and written into u's column."""
         plan, series = self._plan, self._series[:m + 1]
         out = np.zeros(plan.size(m))
         for c, factors in self._monomials:
@@ -680,11 +669,7 @@ class _PolynomialExpansion:
                     next_product.append(acc)
                 product = next_product
             out += c * product[m][:, 0]
-        return out
-
-    def solve(self, m: int) -> np.ndarray:
-        """The u_alpha of every key of order m, written into u's column."""
-        solved = -self._oracle.solve_linearized(self._d, self._u, self.residual_coefficients(m))
+        solved = -self._oracle.solve_linearized(self._d, self._u, out)
         self._series[m][:, -1] = solved
         return solved
 

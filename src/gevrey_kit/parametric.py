@@ -10,15 +10,15 @@ series of 1/W, and mixed partials of the solution follow from the
 residual equation: the term containing the unknown partial is isolated
 and everything else moves to the right-hand side of a linearized solve.
 
-`parametric_derivative_table` fills its tables, one array per order, by
+`parametric_derivative_table` builds its tables, one array per order, by
 Taylor-coefficient propagation (`fill_table` with `PdeOracle`'s
 expansion), the data of an order entering as one block
 (`TildeData.coefficients`).  `verify_derivative_bounds` makes one pass
 over its points (solve, constants, fill) with one plan for all; it takes
-the H1 norms of an order's block with `Mesh1D.h1_norms` and the
-log-bounds an order at a time.  The composition sum of the chain rule
-(`parametric_solution_derivative`) gives single entries and is the oracle
-the tests compare the tables with.
+the H1 norms of an order's block with `Mesh1D.h1_norms`, ||u|| among
+them, and the log-bounds an order at a time.  The composition sum of the
+chain rule (`parametric_solution_derivative`) gives single entries and is
+the oracle the tests compare the tables with.
 """
 
 from __future__ import annotations
@@ -237,8 +237,9 @@ def parametric_derivative_table(oracle: PdeOracle, tilde: TildeData,
     `SplitPlan.up_to(p, max_order)`, built here unless a caller shares it."""
     if u is None:
         u = solve_residual(oracle, tilde.data, oracle.zero_state(), tol)
-    table = DerivativeTable(oracle, tilde.data, u, tilde.coefficient, tilde.coefficients)
-    return fill_table(table, plan or SplitPlan.up_to(tilde.dmap.p, max_order))
+    plan = plan or SplitPlan.up_to(tilde.dmap.p, max_order)
+    return fill_table(oracle, tilde.data, u, plan, tilde.coefficient,
+                      lambda m: tilde.coefficients(plan, m))
 
 
 # -- envelope construction and verification ------------------------------------
@@ -328,7 +329,7 @@ def verify_derivative_bounds(dmap: DomainMap1D, hat: PdeData, mesh: Mesh1D,
     sampled parameter points and compare them against the envelope.
 
     One pass over ys: at each point a Newton solve, the measured constants
-    and ||u|| (only when no envelope is passed), and the table's norms.
+    (only when no envelope is passed), and the table's norms, ||u|| first.
     Without an envelope, the data envelope is then composed with the
     implicit-solution envelope built from those constants (stability bound,
     residual-derivative constants).  An entry passes when measured <= bound,
@@ -343,9 +344,9 @@ def verify_derivative_bounds(dmap: DomainMap1D, hat: PdeData, mesh: Mesh1D,
         u = newton_solve(mesh, tilde.data, nl, tol=tol)
         if envelope is None:
             per_point.append(estimate_constants(mesh, tilde.data, nl, u))
-            u_norm_max = max(u_norm_max, mesh.h1_norm(u))
         table = parametric_derivative_table(oracle, tilde, max_order, u=u, tol=tol, plan=plan)
         measured.append([x for block in table.orders for x in mesh.h1_norms(block)])
+        u_norm_max = max(u_norm_max, measured[-1][0])
     if not measured:
         raise ValueError("need at least one parameter point")
     constants: dict = {}

@@ -43,6 +43,7 @@ __all__ = [
     "PdeOracle",
     "PdeConstants",
     "BoundCheck",
+    "SolutionBoundError",
     "MonotonicityCertificate",
     "MonotonicityProbe",
     "assemble_residual",
@@ -621,8 +622,8 @@ class PdeOracle(ResidualOracle):
         data = PdeData(*(np.array([getattr(d, name) for d in ds]) for name in "abfg"))
         return _PdeStack(self, data, self.mesh._stiffness_term(data.a))
 
-    def taylor_expansion(self, table) -> "_TaylorExpansion":
-        return _TaylorExpansion(self.mesh, self.nl, table)
+    def taylor_expansion(self, d, u, plan, data_block) -> "_TaylorExpansion":
+        return _TaylorExpansion(self.mesh, self.nl, d, u, plan, data_block)
 
     def zero_data(self) -> PdeData:
         return PdeData.zeros(self.mesh)
@@ -676,13 +677,13 @@ class _PdeStack:
 
 
 class _TaylorExpansion:
-    """Normalized Taylor coefficients u_alpha = d^alpha u / alpha! of a table's
-    solution map, with the series of N(u) at the Gauss points, filled one
-    order at a time for `implicit_diff.fill_table`.
+    """Normalized Taylor coefficients u_alpha = d^alpha u / alpha! of the
+    solution map along a data map, with the series of N(u) at the Gauss
+    points, filled one order at a time for `implicit_diff.fill_table`.
 
-    Along the table's data map, data(t) = sum d_alpha t^alpha, where
-    d_alpha = (a_alpha, b_alpha, f_alpha, g_alpha) is the table's data
-    coefficient (read an order at a time, from `data_block`), and
+    Along the data map, data(t) = sum d_alpha t^alpha, where
+    d_alpha = (a_alpha, b_alpha, f_alpha, g_alpha) is the data coefficient
+    (read an order at a time, from `data_block`), and
     u(t) = sum u_alpha t^alpha.  The residual coefficient is
 
         <(a u')_alpha, v'> + <(b N(u))_alpha - f_alpha, v> - g_alpha v(1),
@@ -714,27 +715,27 @@ class _TaylorExpansion:
     every key.
 
     Every alpha-coefficient is affine in u_alpha, with the state
-    linearization as the slope of the residual's, so
-    `residual_coefficients(m)` computes all keys of order m with their
-    u_alpha = 0, and `solve(m)` solves them with the LDL^T factors of the
-    linearization at the table's base point, formed once for all orders,
-    and adds the part linear in u_alpha to the series:
-    G(q_0) u_alpha to q_alpha and j q_0^(j-1) times that to (q^j)_alpha.
+    linearization as the slope of the residual's, so `solve(m)` forms the
+    residual coefficients of all keys of order m with their u_alpha = 0,
+    solves them with the LDL^T factors of the linearization at the base
+    point, formed once for all orders, and adds the part linear in u_alpha
+    to the series: G(q_0) u_alpha to q_alpha and j q_0^(j-1) times that to
+    (q^j)_alpha.
     A series is kept only while a later order reads it: q, the Euler series
     and the powers below the top for the orders that follow, the top power
     only when G reads it, and N (formed by `_composed`, and not stored where
     it vanishes) and the slopes only as far as the data coefficients reach.
     """
 
-    def __init__(self, mesh: Mesh1D, nl: Nonlinearity, table):
-        self.mesh = mesh
-        plan = self._plan = table.plan
+    def __init__(self, mesh: Mesh1D, nl: Nonlinearity, d: PdeData, u: np.ndarray, plan,
+                 data_block: Callable[[int], PdeData]):
+        self.mesh, self._plan = mesh, plan
         self._weights = (mesh.quad_w * mesh.phi_left, mesh.quad_w * mesh.phi_right)
         p0 = self._p0 = nl._poly(0)
-        self._b0 = table.d.b.ravel() if np.any(table.d.b) else None
+        self._b0 = d.b.ravel() if np.any(d.b) else None
         self._data: dict[str, dict[int, np.ndarray]] = {"a": {}, "b": {}, "f": {}, "g": {}}
         for m in range(1, plan.max_order + 1):
-            block = table.data_block(m)
+            block = data_block(m)
             for name in "abfg":
                 field = getattr(block, name)
                 if not np.any(field):
@@ -745,13 +746,13 @@ class _TaylorExpansion:
                     field = field.reshape(len(field), -1)
                 self._data[name][m] = field
 
-        uq = mesh.at_quad(table.u)
+        uq = mesh.at_quad(u)
         self._factors = _linearization_factors(*_linearization(
-            mesh, table.d.b, nl, uq, mesh._stiffness_term(table.d.a)))
+            mesh, d.b, nl, uq, mesh._stiffness_term(d.a)))
         uq = uq.ravel()
         q0 = nl._g(uq)
         self._n = {0: nl.deriv(0, uq)[None]}
-        self._slope = {0: mesh.slopes(table.u)[None]}
+        self._slope = {0: mesh.slopes(u)[None]}
         self._powers = [None, {0: q0[None]}]
         for _ in range(2, max(len(p0), len(nl._dg), 2)):
             self._powers.append({0: self._powers[-1][0] * q0})
@@ -763,7 +764,6 @@ class _TaylorExpansion:
         else:
             self._euler, self._dq0, self._dg = {}, npoly.polyval(q0, nl._dg), nl._dg
             self._kept |= set(np.flatnonzero(nl._dg[1:]) + 1)
-        self._tilde: list | None = None
 
     def _composed(self, series: list) -> np.ndarray | None:
         """sum_{j >= 1} p0[j] (q^j) from the per-power entries of `series`
@@ -775,9 +775,11 @@ class _TaylorExpansion:
                 acc = term if acc is None else acc + term
         return acc
 
-    def residual_coefficients(self, m: int) -> np.ndarray:
-        """Residual coefficients of every key of order m with its own
-        u_alpha set to zero: an n_free x n_m array, one column per key."""
+    def solve(self, m: int) -> np.ndarray:
+        """The u_alpha of every key of order m, a row each: solved from the
+        residual coefficients with u_alpha = 0, the columns of one
+        right-hand side, and taken into the series with one array update
+        per series; no later order reads the last one."""
         mesh, powers, cauchy = self.mesh, self._powers, self._plan.cauchy
         n_m, width = self._plan.size(m), 3 * mesh.n_elements
         q = None  # q_alpha with u_alpha = 0, which vanishes for q = u
@@ -811,12 +813,14 @@ class _TaylorExpansion:
                     cauchy(acc, m, k, powers[1][k], powers[j - 1][m - k])
             tilde.append(acc)
         n_tilde = self._composed(tilde)
-        if self._b0 is not None and n_tilde is not None:  # in place once no solve reads it
+        q = acc = None  # tilde holds them
+        if last:  # no later order reads tilde
+            del tilde
+        if self._b0 is not None and n_tilde is not None:  # in place once no series reads it
             mass = np.multiply(n_tilde, self._b0, out=n_tilde if last else None)
         else:
             mass = np.zeros((n_m, width))
-        self._tilde = None if last else tilde
-        del tilde, n_tilde
+        del n_tilde
         for k, b in self._data["b"].items():
             if m - k in self._n:  # a missing order of N is a vanishing one
                 cauchy(mass, m, k, b, self._n[m - k])
@@ -836,23 +840,19 @@ class _TaylorExpansion:
         full[:, 1:] += np.einsum("mej,ej->me", mass, self._weights[1])
         if m in self._data["g"]:
             full[:, -1] -= self._data["g"][m]
-        return full[:, mesh.free].T
-
-    def solve(self, m: int) -> np.ndarray:
-        """The u_alpha of every key of order m, as the columns of one array,
-        taken into the series with one array update per series; no later
-        order reads the last one."""
-        solved = -_ldl_solve(self._factors, self.residual_coefficients(m))
-        mesh, powers, tilde = self.mesh, self._powers, self._tilde
-        if m == self._plan.max_order:
+        rhs = full[:, mesh.free].T
+        del mass, grad, full  # the order's temporaries go before the solve
+        solved = -_ldl_solve(self._factors, rhs).T
+        del rhs
+        if last:
             return solved
-        delta = mesh.at_quad(solved.T).reshape(solved.shape[1], -1)
+        delta = mesh.at_quad(solved).reshape(n_m, -1)
         lin = delta if self._dq0 is None else self._dq0 * delta
         values = [None, lin if tilde[1] is None else tilde[1] + lin]
         for j in range(2, len(powers)):
             tilde[j] += j * powers[j - 1][0] * lin
             values.append(tilde[j])
-        self._tilde = None
+        del tilde
         for j in self._kept:
             powers[j][m] = values[j]
         if self._euler is not None:
@@ -860,7 +860,7 @@ class _TaylorExpansion:
         # N and the slopes are read at the orders that data coefficients
         # of b and a add to theirs
         for series, orders, value in ((self._n, self._data["b"], self._composed(values)),
-                                      (self._slope, self._data["a"], mesh.slopes(solved.T))):
+                                      (self._slope, self._data["a"], mesh.slopes(solved))):
             if orders and m + min(orders) <= self._plan.max_order and value is not None:
                 series[m] = value
             for r in [r for r in series if r and r + max(orders) <= m]:
@@ -878,6 +878,10 @@ def validate_admissible(mesh: Mesh1D, data: PdeData, nl: Nonlinearity) -> None:
         raise ValueError("reaction weight must be nonnegative")
     if mesh.right_bc == "dirichlet" and data.g != 0.0:
         raise ValueError("Neumann value must vanish for a Dirichlet right end")
+
+
+class SolutionBoundError(RuntimeError):
+    """A solved state violates the a-priori solution bound."""
 
 
 @dataclass(frozen=True)
@@ -943,14 +947,14 @@ def newton_solve(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
 
     Divergence raises NonConvergenceError, which admissible data should
     never trigger.  After convergence the a-priori solution bound is
-    asserted; a violation indicates a bug and raises RuntimeError.
+    asserted; a violation indicates a bug and raises SolutionBoundError.
     """
     validate_admissible(mesh, data, nl)
     oracle = PdeOracle(mesh, nl)
     u = solve_residual(oracle, data, oracle.zero_state(), tol)
     chk = solution_bound_check(mesh, data, nl, u)
     if not chk.ok:
-        raise RuntimeError(
+        raise SolutionBoundError(
             f"solution bound violated: ||u|| = {chk.lhs:.6g} > {chk.rhs:.6g}"
         )
     return u
@@ -1021,21 +1025,21 @@ def estimate_constants(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
     if c_a <= 0.0:
         raise ValueError("diffusion coefficient must be positive")
     alpha = c_pf**2 / c_a
-    lin = linearization_matrix(mesh, data, nl, u)
+    full = mesh.expand(u)
+    uq = mesh._gauss_values(full)
+    lin = _linearization(mesh, data.b, nl, uq, mesh._stiffness_term(data.a))
     alpha_measured = 1.0 / _smallest_generalized_eigenvalue(lin, mesh.h1_gram)
 
     ce = mesh.embedding_constant
-    full = mesh.expand(u)
     lo, hi = float(np.min(full)), float(np.max(full))
     top = 7 if nl.degree is None else nl.degree + 2
     sup = {r: nl.deriv_sup(r, lo, hi) for r in range(1, max(top, 3))}
     a_sup = float(np.max(np.abs(data.a)))
     b_sup = float(np.max(np.abs(data.b)))
-    uq = mesh.at_quad(u)
     nl_l2 = mesh.l2_norm_quad(nl.deriv(0, uq))
 
     bounds = {
-        0: mesh.dual_norm(assemble_residual(mesh, data, nl, u)),
+        0: mesh.dual_norm(_residual(mesh, data, nl, full, uq)),
         1: mesh.h1_norm(u) + a_sup + nl_l2 + b_sup * sup[1] + 2.0,
         2: 2.0 + b_sup * sup[2] * ce + 2.0 * sup[1],
     }

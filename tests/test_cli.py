@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gevrey_kit.cli as cli
+from gevrey_kit import pde1d
 from gevrey_kit.combinatorics import MultiIndex
 from gevrey_kit.envelopes import GevreyEnvelope, ParametricEnvelope
 from gevrey_kit.parametric import DerivativeBoundReport, DerivativeBoundRow
@@ -32,6 +33,18 @@ UNREAD_NONLINEARITY_KEYS = [
 
 def nonlinearity_id(spec: dict) -> str:
     return "-".join(sorted(spec["kind"] if key == "kind" else key for key in spec))
+
+
+def assert_violated_solution_bound_exits_2(monkeypatch, capsys, tmp_path, argv):
+    """With every a-priori solution bound check failing, the run is a
+    numerical failure: exit 2, one stderr line, and nothing written."""
+    monkeypatch.setattr(pde1d, "solution_bound_check",
+                        lambda *args: pde1d.BoundCheck(2.0, 1.0, False))
+    before = set(tmp_path.iterdir())
+    assert run_cli(argv + ["--output", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: solution bound violated: ||u|| = 2 > 1"]
+    assert set(tmp_path.iterdir()) == before
 
 
 class TestKappa:
@@ -298,6 +311,13 @@ class TestSolve:
         assert "reaction weight must be nonnegative" in capsys.readouterr().err
         assert not out.exists() and not rep.exists()
 
+    def test_violated_solution_bound_exit_code(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps({"mesh_n": 16, "b": 1.0, "f": 1.0,
+                                   "nonlinearity": {"kind": "cubic"}}))
+        assert_violated_solution_bound_exits_2(monkeypatch, capsys, tmp_path,
+                                               ["solve", "--config", str(cfg)])
+
     def test_csv_is_the_per_value_format(self, tmp_path, monkeypatch):
         u = np.array([-0.0, 1e-300, 1e300, -1e300, -1e-300, -2.5, 1.0 / 3.0, 5e-324, -0.1])
         monkeypatch.setattr(cli, "newton_solve", lambda *args, **kwargs: u)
@@ -550,6 +570,11 @@ class TestVerifyBounds:
         monkeypatch.setattr(cli, "verify_derivative_bounds", lambda *a, **k: failing)
         cfg = self.config(tmp_path)
         assert run_cli(["verify-bounds", "--config", str(cfg)]) == 3
+
+    def test_violated_solution_bound_exit_code(self, tmp_path, capsys, monkeypatch):
+        cfg = self.config(tmp_path)
+        assert_violated_solution_bound_exits_2(monkeypatch, capsys, tmp_path,
+                                               ["verify-bounds", "--config", str(cfg)])
 
     def test_bound_above_e700_prints_finite(self, tmp_path, monkeypatch):
         # exp(705) is finite; only an envelope value past the float range is inf

@@ -16,7 +16,6 @@ import pytest
 from gevrey_kit.combinatorics import MultiIndex, SplitPlan
 from gevrey_kit.envelopes import GevreyEnvelope, StabilityConstant, envelope_check, implicit_envelope
 from gevrey_kit.implicit_diff import (
-    DerivativeTable,
     LinearizationError,
     NonConvergenceError,
     PolynomialOracle,
@@ -162,7 +161,7 @@ class TestHigherDerivative:
         oracle = scalar_quadratic_oracle()
         d = np.array([3.0])
         u = solve_residual(oracle, d, 0.0, 1e-14)
-        table = DerivativeTable(oracle, d, u, affine_data_map(oracle, d, [np.array([1.0])]))
+        table = CompositionTable(oracle, d, u, affine_data_map(oracle, d, [np.array([1.0])]))
         with pytest.raises(LookupError):
             higher_derivative(oracle, table, MultiIndex.make({1: 2}))
 
@@ -275,9 +274,9 @@ class TestDerivativeTable:
                 assert abs(value - expected) <= 1e-12 * abs(expected)
 
     def test_fill_needs_a_taylor_expansion(self):
-        table = DerivativeTable(ResidualOracle(), np.zeros(1), 0.0, lambda alpha: np.ones(1))
         with pytest.raises(NotImplementedError):
-            fill_table(table, SplitPlan([MultiIndex.unit(1)]))
+            fill_table(ResidualOracle(), np.zeros(1), 0.0, SplitPlan([MultiIndex.unit(1)]),
+                       lambda alpha: np.ones(1))
 
     def test_table_is_freed_without_the_cyclic_collector(self):
         # a table must not reach itself, or it keeps its entries, oracle and

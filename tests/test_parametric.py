@@ -15,7 +15,6 @@ from gevrey_kit import combinatorics, parametric, pde1d
 from gevrey_kit.combinatorics import MultiIndex, SplitPlan, multi_indices_up_to
 from gevrey_kit.envelopes import GevreyEnvelope, ParametricEnvelope
 from gevrey_kit.implicit_diff import (
-    DerivativeTable,
     LinearizationError,
     affine_data_map,
     derivative_table,
@@ -308,9 +307,7 @@ class TestSolutionPartials:
         tilde = TildeData(dmap, hat, mesh, np.zeros(2))
         oracle = PdeOracle(mesh, nl)
         u = solve_residual(oracle, tilde.data, oracle.zero_state(), 1e-12)
-        from gevrey_kit.implicit_diff import DerivativeTable
-
-        table = DerivativeTable(oracle, tilde.data, u, tilde.coefficient)
+        table = CompositionTable(oracle, tilde.data, u, tilde.coefficient)
         with pytest.raises(LookupError):
             parametric_solution_derivative(oracle, tilde, table,
                                            MultiIndex.make({1: 2}))
@@ -510,19 +507,19 @@ class TestTaylorFill:
         else:
             oracle, base, direction = scalar_cubic_oracle(), np.array([0.5]), np.array([1.0])
         u = solve_residual(oracle, base, oracle.zero_state(), 1e-12)
-        table = DerivativeTable(oracle, base, u, affine_data_map(oracle, base, [direction]))
         with pytest.raises(ValueError, match="nondecreasing order"):
-            fill_table(table, SplitPlan([MultiIndex.make({1: 2}), MultiIndex.unit(1)]))
+            fill_table(oracle, base, u, SplitPlan([MultiIndex.make({1: 2}), MultiIndex.unit(1)]),
+                       affine_data_map(oracle, base, [direction]))
 
     def test_indefinite_linearization_raises(self):
         mesh = Mesh1D.uniform(16)
         base = PdeData.from_spec(mesh, a=lambda x: 1.0 - 3.0 * x, b=1.0, f=1.0)
         oracle = PdeOracle(mesh, Nonlinearity.cubic())
         direction = PdeData.from_spec(mesh, f=1.0)
-        table = DerivativeTable(oracle, base, oracle.zero_state(),
-                                affine_data_map(oracle, base, [direction]))
         with pytest.raises(LinearizationError, match="not positive definite"):
-            fill_table(table, SplitPlan([MultiIndex.unit(1), MultiIndex.make({1: 2})]))
+            fill_table(oracle, base, oracle.zero_state(),
+                       SplitPlan([MultiIndex.unit(1), MultiIndex.make({1: 2})]),
+                       affine_data_map(oracle, base, [direction]))
 
 
 def same_bits(got, expected):
@@ -612,6 +609,23 @@ class TestDataEnvelope:
 
 
 class TestVerifyDubounds:
+    def test_solution_norm_is_the_tables_order_zero_norm(self, monkeypatch):
+        mesh = Mesh1D.uniform(32)
+        dmap = DomainMap1D(p=2)
+        hat = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
+        nl = Nonlinearity.tanh_shifted()
+        ys = [np.array([0.3, -0.2]), np.array([-0.4, 0.1])]
+        expected = max(mesh.h1_norm(newton_solve(mesh, TildeData(dmap, hat, mesh, y).data, nl))
+                       for y in ys)
+        norms = []
+        h1_norm = Mesh1D.h1_norm
+        monkeypatch.setattr(Mesh1D, "h1_norm", lambda mesh, v: norms.append(1) or h1_norm(mesh, v))
+        report = verify_derivative_bounds(dmap, hat, mesh, nl, ys, max_order=2)
+        # one norm of u per point in the a-priori bound check of its solve
+        # and one in its constants; the report's comes from the table
+        assert len(norms) == 2 * len(ys)
+        assert report.constants["sup_solution_norm"] == expected
+
     def test_small_run_passes(self):
         mesh = Mesh1D.uniform(48)
         dmap = DomainMap1D(p=2)

@@ -12,7 +12,6 @@ from gevrey_kit import pde1d
 from gevrey_kit.combinatorics import MultiIndex, SplitPlan
 from gevrey_kit.envelopes import GevreyEnvelope, StabilityConstant, envelope_check, implicit_envelope
 from gevrey_kit.implicit_diff import (
-    DerivativeTable,
     LinearizationError,
     NonConvergenceError,
     affine_data_map,
@@ -486,8 +485,8 @@ class TestNewtonReuse:
         ldl = pde1d._ldl
         monkeypatch.setattr(pde1d, "_ldl", lambda *bands: factorizations.append(1) or ldl(*bands))
         points.update(dict.fromkeys(points, 0))
-        table = fill_table(DerivativeTable(oracle, base, u, affine_data_map(oracle, base, dirs)),
-                           SplitPlan.up_to(2, 3))
+        table = fill_table(oracle, base, u, SplitPlan.up_to(2, 3),
+                           affine_data_map(oracle, base, dirs))
         assert points["_linearization"] == points["_stiffness_term"] == 1
         assert factorizations == [1]
         solve = lambda ds: solve_residual_stack(oracle, ds, oracle.zero_state(), 1e-13)
@@ -498,6 +497,35 @@ class TestNewtonReuse:
         monkeypatch.setattr(pde1d, "_STACK_BYTES", 10 * mesh.quad_x.nbytes)
         check(lambda: finite_difference_table(solve, base, dirs, keys, [0.1, 0.05],
                                               norm=oracle.state_norm), 21)
+
+    @NONLINEARITIES
+    def test_constants_form_the_state_fields_once(self, nl, monkeypatch):
+        # the state's nodal and Gauss values serve the linearization, the
+        # residual and the range of u; the linearization keeps the bytes of
+        # the public form
+        mesh = Mesh1D.uniform(32)
+        data = self.data(mesh, 31)
+        u = solve_residual(PdeOracle(mesh, nl), data, np.zeros(mesh.n_free), 1e-12)
+        lin = linearization_matrix(mesh, data, nl, u)
+        want = 1.0 / pde1d._smallest_generalized_eigenvalue(lin, mesh.h1_gram)
+        mesh.embedding_constant  # the mesh's own forms come first
+        calls = dict.fromkeys(["expand", "_gauss_values", "_residual", "_linearization"], 0)
+
+        def counting(owner, name):
+            kernel = getattr(owner, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return kernel(*args)
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(Mesh1D, "expand")
+        counting(Mesh1D, "_gauss_values")
+        counting(pde1d, "_residual")
+        counting(pde1d, "_linearization")
+        constants = estimate_constants(mesh, data, nl, u)
+        assert calls == dict.fromkeys(calls, 1)
+        assert constants.alpha_measured == want
 
 
 class TestResidualDerivative:

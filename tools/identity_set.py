@@ -7,6 +7,10 @@ that claims the same numbers must leave byte-identical:
 
 * `verify-bounds` for cubic (p = 4) and tanh_shifted (p = 3), order 5,
   mesh 256, seeds 1-3, y_samples 1 and 2: CSV and report;
+* `verify-bounds` for cubic and tanh_shifted at p = 8, order 6, mesh 64,
+  seed 1, y_samples 1 (3 004 rows each), where 7 of the 15 (m, k) Cauchy
+  products of the Taylor fill are formed in row blocks
+  (`combinatorics._BLOCK_BYTES`): CSV and report;
 * `verify-bounds` for the polynomial nonlinearity with coefficients
   [1.0, 0.5, 1.0] (a sum of several powers in the composition of the
   Taylor fill), p = 3, order 5, mesh 256, seed 1,
@@ -57,15 +61,18 @@ def _config(out: Path, name: str, value) -> str:
 
 def commands(out: Path):
     """(name, argv) of every command of the set; inputs go to out/inputs."""
-    runs = [(kind, {"kind": kind}, p, seed, y_samples)
+    runs = [(f"verify-{kind}-seed{seed}-y{y_samples}", {"kind": kind}, p, 5, 256, seed, y_samples)
             for kind, p in (("cubic", 4), ("tanh_shifted", 3))
             for seed in (1, 2, 3) for y_samples in (1, 2)]
-    runs.append(("polynomial", {"kind": "polynomial", "coeffs": [1.0, 0.5, 1.0]}, 3, 1, 2))
-    runs.append(("linear", {"kind": "polynomial", "coeffs": [1.0]}, 3, 1, 2))
-    for kind, nonlinearity, p, seed, y_samples in runs:
-        name = f"verify-{kind}-seed{seed}-y{y_samples}"
-        cfg = {"mesh_n": 256, "p": p, "c": 0.5, "vartheta": 2.0,
-               "nonlinearity": nonlinearity, "max_order": 5,
+    runs += [(f"verify-{kind}-p8-order6", {"kind": kind}, 8, 6, 64, 1, 1)
+             for kind in ("cubic", "tanh_shifted")]
+    runs.append(("verify-polynomial-seed1-y2",
+                 {"kind": "polynomial", "coeffs": [1.0, 0.5, 1.0]}, 3, 5, 256, 1, 2))
+    runs.append(("verify-linear-seed1-y2",
+                 {"kind": "polynomial", "coeffs": [1.0]}, 3, 5, 256, 1, 2))
+    for name, nonlinearity, p, order, mesh_n, seed, y_samples in runs:
+        cfg = {"mesh_n": mesh_n, "p": p, "c": 0.5, "vartheta": 2.0,
+               "nonlinearity": nonlinearity, "max_order": order,
                "y_samples": y_samples, "seed": seed, "tol": 1e-12}
         yield name, ["verify-bounds", "--config", _config(out, f"{name}.json", cfg),
                      "--output", str(out / f"{name}.csv"),
