@@ -1,9 +1,10 @@
 """The compiled scipy kernels of the run path, loaded straight from their files.
 
-The run path needs three compiled functions from scipy: LAPACK's
-tridiagonal LDL^T `dpttrf`/`dpttrs` (f2py wrappers in
-`scipy.linalg._flapack`) and the CSR-times-dense-block product
-`csr_matvecs` (`scipy.sparse._sparsetools`, what `csr_matrix @ block` runs).
+The run path needs four compiled functions from scipy: LAPACK's
+tridiagonal LDL^T `dpttrf`/`dpttrs` and the two in one call, `dptsv`
+(f2py wrappers in `scipy.linalg._flapack`), and the CSR-times-dense-block
+product `csr_matvecs` (`scipy.sparse._sparsetools`, what `csr_matrix @ block`
+runs).
 Importing them through `scipy.linalg` or `scipy.sparse` runs those package
 inits, and through `scipy._lib._array_api` numpy.f2py and numpy.testing:
 most of the start-up of a command.  `load_extension` loads the one
@@ -42,6 +43,6 @@ if _scipy is None:
     raise ImportError("gevrey_kit needs scipy", name="scipy")
 _SCIPY_DIR = _scipy.submodule_search_locations[0]
 _flapack = load_extension(os.path.join(_SCIPY_DIR, "linalg"), "scipy.linalg._flapack")
-dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
+dpttrf, dpttrs, dptsv = _flapack.dpttrf, _flapack.dpttrs, _flapack.dptsv
 _sparsetools = load_extension(os.path.join(_SCIPY_DIR, "sparse"), "scipy.sparse._sparsetools")
 csr_matvecs = _sparsetools.csr_matvecs

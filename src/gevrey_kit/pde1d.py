@@ -16,8 +16,10 @@ and forcing fields live at the 3-point Gauss nodes of each element, shape
 
 Every P1 matrix is held as its bands (diag, off) over the free nodes, in
 O(n) memory, and one LDL^T (dpttrf/dpttrs of scipy's compiled `_flapack`,
-see `_scipy_kernels`) serves every solve and mesh constant.  A linearization
-that is not positive definite or holds a NaN raises LinearizationError.
+see `_scipy_kernels`) serves every solve and mesh constant; a round of a
+Newton stack factors and solves its points' linearizations in one dptsv
+call.  A linearization that is not positive definite or holds a NaN raises
+LinearizationError.
 
 Assembly is deterministic and single-threaded per call; distinct data and
 field values may be processed concurrently.
@@ -33,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._scipy_kernels import dpttrf, dpttrs
+from ._scipy_kernels import dptsv, dpttrf, dpttrs
 from .implicit_diff import LinearizationError, ResidualOracle, solve_residual
 
 __all__ = [
@@ -65,7 +67,16 @@ _GAUSS_W = np.array([5.0, 8.0, 5.0]) / 9.0
 def _gauss_sum(x: np.ndarray) -> np.ndarray:
     """Sum over the 3 Gauss points of each element, left to right: numpy's
     own order for a length-3 axis, at a fraction of its reduction's cost."""
-    return x[..., 0] + x[..., 1] + x[..., 2]
+    total = x[..., 0] + x[..., 1]
+    total += x[..., 2]
+    return total
+
+
+def _at_gauss_points(x: np.ndarray) -> np.ndarray:
+    """x per element repeated at its 3 Gauss points, shape x.shape + (3,):
+    a contiguous field, since a product that broadcasts x over the length-3
+    axis runs numpy's inner loop three elements at a time."""
+    return np.repeat(x, 3, axis=-1).reshape(x.shape + (3,))
 
 
 class Mesh1D:
@@ -145,15 +156,21 @@ class Mesh1D:
         return self._gauss_values(self.expand(v))
 
     def _gauss_values(self, full: np.ndarray) -> np.ndarray:
-        """`at_quad` from full nodal values."""
-        return full[..., :-1, None] * self.phi_left + full[..., 1:, None] * self.phi_right
+        """`at_quad` from full nodal values: left value * phi_left + right
+        value * phi_right."""
+        values = _at_gauss_points(full[..., :-1])
+        values *= self.phi_left
+        right = _at_gauss_points(full[..., 1:])
+        right *= self.phi_right
+        values += right
+        return values
 
     def slopes(self, v: np.ndarray) -> np.ndarray:
         """Derivative on each element, shape (..., n_elements)."""
         return np.diff(self.expand(v)) / self.h
 
     def grad_at_quad(self, v: np.ndarray) -> np.ndarray:
-        return self.slopes(v)[..., None] * np.ones(3)
+        return _at_gauss_points(self.slopes(v))
 
     def integrate(self, qfield: np.ndarray) -> float:
         return float(np.sum(self.quad_w * qfield))
@@ -171,13 +188,15 @@ class Mesh1D:
         lead = np.shape(boundary) if part is None else np.shape(part)[:-2]
         full = np.zeros(lead + (self.n_nodes,))
         if grad_part is not None:
-            ge = _gauss_sum(self.quad_w * grad_part) / self.h
+            ge = _gauss_sum(self.quad_w * grad_part)
+            ge /= self.h
             full[..., :-1] -= ge
             full[..., 1:] += ge
         if mass_part is not None:
             wm = self.quad_w * mass_part
             full[..., :-1] += _gauss_sum(wm * self.phi_left)
-            full[..., 1:] += _gauss_sum(wm * self.phi_right)
+            wm *= self.phi_right
+            full[..., 1:] += _gauss_sum(wm)
         full[..., -1] += boundary  # never -0.0 before this add, so a zero adds nothing
         return full[..., 1:self.n_free + 1]
 
@@ -195,16 +214,17 @@ class Mesh1D:
         """`bilinear_form` from the stiffness term ke (None leaves it out),
         one for each point of their leading axes."""
         if ke is None:
-            ell = rr = lr = np.zeros(self.n_elements)
-        else:  # not ke and -ke: a zero entry must come out +0.0
-            ell, lr = 0.0 + ke, 0.0 - ke
-            rr = ell
-        if mass is not None:
-            wq = self.quad_w * mass
-            wl = wq * self.phi_left
-            ell = ell + _gauss_sum(wl * self.phi_left)
-            rr = rr + _gauss_sum(wq * self.phi_right * self.phi_right)
+            ke = np.zeros(self.n_elements)
+        ell, lr = 0.0 + ke, 0.0 - ke  # not ke and -ke: a zero entry must come out +0.0
+        rr = ell
+        if mass is not None:  # the weights w * phi_i * phi_j of each band
+            wl = self.quad_w * mass
+            wr = wl * self.phi_right
+            wl *= self.phi_left
             lr = lr + _gauss_sum(wl * self.phi_right)
+            wl *= self.phi_left
+            wr *= self.phi_right
+            ell, rr = ell + _gauss_sum(wl), rr + _gauss_sum(wr)
         diag = np.zeros(np.shape(ell)[:-1] + (self.n_nodes,))
         diag[..., :-1] += ell
         diag[..., 1:] += rr
@@ -231,10 +251,12 @@ class Mesh1D:
         return math.sqrt(max(float(v @ self._h1_gram_product(v)), 0.0))
 
     def h1_norms(self, rows: np.ndarray) -> list[float]:
-        """`h1_norm` of every row, bit for bit: one Gram product, then a dot
-        product per row (a batched one sums in another order)."""
-        gram = self._h1_gram_product(rows)
-        return [math.sqrt(max(float(v @ g), 0.0)) for v, g in zip(rows, gram)]
+        """`h1_norm` of every row, bit for bit for rows of unit stride: one
+        Gram product, then one `np.vecdot`, which runs the kernel of `v @ g`
+        per row (an `einsum` sums in another order, and so does a dot
+        product of strided rows)."""
+        squares = np.vecdot(rows, self._h1_gram_product(rows))
+        return [math.sqrt(max(float(s), 0.0)) for s in squares]
 
     def riesz(self, functional: np.ndarray) -> np.ndarray:
         return _ldl_solve(self._h1_factors, functional)
@@ -460,9 +482,16 @@ class Nonlinearity:
         if n < 0:
             raise ValueError("derivative order must be >= 0")
         x, c = self._g(np.asarray(z, dtype=float)), self._poly(n)
-        acc = c[-1] + x * 0  # Horner in npoly.polyval's order, without its overhead
-        for cj in c[-2::-1]:
-            acc = cj + acc * x
+        # Horner in npoly.polyval's order, without its overhead and in place.
+        # x * 0 carries a NaN or inf of x into every order.  Adding a zero
+        # coefficient changes at most the sign of a zero, which the products
+        # keep a zero and the last addition makes +0.0, as polyval's would.
+        acc = x * 0.0
+        acc += c[-1]
+        for j in range(len(c) - 2, -1, -1):
+            acc *= x
+            if j == 0 or c[j] != 0.0:
+                acc += c[j]
         return acc
 
     def __call__(self, z):
@@ -509,8 +538,11 @@ def _residual(mesh: Mesh1D, data: PdeData, nl: Nonlinearity, full: np.ndarray,
               uq: np.ndarray) -> np.ndarray:
     """`assemble_residual` from the state's full nodal and Gauss values, for
     each point of a leading axis of the data fields and the state."""
-    grad_part = data.a * ((full[..., 1:] - full[..., :-1]) / mesh.h)[..., None]
-    mass_part = data.b * nl.deriv(0, uq) - data.f
+    grad_part = _at_gauss_points((full[..., 1:] - full[..., :-1]) / mesh.h)
+    grad_part *= data.a
+    mass_part = nl.deriv(0, uq)
+    mass_part *= data.b
+    mass_part -= data.f
     return mesh.assemble_load(grad_part, mass_part, boundary=-data.g)
 
 
@@ -568,7 +600,9 @@ def _linearization(mesh: Mesh1D, b: np.ndarray, nl: Nonlinearity, uq: np.ndarray
                    ke: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`linearization_matrix` from the reaction weight b, the Gauss values uq
     and the stiffness term ke, for each point of their leading axis."""
-    return mesh._bands(ke, b * nl.deriv(1, uq))
+    mass = nl.deriv(1, uq)
+    mass *= b
+    return mesh._bands(ke, mass)
 
 
 def _linearization_factors(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -581,8 +615,10 @@ def _linearization_factors(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarra
 
 
 #: Bytes of one Gauss-point field of the points that `PdeOracle` solves
-#: together: a block of 26 points at mesh 256, of one point at mesh 4096.
-_STACK_BYTES = 160 << 10
+#: together: a block of 13 points at mesh 256, of one point at mesh 4096.
+#: derivatives-fd ran within 5% of one speed from 64 to 160 KiB, and 1.2x
+#: slower at 40 and at 640 KiB; this is the smallest budget of that range.
+_STACK_BYTES = 80 << 10
 
 
 class PdeOracle(ResidualOracle):
@@ -595,9 +631,10 @@ class PdeOracle(ResidualOracle):
     linearization that is not positive definite raises LinearizationError.
 
     Newton solves stacks of points in blocks of `stack_points`, as many as
-    fit `_STACK_BYTES` with one Gauss-point field each (`_PdeStack`).  A
-    table fill factors the linearization at its base point once, in its
-    `_TaylorExpansion`.
+    fit `_STACK_BYTES` with one Gauss-point field each (`_PdeStack`), and
+    factors and solves the linearizations of a block's points in one LAPACK
+    call per round.  A table fill factors the linearization at its base
+    point once, in its `_TaylorExpansion`.
     """
 
     def __init__(self, mesh: Mesh1D, nl: Nonlinearity):
@@ -646,7 +683,8 @@ class _PdeStack:
     the states last evaluated are kept for the linearizations; the stack
     reads its oracle's mesh and nonlinearity and writes nothing into it.  A
     dual norm is one Riesz solve (`Mesh1D.riesz`) over all columns and a dot
-    product per point; each point has its own LDL^T.
+    product per point (`np.vecdot`); the linearizations of the points are
+    laid end to end in one tridiagonal and solved by one dptsv call.
     """
 
     def __init__(self, oracle: PdeOracle, data: PdeData, ke: np.ndarray):
@@ -662,14 +700,35 @@ class _PdeStack:
         full = mesh.expand(np.asarray(us))
         uq = self._uq = mesh._gauss_values(full)
         res = _residual(mesh, self.data, self.oracle.nl, full, uq)
-        riesz = mesh.riesz(res.T).T
-        return res, [math.sqrt(max(float(r @ x), 0.0)) for r, x in zip(res, riesz)]
+        squares = np.vecdot(res, mesh.riesz(res.T).T)
+        return res, [math.sqrt(max(float(s), 0.0)) for s in squares]
 
-    def solve_linearized(self, rows: list, rhs: list) -> list:
-        bands = _linearization(self.oracle.mesh, self._rows(self.data.b, rows), self.oracle.nl,
-                               self._rows(self._uq, rows), self._rows(self.ke, rows))
-        return [_ldl_solve(_linearization_factors(diag, off), r)
-                for diag, off, r in zip(*bands, rhs)]
+    def solve_linearized(self, rows: list, rhs: list) -> np.ndarray:
+        diag, off = _linearization(self.oracle.mesh, self._rows(self.data.b, rows),
+                                   self.oracle.nl, self._rows(self._uq, rows),
+                                   self._rows(self.ke, rows))
+        points, n = diag.shape
+        if points * n > 1:  # the dptsv wrapper rejects an empty off-diagonal
+            # The points' tridiagonals end to end, coupled by zeros, are one
+            # matrix whose LDL^T is each point's own, bit for bit: with e = 0,
+            # dpttrf's multiplier is 0 / d = +0.0 and the next pivot d - 0 * 0
+            # is that d.  At a coupling the solve's sweeps add or subtract
+            # only a finite value times +0.0, which changes no value but the
+            # sign of a zero: a residual load holds no -0.0 (`assemble_load`
+            # sums from +0.0), and a -0.0 that a point's last entry underflows
+            # to may come out +0.0, which no Newton state, free of -0.0, tells
+            # apart.  A pivot <= 0 stops dpttrf (info > 0) and a NaN pivot
+            # runs into the solution; those stacks, and a solution with an inf
+            # or NaN, which would cross a coupling (inf * 0), are solved again
+            # point by point, where a bad linearization raises.
+            coupled = np.zeros((points, n))
+            coupled[:, :-1] = off
+            _, _, x, info = dptsv(diag.ravel(), coupled.ravel()[:-1],
+                                  np.array(rhs).reshape(-1, 1), overwrite_e=1, overwrite_b=1)
+            if info == 0 and np.isfinite(x).all():
+                return x.reshape(points, n)
+        return np.array([_ldl_solve(_linearization_factors(d, e), r)
+                         for d, e, r in zip(diag, off, rhs)])
 
     def take(self, rows: list) -> "_PdeStack":
         data = PdeData(*(self._rows(getattr(self.data, name), rows) for name in "abfg"))

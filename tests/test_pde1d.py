@@ -144,6 +144,23 @@ class TestMesh:
         expected = math.sqrt(1.0 / 30.0 + 1.0 / 3.0)
         assert abs(mesh.h1_norm(v) - expected) < 1e-3
 
+    @pytest.mark.parametrize("n", [2, 3, 256, 4096])
+    def test_h1_norms_are_bitwise_one_dot_per_row(self, n):
+        # one np.vecdot over rows that are contiguous, every other row, in a
+        # Fortran-ordered block or a transposed view: each row's `v @ g`, and
+        # for rows of unit stride the one-row norm
+        mesh = Mesh1D.uniform(n)
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((7, mesh.n_free)) * 10.0 ** rng.integers(-3, 4, (7, 1))
+        for block in (rows, rows[::2], np.asfortranarray(rows),
+                      rng.standard_normal((mesh.n_free, 5)).T):
+            got = np.array(mesh.h1_norms(block))
+            gram = mesh._h1_gram_product(block)
+            dots = [math.sqrt(max(float(v @ g), 0.0)) for v, g in zip(block, gram)]
+            assert_same_bytes(got, np.array(dots))
+            if block.strides[-1] == block.itemsize:
+                assert_same_bytes(got, np.array([mesh.h1_norm(row) for row in block]))
+
     def test_dual_norm_via_riesz(self):
         mesh = Mesh1D.uniform(16)
         rng = np.random.default_rng(0)
@@ -223,16 +240,24 @@ class TestNonlinearity:
                 assert exact >= dense - 1e-9
                 assert exact <= dense * (1.0 + 1e-3) + 1e-9
 
-    @NONLINEARITIES
+    @pytest.mark.parametrize("nl", [
+        Nonlinearity.cubic(), Nonlinearity.tanh_shifted(),
+        Nonlinearity.polynomial([3.0, -3.0, 1.0]), Nonlinearity.polynomial([1.0]),
+        Nonlinearity.polynomial([1.0, 0.5, 1.0]), Nonlinearity.polynomial([0.0, 0.0, 2.0]),
+    ], ids=["cubic", "tanh_shifted", "shifted_cubic", "constant", "three_powers",
+            "interior_zeros"])
     def test_deriv_is_bitwise_polyval(self, nl):
+        # in place, and without the additions of the zero coefficients but
+        # the last: signed zeros, subnormals, infinities and NaN included
         rng = np.random.default_rng(3)
         values = [rng.standard_normal((5, 3)) * 4.0, np.linspace(-2.0, 2.0, 9),
-                  np.asarray(0.7), np.asarray(-1.5), 0.7, -1.5, 0.0,
-                  np.array([math.inf, -math.inf, math.nan, 0.0, -0.0]),
+                  rng.standard_normal(9) * 1e-160,  # products that underflow
+                  np.asarray(0.7), np.asarray(-1.5), 0.7, -1.5, 0.0, -0.0, 1e-310, -1e-310,
+                  np.array([math.inf, -math.inf, math.nan, 0.0, -0.0, 1e-310, -1e-310]),
                   math.inf, -math.inf, math.nan]
         for n in range(7):
             for z in values:
-                with np.errstate(invalid="ignore"):  # inf * 0 in both forms
+                with np.errstate(invalid="ignore", under="ignore"):  # inf * 0 in both forms
                     got, want = nl.deriv(n, z), reference_deriv(nl, n, z)
                 assert_same_bytes(got, want)
 
@@ -395,19 +420,22 @@ class TestNewtonReuse:
     @KERNEL_MESHES
     @NONLINEARITIES
     @pytest.mark.parametrize("tol", [1e-12, 0.0])  # 0.0 ends at the round-off floor
-    def test_newton_is_bitwise_the_public_forms(self, mesh, nl, tol, monkeypatch,
+    @pytest.mark.parametrize("block", [3, None], ids=["blocks-of-3", "default-blocks"])
+    def test_newton_is_bitwise_the_public_forms(self, mesh, nl, tol, block, monkeypatch,
                                                 reference_newton):
-        # seven points in blocks of three: forcings of several sizes take
-        # different numbers of steps, the one of -1000 halves a step, and a
-        # Neumann stack mixes g = 0 with g != 0
-        monkeypatch.setattr(pde1d, "_STACK_BYTES", 3 * mesh.quad_x.nbytes)
+        # seven points, in blocks of three or in the default's one block:
+        # forcings of several sizes take different numbers of steps, the one
+        # of -1000 halves a step, and a Neumann stack mixes g = 0 with g != 0
+        if block is not None:
+            monkeypatch.setattr(pde1d, "_STACK_BYTES", block * mesh.quad_x.nbytes)
         points = [self.data(mesh, seed, scale, g) for seed, scale, g in [
             (11, 1.0, 0.5), (21, 0.01, 0.0), (22, 0.3, 0.5), (23, 10.0, 0.0),
             (24, 100.0, 0.5), (26, -1000.0, 0.5), (25, 1.0, 0.0)]]
         want = [reference_newton(PdeOracle(mesh, nl), d, np.zeros(mesh.n_free), tol)
                 for d in points]
         oracle = PdeOracle(mesh, nl)
-        assert oracle.stack_points == 3
+        assert oracle.stack_points == (block or pde1d._STACK_BYTES // mesh.quad_x.nbytes)
+        assert oracle.stack_points >= 3
         got = solve_residual_stack(oracle, iter(points), np.zeros(mesh.n_free), tol)
         assert len(got) == len(points)
         for state, (u, _, _) in zip(got, want):
@@ -526,6 +554,94 @@ class TestNewtonReuse:
         constants = estimate_constants(mesh, data, nl, u)
         assert calls == dict.fromkeys(calls, 1)
         assert constants.alpha_measured == want
+
+
+STACK_MESHES = pytest.mark.parametrize("mesh", [
+    Mesh1D.uniform(2), Mesh1D.uniform(2, "neumann"), Mesh1D.uniform(256),
+], ids=["n_free-1", "n_free-2", "n_free-255"])
+
+
+class TestStackSolve:
+    """A round of a Newton stack factors and solves the linearizations of
+    its points in one dptsv call, bit for bit their one-point LDL^T solves."""
+
+    @staticmethod
+    def stack(mesh, nl, points, broken=None):
+        """Stack of `points` random data points, evaluated at random states;
+        `broken(d)` replaces the data of the middle point."""
+        rng = np.random.default_rng(points)
+        g = 0.5 if mesh.right_bc == "neumann" else 0.0
+        ds = [PdeData(*(rng.uniform(0.5, 2.0, mesh.quad_x.shape) for _ in range(3)), g)
+              for _ in range(points)]
+        if broken is not None:
+            ds[points // 2] = broken(ds[points // 2])
+        us = [rng.standard_normal(mesh.n_free) for _ in ds]
+        stack = PdeOracle(mesh, nl).stack(ds)
+        res, _ = stack.eval(us)
+        return ds, us, stack, res
+
+    @staticmethod
+    def one_point(mesh, nl, d, u, rhs):
+        bands = linearization_matrix(mesh, d, nl, u)
+        return pde1d._ldl_solve(pde1d._linearization_factors(*bands), rhs)
+
+    @staticmethod
+    def counting_dptsv(monkeypatch):
+        calls = []
+        dptsv = pde1d.dptsv
+        monkeypatch.setattr(pde1d, "dptsv", lambda *a, **k: calls.append(1) or dptsv(*a, **k))
+        return calls
+
+    @STACK_MESHES
+    @NONLINEARITIES
+    @pytest.mark.parametrize("points", [1, 2, 13])
+    def test_one_call_is_bitwise_the_one_point_solves(self, mesh, nl, points, monkeypatch):
+        ds, us, stack, res = self.stack(mesh, nl, points)
+        for rows in [list(range(points)), list(range(0, points, 2))]:  # all points, and some
+            calls = self.counting_dptsv(monkeypatch)
+            got = stack.solve_linearized(rows, [res[i] for i in rows])
+            assert got.shape == (len(rows), mesh.n_free)
+            for step, i in zip(got, rows):
+                assert_same_bytes(step, self.one_point(mesh, nl, ds[i], us[i], res[i]))
+            # the single pivot of one point on one free node is a division
+            assert len(calls) == (len(rows) * mesh.n_free > 1)
+
+    @staticmethod
+    def indefinite(d):
+        return PdeData(-d.a, d.b, d.f, d.g)
+
+    @staticmethod
+    def nan(d):
+        b = d.b.copy()
+        b.flat[1] = math.nan
+        return PdeData(d.a, b, d.f, d.g)
+
+    @STACK_MESHES
+    @pytest.mark.parametrize("broken", ["indefinite", "nan"])
+    def test_a_bad_point_in_the_middle_raises(self, mesh, broken, monkeypatch):
+        nl = Nonlinearity.cubic()
+        ds, us, stack, _ = self.stack(mesh, nl, 13, getattr(self, broken))
+        with pytest.raises(LinearizationError, match="not positive definite"):
+            self.one_point(mesh, nl, ds[6], us[6], np.ones(mesh.n_free))
+        calls = self.counting_dptsv(monkeypatch)
+        with pytest.raises(LinearizationError, match="not positive definite"):
+            stack.solve_linearized(list(range(13)), np.ones((13, mesh.n_free)))
+        assert calls == [1]
+
+    @STACK_MESHES
+    def test_non_finite_right_hand_sides_stay_in_their_points(self, mesh):
+        # an inf or NaN would cross the zero couplings of one call (inf * 0)
+        nl = Nonlinearity.cubic()
+        ds, us, stack, res = self.stack(mesh, nl, 13)
+        rhs = res.copy()
+        rhs[3, 0], rhs[8, -1] = math.inf, math.nan
+        given = rhs.copy()
+        with np.errstate(invalid="ignore"):
+            got = stack.solve_linearized(list(range(13)), rhs)
+            for step, d, u, r in zip(got, ds, us, rhs):
+                assert_same_bytes(step, self.one_point(mesh, nl, d, u, r))
+        assert np.all(np.isfinite(np.delete(got, [3, 8], axis=0)))
+        assert_same_bytes(rhs, given)
 
 
 class TestResidualDerivative:

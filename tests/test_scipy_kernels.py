@@ -61,6 +61,7 @@ def test_kernels_are_scipys_own_objects():
 
     assert pde1d.dpttrf is lapack.dpttrf
     assert pde1d.dpttrs is lapack.dpttrs
+    assert pde1d.dptsv is lapack.dptsv
     assert combinatorics.csr_matvecs is _sparsetools.csr_matvecs
     # a second load of a loaded file returns the module already loaded
     again = _scipy_kernels.load_extension(os.path.join(_scipy_kernels._SCIPY_DIR, "linalg"),

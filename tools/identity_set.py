@@ -29,6 +29,9 @@ that claims the same numbers must leave byte-identical:
   directions {f: 1}, {a: 0.2, b: 0.1} and {a: -0.3, b: 0.25, f: -0.5} at
   mesh 64, where 48 of the 385 (step, c) stencil points coincide with a
   point of the step before and are solved once: CSV;
+* `derivatives --problem pde1d --order 2 --mesh-n 4096 --fd-check` along
+  the default direction, where a Gauss-point field fills the stack budget
+  (`pde1d._STACK_BYTES`), so every Newton round solves one point: CSV;
 * `derivatives --problem scalar-cubic` and `--problem scalar-quadratic`,
   `--order 8 --fd-check` along the directions [1.0, 0.5, -0.25]: CSV;
 * `solve --report` for cubic with Dirichlet ends at mesh 4096, for
@@ -92,6 +95,9 @@ def commands(out: Path):
         "derivatives", "--problem", "pde1d", "--order", "4", "--mesh-n", "64",
         "--directions", _config(out, "three-directions.json", three), "--fd-check",
         "--output", str(out / "derivatives-fd-three.csv")]
+    yield "derivatives-fd-mesh4096", [
+        "derivatives", "--problem", "pde1d", "--order", "2", "--mesh-n", "4096", "--fd-check",
+        "--output", str(out / "derivatives-fd-mesh4096.csv")]
     for problem in ("scalar-cubic", "scalar-quadratic"):
         yield f"derivatives-{problem}", [
             "derivatives", "--problem", problem, "--order", "8",
