@@ -104,16 +104,23 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _check_output_directories(args) -> None:
-    """An empty output path, one in a missing directory, or one that is a
-    directory, is a configuration error before any work, so the run leaves
-    no output of its own behind."""
+    """An empty output path, one in a missing directory, one that is a
+    directory, or one whose file name is longer than its directory allows
+    (NAME_MAX bytes), is a configuration error before any work, so the run
+    leaves no output of its own behind."""
     for path in (getattr(args, "output", None), getattr(args, "report", None)):
         if path == "":
             raise ConfigError("cannot write an empty path")
-        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        if path is None:
+            continue
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
             raise ConfigError(f"cannot write {path}: no such directory")
-        if path is not None and os.path.isdir(path):
+        if os.path.isdir(path):
             raise ConfigError(f"cannot write {path}: is a directory")
+        name_max = os.pathconf(directory, "PC_NAME_MAX")  # -1: no limit
+        if 0 <= name_max < len(os.fsencode(os.path.basename(path))):
+            raise ConfigError(f"cannot write {path}: file name too long")
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -16,10 +16,12 @@ and forcing fields live at the 3-point Gauss nodes of each element, shape
 
 Every P1 matrix is held as its bands (diag, off) over the free nodes, in
 O(n) memory, and one LDL^T (dpttrf/dpttrs of scipy's compiled `_flapack`,
-see `_scipy_kernels`) serves every solve and mesh constant; a round of a
-Newton stack factors and solves its points' linearizations in one dptsv
-call.  A linearization that is not positive definite or holds a NaN raises
-LinearizationError.
+see `_scipy_kernels`) serves every solve and the eigenvalue bisection of
+`estimate_constants`; a round of a Newton stack factors and solves its
+points' linearizations in one dptsv call.  The mesh constants (Poincare,
+embedding, trace) are the continuous problem's, in closed form, and hold
+on every mesh.  A linearization that is not positive definite or holds a
+NaN raises LinearizationError.
 
 Assembly is deterministic and single-threaded per call; distinct data and
 field values may be processed concurrently.
@@ -90,6 +92,18 @@ class Mesh1D:
     right_bc : str
         "dirichlet" or "neumann"; the left end is always Dirichlet, so a
         Poincare inequality holds on the free space.
+
+    The Poincare, embedding and trace constants are those of the continuous
+    problem on (0, 1), in closed form.  P1 elements are conforming (the free
+    space V_h is a subspace of H^1 with v(0) = 0, and of H^1_0 for a
+    Dirichlet right end), and 3-point Gauss quadrature integrates products
+    of P1 functions exactly, so `h1_norm` and <v', v'> are the continuous
+    forms restricted to V_h.  Each constant is a sup over the space of a
+    ratio of these forms, and a sup over the subspace V_h is at most the sup
+    over the whole space (min-max principle): each value bounds the discrete
+    one of this mesh from above and holds on every mesh, uniform or not, for
+    any number of elements.  Each is rounded up by `_CONSTANT_ULPS` ulps,
+    which covers its evaluation error.
     """
 
     def __init__(self, nodes, right_bc: str = "dirichlet"):
@@ -265,33 +279,49 @@ class Mesh1D:
         return math.sqrt(max(float(functional @ self.riesz(functional)), 0.0))
 
     @cached_property
-    def _h1_inverse_diag(self) -> np.ndarray:
-        """1 / (top + bottom - diag), from two LDL^T pivot sweeps (Meurant, SIMAX 1992)."""
-        diag, off = self.h1_gram
-        top, bottom = self._h1_factors[0], _ldl(diag[::-1], off[::-1])[0][::-1]
-        return 1.0 / (top + bottom - diag)
-
-    @cached_property
     def embedding_constant(self) -> float:
-        """Exact discrete sup of |v(x)| / ||v||_H1 (attained at a node for P1),
-        from `_h1_inverse_diag`: O(n) memory, the same value on every run."""
-        return math.sqrt(float(np.max(self._h1_inverse_diag)))
+        """Upper bound of sup |v(x)| / ||v||_H1 over the free space:
+        sqrt(max_x G(x, x)) with G the Green's function of -v'' + v.  For a
+        Dirichlet right end G(x, x) = sinh(x) sinh(1 - x) / sinh(1), largest
+        at x = 1/2, where it is sinh(1/2)^2 / sinh(1) = tanh(1/2) / 2; for a
+        Neumann one G(x, x) = sinh(x) cosh(1 - x) / cosh(1), largest at
+        x = 1, where it is tanh(1)."""
+        if self.right_bc == "neumann":
+            return _rounded_up(math.sqrt(math.tanh(1.0)))
+        return _rounded_up(math.sqrt(0.5 * math.tanh(0.5)))
 
     @cached_property
     def trace_constant(self) -> float:
-        """Dual norm of v -> v(1), from `_h1_inverse_diag` (O(n) memory,
-        deterministic); zero when the right end is Dirichlet."""
+        """Upper bound of the dual norm of v -> v(1): sqrt(G(1, 1)) =
+        sqrt(tanh 1) for a Neumann right end; zero when it is Dirichlet."""
         if self.right_bc != "neumann":
             return 0.0
-        return math.sqrt(float(self._h1_inverse_diag[-1]))
+        return _rounded_up(math.sqrt(math.tanh(1.0)))
 
     @cached_property
     def poincare_constant(self) -> float:
-        """Smallest c with ||v||_H1^2 <= c^2 <v', v'> on the free space, by the
-        bisection of `_smallest_generalized_eigenvalue` (O(n) memory, the same
-        value on every run); it rounds the eigenvalue down, so c_pf up."""
-        lam = _smallest_generalized_eigenvalue(self.bilinear_form(stiffness=1.0), self.h1_gram)
-        return 1.0 / math.sqrt(lam)
+        """Upper bound of the smallest c with ||v||_H1^2 <= c^2 <v', v'> on
+        the free space: sqrt(1 + 1/lambda_1), with lambda_1 the smallest
+        eigenvalue of -v'' on (0, 1), pi^2 for a Dirichlet right end and
+        pi^2 / 4 for a Neumann one (sine modes sin(pi x) and sin(pi x / 2))."""
+        lam = math.pi**2 if self.right_bc == "dirichlet" else math.pi**2 / 4.0
+        return _rounded_up(math.sqrt(1.0 + 1.0 / lam))
+
+
+#: Ulps by which `_rounded_up` raises a closed-form constant.  The largest
+#: evaluation error is that of sqrt(tanh(x)): glibc's tanh is within 2 ulps
+#: (its published error table), which sqrt halves in relative terms, plus
+#: sqrt's own half ulp, so within 3 ulps of the result; sqrt(1 + 1/lambda_1)
+#: is within 2 (math.pi and each operation are within half an ulp, and
+#: 1/lambda_1 < 1/2 damps their sum).
+_CONSTANT_ULPS = 4
+
+
+def _rounded_up(value: float) -> float:
+    """`value` raised by `_CONSTANT_ULPS` ulps."""
+    for _ in range(_CONSTANT_ULPS):
+        value = math.nextafter(value, math.inf)
+    return value
 
 
 def _ldl(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -319,14 +349,23 @@ def _smallest_generalized_eigenvalue(a_bands: tuple, b_bands: tuple) -> float:
     is positive definite exactly when t is below it.  From lo = 0 and the
     Rayleigh quotient hi = min A_ii/B_ii, lo moves only where the LDL^T succeeds,
     until no midpoint lies strictly between (55-60 steps).  Returns lo, a lower
-    bound up to round-off, in O(n) time and memory and the same on every run."""
+    bound up to round-off, in O(n) time and memory and the same on every run.
+    Each step forms A - tB in the same two buffers and factors it there."""
     (a_diag, a_off), (b_diag, b_off) = a_bands, b_bands
     lo, hi = 0.0, float(np.min(a_diag / b_diag))
+    diag, off = np.empty_like(a_diag), np.empty_like(a_off)
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if _ldl(a_diag - mid * b_diag, a_off - mid * b_off) is None:
-            hi = mid
+        np.subtract(a_diag, np.multiply(b_diag, mid, out=diag), out=diag)
+        np.subtract(a_off, np.multiply(b_off, mid, out=off), out=off)
+        if len(diag) == 1:
+            definite = _ldl(diag, off) is not None
         else:
+            pivots, _, info = dpttrf(diag, off, overwrite_d=1, overwrite_e=1)
+            definite = info == 0 and pivots[-1] > 0.0
+        if definite:
             lo = mid
+        else:
+            hi = mid
     return lo
 
 
@@ -991,8 +1030,10 @@ def monotonicity_certificate(mesh: Mesh1D, data: PdeData,
     on the real line.  The diffusion term is at least min a * <v', v'> (v' is
     constant on an element and the weights are positive), the reaction term
     is a positively weighted sum of (N(x) - N(y))(x - y) >= 0, and
-    ||v||_H1^2 <= c_pf^2 <v', v'>; the bisection rounds c_pf up, so the
-    threshold errs low (Zeidler, Nonlinear Functional Analysis II/B, ch. 25)."""
+    ||v||_H1^2 <= c_pf^2 <v', v'> with the mesh's closed-form c_pf, which
+    bounds the discrete one from above (rounded up), so the threshold errs
+    low and holds on every mesh (Zeidler, Nonlinear Functional Analysis
+    II/B, ch. 25)."""
     min_a, min_b = float(np.min(data.a)), float(np.min(data.b))
     c_pf = mesh.poincare_constant
     threshold = min(1.0, min_a) / c_pf**2
@@ -1052,8 +1093,11 @@ def monotonicity_probe(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
 class PdeConstants:
     """Measured stability and derivative-bound constants at a solved state.
 
-    alpha is the guaranteed inverse-linearization bound c_pf^2 / c_a;
-    alpha_measured is the sharp discrete value.  sigma and digamma certify
+    alpha is the guaranteed inverse-linearization bound c_pf^2 / c_a, with
+    the closed-form c_pf of the continuous problem, so it holds on every
+    mesh; alpha_measured is the sharp discrete value at this mesh and state,
+    by the inertia bisection.  embedding is the closed-form sup-norm
+    embedding constant.  sigma and digamma certify
     r! * sigma * digamma**r >= ||D^r R|| for every order r via
     term-by-term norm estimates of the derivative formulas.
     """
@@ -1075,9 +1119,11 @@ def estimate_constants(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
     """Constants for the derivative-bound machinery at a solved state.
 
     The residual-derivative bounds use the joint max norm on (data, state)
-    directions, the component norms of `data_norm`, the exact discrete
-    sup-norm embedding constant, and interval sups of the nonlinearity
-    derivatives over the range of u.
+    directions, the component norms of `data_norm`, the closed-form sup-norm
+    embedding constant of the continuous problem (an upper bound of the
+    discrete one), and interval sups of the nonlinearity derivatives over
+    the range of u.  Of the constants, only alpha_measured runs an
+    eigenvalue bisection.
     """
     c_pf = mesh.poincare_constant
     c_a = min(1.0, float(np.min(data.a)))

@@ -63,6 +63,7 @@ from .pde1d import (
     Nonlinearity,
     PdeData,
     PdeOracle,
+    _smallest_generalized_eigenvalue,
     apply_residual_derivative,
     assemble_residual,
     estimate_constants,
@@ -509,10 +510,15 @@ def check_newton_benchmark() -> None:
 
 
 def check_poincare_convergence() -> None:
+    # the discrete constant, by the inertia bisection, approaches the
+    # continuous one from below; the mesh returns the continuous one
     continuous = math.sqrt(1.0 + math.pi**2) / math.pi
-    c128 = Mesh1D.uniform(128).poincare_constant
+    mesh = Mesh1D.uniform(128)
+    stiffness = mesh.bilinear_form(stiffness=1.0)
+    c128 = 1.0 / math.sqrt(_smallest_generalized_eigenvalue(stiffness, mesh.h1_gram))
     assert c128 <= continuous + 1e-12
     assert abs(c128 - continuous) < 1e-3
+    assert c128 < mesh.poincare_constant
     mesh, nl = Mesh1D.uniform(64), Nonlinearity.cubic()
     data = PdeData.from_spec(mesh, a=1.0, b=0.0, f=1.0)
     consts = estimate_constants(mesh, data, nl, newton_solve(mesh, data, nl))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -677,20 +678,27 @@ class TestGlobalBehavior:
 
     @staticmethod
     def unwritable_report(tmp_path, monkeypatch, kind):
-        """A report path in a missing directory, an existing directory or
-        the empty path (run from tmp_path), with its config error."""
+        """A report path in a missing directory, an existing directory, the
+        empty path (run from tmp_path), or one whose file name is longer
+        than NAME_MAX, with its config error."""
         monkeypatch.chdir(tmp_path)
         if kind == "missing":
             report = tmp_path / "missing" / "r.json"
             return str(report), f"cannot write {report}: no such directory"
         if kind == "empty":
             return "", "cannot write an empty path"
+        if kind == "too-long":
+            report = tmp_path / ("r" * os.pathconf(tmp_path, "PC_NAME_MAX") + ".json")
+            return str(report), f"cannot write {report}: file name too long"
         (tmp_path / "taken").mkdir()
         return str(tmp_path / "taken"), f"cannot write {tmp_path / 'taken'}: is a directory"
 
-    @pytest.mark.parametrize("kind", ["missing", "directory", "empty"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "empty", "too-long"])
     def test_unwritable_report_rejected_before_the_solve(self, tmp_path, capsys, monkeypatch,
                                                          kind):
+        def never_reached(*args, **kwargs):
+            raise AssertionError("solved before the output paths were checked")
+        monkeypatch.setattr(cli, "newton_solve", never_reached)
         cfg = tmp_path / "solve.json"
         cfg.write_text(json.dumps({"mesh_n": 16, "b": 1.0, "f": 1.0,
                                    "nonlinearity": {"kind": "cubic"}}))
@@ -703,7 +711,7 @@ class TestGlobalBehavior:
         assert not (tmp_path / "u.csv").exists()
         assert [path.name for path in tmp_path.iterdir() if path.name != "taken"] == ["solve.json"]
 
-    @pytest.mark.parametrize("kind", ["missing", "directory", "empty"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "empty", "too-long"])
     def test_unwritable_verify_report_rejected_before_the_run(
             self, tmp_path, capsys, monkeypatch, kind):
         monkeypatch.setattr(cli, "verify_derivative_bounds", None)  # never reached
@@ -723,6 +731,16 @@ class TestGlobalBehavior:
         assert run_cli(["kappa", "--max-n", "3", "--output", str(taken)]) == 1
         assert capsys.readouterr().err == f"config error: cannot write {taken}: is a directory\n"
         assert list(tmp_path.iterdir()) == [taken] and list(taken.iterdir()) == []
+
+    def test_output_name_longer_than_name_max_rejected(self, tmp_path, capsys):
+        name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+        path = tmp_path / ("k" * (name_max - 3) + ".csv")
+        assert run_cli(["kappa", "--max-n", "3", "--output", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: cannot write {path}: file name too long\n"
+        assert list(tmp_path.iterdir()) == []
+        longest = tmp_path / ("k" * (name_max - 4) + ".csv")  # NAME_MAX bytes is allowed
+        assert run_cli(["kappa", "--max-n", "3", "--output", str(longest)]) == 0
+        assert list(tmp_path.iterdir()) == [longest]
 
     def test_empty_output_rejected(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

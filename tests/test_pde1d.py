@@ -62,6 +62,37 @@ def relative_error(got, expected):
     return float(np.linalg.norm(got - expected) / np.linalg.norm(expected))
 
 
+# The discrete mesh constants: the oracles of the closed forms that `Mesh1D`
+# returns, which bound them from above on every mesh.
+
+def discrete_poincare(mesh):
+    """Smallest c with ||v||_H1^2 <= c^2 <v', v'> over the free space, by the
+    inertia bisection, which rounds the eigenvalue down, so c up."""
+    lam = pde1d._smallest_generalized_eigenvalue(mesh.bilinear_form(stiffness=1.0), mesh.h1_gram)
+    return 1.0 / math.sqrt(lam)
+
+
+def h1_inverse_diag(mesh):
+    """Diagonal of the inverse H1 Gram matrix, 1 / (top + bottom - diag), from
+    two LDL^T pivot sweeps (Meurant, SIMAX 1992)."""
+    diag, off = mesh.h1_gram
+    top = pde1d._ldl(diag, off)[0]
+    bottom = pde1d._ldl(diag[::-1], off[::-1])[0][::-1]
+    return 1.0 / (top + bottom - diag)
+
+
+def discrete_embedding(mesh):
+    """Sup of |v(x)| / ||v||_H1 over the free space, attained at a node for P1."""
+    return math.sqrt(float(np.max(h1_inverse_diag(mesh))))
+
+
+def discrete_trace(mesh):
+    """Dual norm of v -> v(1) over the free space; zero for a Dirichlet right end."""
+    if mesh.right_bc != "neumann":
+        return 0.0
+    return math.sqrt(float(h1_inverse_diag(mesh)[-1]))
+
+
 NONLINEARITIES = pytest.mark.parametrize("nl", [
     Nonlinearity.cubic(), Nonlinearity.tanh_shifted(), Nonlinearity.polynomial([3.0, -3.0, 1.0]),
 ], ids=["cubic", "tanh_shifted", "shifted_cubic"])
@@ -799,8 +830,8 @@ class TestNewton:
 
 class TestConstants:
     def test_poincare_convergence_from_below(self):
-        c32 = Mesh1D.uniform(32).poincare_constant
-        c256 = Mesh1D.uniform(256).poincare_constant
+        c32 = discrete_poincare(Mesh1D.uniform(32))
+        c256 = discrete_poincare(Mesh1D.uniform(256))
         assert c32 <= CONTINUOUS_POINCARE + 1e-12
         assert c256 <= CONTINUOUS_POINCARE + 1e-12
         assert abs(c256 - CONTINUOUS_POINCARE) < abs(c32 - CONTINUOUS_POINCARE)
@@ -812,8 +843,10 @@ class TestConstants:
         nl = Nonlinearity.cubic()
         u = newton_solve(mesh, data, nl)
         consts = estimate_constants(mesh, data, nl, u)
-        # with b = 0 and a = 1 the linearization is the pure stiffness form
-        assert math.isclose(consts.alpha_measured, consts.alpha, rel_tol=1e-9)
+        # with b = 0 and a = 1 the linearization is the pure stiffness form,
+        # whose inverse bound is the discrete c_pf^2 / c_a
+        alpha = discrete_poincare(mesh) ** 2 / consts.c_a
+        assert math.isclose(consts.alpha_measured, alpha, rel_tol=1e-9)
 
     def test_alpha_measured_below_guaranteed(self):
         mesh = Mesh1D.uniform(64)
@@ -846,7 +879,8 @@ class TestConstants:
         mesh = Mesh1D.uniform(32, right_bc="neumann")
         func = np.zeros(mesh.n_free)
         func[-1] = 1.0
-        assert math.isclose(mesh.dual_norm(func), mesh.trace_constant, rel_tol=1e-12)
+        assert math.isclose(mesh.dual_norm(func), discrete_trace(mesh), rel_tol=1e-12)
+        assert discrete_trace(Mesh1D.uniform(32)) == 0.0
         assert Mesh1D.uniform(32).trace_constant == 0.0
 
     def test_constants_are_deterministic(self):
@@ -857,7 +891,7 @@ class TestConstants:
     @MESHES
     def test_inverse_diag_matches_dense_inverse(self, mesh):
         expected = np.diag(np.linalg.inv(dense(mesh.h1_gram)))
-        assert np.allclose(mesh._h1_inverse_diag, expected, rtol=1e-10, atol=0.0)
+        assert np.allclose(h1_inverse_diag(mesh), expected, rtol=1e-10, atol=0.0)
 
     @MESHES
     def test_riesz_and_h1_norm_match_dense(self, mesh):
@@ -933,7 +967,7 @@ class TestConstants:
         h = 1.0 / n
         s = math.sin(math.pi * h / 2.0) ** 2
         stiff, mass = 4.0 * s / h, h * (3.0 - 2.0 * s) / 3.0
-        lam = Mesh1D.uniform(n).poincare_constant ** -2
+        lam = discrete_poincare(Mesh1D.uniform(n)) ** -2
         assert math.isclose(lam, stiff / (stiff + mass), rel_tol=1e-11)
 
     @pytest.mark.parametrize("nl", [Nonlinearity.cubic(), Nonlinearity.tanh_shifted()],
@@ -988,6 +1022,97 @@ class TestConstants:
                     pairs.append((dd, v))
                 value = apply_residual_derivative(mesh, data, nl, u, r, pairs)
                 assert mesh.dual_norm(value) <= bound * (1.0 + 1e-9)
+
+
+def _random_mesh(seed, n_inner, bc):
+    inner = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, n_inner))
+    return Mesh1D(np.concatenate([[0.0], inner, [1.0]]), bc)
+
+
+CLOSED_FORM_MESHES = pytest.mark.parametrize("mesh", [
+    *(Mesh1D.uniform(n, bc) for bc in ("dirichlet", "neumann") for n in (2, 3, 16, 256, 4096)),
+    *(_random_mesh(seed, n_inner, bc) for bc in ("dirichlet", "neumann")
+      for seed, n_inner in ((11, 1), (12, 40), (13, 1000))),
+], ids=[*(f"uniform{n}-{bc}" for bc in ("dirichlet", "neumann") for n in (2, 3, 16, 256, 4096)),
+        *(f"random{n}-{bc}" for bc in ("dirichlet", "neumann") for n in (2, 41, 1001))])
+
+
+class TestClosedFormConstants:
+    """`Mesh1D`'s constants are those of the continuous problem; on the
+    conforming subspace of any mesh the discrete constants lie below them."""
+
+    @CLOSED_FORM_MESHES
+    def test_closed_forms_bound_discrete_values(self, mesh):
+        assert discrete_poincare(mesh) < mesh.poincare_constant
+        assert discrete_embedding(mesh) < mesh.embedding_constant
+        if mesh.right_bc == "neumann":
+            assert discrete_trace(mesh) < mesh.trace_constant
+        else:
+            assert discrete_trace(mesh) == mesh.trace_constant == 0.0
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_gap_shrinks_under_refinement(self, bc):
+        # the uniform meshes of 2, 16, 256 and 4096 elements are nested, so
+        # each discrete sup grows towards the closed form
+        oracles = {"poincare_constant": discrete_poincare,
+                   "embedding_constant": discrete_embedding}
+        if bc == "neumann":
+            oracles["trace_constant"] = discrete_trace
+        meshes = [Mesh1D.uniform(n, bc) for n in (2, 16, 256, 4096)]
+        for name, oracle in oracles.items():
+            gaps = [getattr(mesh, name) - oracle(mesh) for mesh in meshes]
+            assert all(0.0 < fine < coarse for coarse, fine in zip(gaps, gaps[1:])), (name, gaps)
+            assert gaps[-1] < 1e-8
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_closed_forms_round_up_the_exact_values(self, bc):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            lam = mpmath.pi**2 / (1 if bc == "dirichlet" else 4)
+            green = (mpmath.sinh(0.5) ** 2 / mpmath.sinh(1) if bc == "dirichlet"
+                     else mpmath.tanh(1))
+            exact = {"poincare_constant": mpmath.sqrt(1 + 1 / lam),
+                     "embedding_constant": mpmath.sqrt(green)}
+            if bc == "neumann":
+                exact["trace_constant"] = mpmath.sqrt(mpmath.tanh(1))
+            mesh = Mesh1D.uniform(8, bc)
+            for name, value in exact.items():
+                got = getattr(mesh, name)
+                assert value <= got <= value + 8 * math.ulp(got), name
+        if bc == "dirichlet":
+            assert mesh.trace_constant == 0.0
+
+    def test_mesh_constants_factor_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a mesh constant factored a matrix")
+        for name in ("_ldl", "_smallest_generalized_eigenvalue", "dpttrf"):
+            monkeypatch.setattr(pde1d, name, refuse)
+        for bc in ("dirichlet", "neumann"):
+            mesh = Mesh1D.uniform(4096, bc)
+            assert min(mesh.poincare_constant, mesh.embedding_constant) > 0.0
+            assert (mesh.trace_constant > 0.0) == (bc == "neumann")
+
+    @NONLINEARITIES
+    @pytest.mark.parametrize("n", [64, 4096])
+    def test_bisection_in_place_is_bitwise_the_allocating_form(self, nl, n):
+        def allocating(a_bands, b_bands):  # forms A - tB anew at every step
+            (a_diag, a_off), (b_diag, b_off) = a_bands, b_bands
+            lo, hi = 0.0, float(np.min(a_diag / b_diag))
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                if pde1d._ldl(a_diag - mid * b_diag, a_off - mid * b_off) is None:
+                    hi = mid
+                else:
+                    lo = mid
+            return lo
+
+        mesh = Mesh1D.uniform(n)
+        data = PdeData.from_spec(mesh, a=lambda x: 1.0 + x, b=2.0, f=3.0)
+        lin = linearization_matrix(mesh, data, nl, newton_solve(mesh, data, nl))
+        before = [band.copy() for bands in (lin, mesh.h1_gram) for band in bands]
+        got = pde1d._smallest_generalized_eigenvalue(lin, mesh.h1_gram)
+        assert got == allocating(lin, mesh.h1_gram) > 0.0
+        assert all(np.array_equal(band, old) for band, old in
+                   zip([band for bands in (lin, mesh.h1_gram) for band in bands], before))
 
 
 class TestMonotonicityAndBound:
@@ -1093,15 +1218,19 @@ class TestMonotonicityCertificate:
 
     def test_threshold_is_attained(self):
         # b = 0 leaves <v', v'>, whose smallest ratio to ||v||_H1^2 the nodal
-        # sine attains on a uniform Dirichlet mesh: the threshold is sharp
+        # sine attains on a uniform Dirichlet mesh: the threshold with the
+        # discrete c_pf is sharp, and the certificate's closed-form c_pf
+        # errs low of it
         mesh = Mesh1D.uniform(64)
         data = PdeData.from_spec(mesh, a=1.0, b=0.0)
         cert = monotonicity_certificate(mesh, data, Nonlinearity.cubic())
+        threshold = min(1.0, cert.min_a) / discrete_poincare(mesh) ** 2
+        assert cert.threshold <= threshold
         sine = np.sin(math.pi * mesh.nodes[1:mesh.n_free + 1])
         probe = monotonicity_probe(mesh, data, Nonlinearity.cubic(),
                                    _States([sine, 0.0 * sine]))
-        assert cert.threshold * (1.0 - 1e-10) <= probe.min_ratio
-        assert probe.min_ratio <= cert.threshold * (1.0 + 1e-10)
+        assert threshold * (1.0 - 1e-10) <= probe.min_ratio
+        assert probe.min_ratio <= threshold * (1.0 + 1e-10)
 
     @pytest.mark.parametrize("a,b", [(1.0, -1e-3), (0.0, 1.0), (-1.0, 1.0)])
     def test_inadmissible_data_not_certified(self, a, b):

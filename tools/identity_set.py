@@ -42,7 +42,8 @@ that claims the same numbers must leave byte-identical:
 
 Every exit code goes to OUTDIR/exit_codes.txt.  Run it once with the
 parent's sources on PYTHONPATH and once with the change's, into two
-directories, and compare them with `diff -r`.
+directories, and compare them with `diff -r`, or, where a change moves
+numbers on purpose, with `tools/compare_outputs.py`.
 """
 
 from __future__ import annotations
