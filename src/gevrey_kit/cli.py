@@ -60,11 +60,9 @@ from .pde1d import (
     PdeData,
     PdeOracle,
     SolutionBoundError,
-    assemble_residual,
     estimate_constants,
     monotonicity_certificate,
     newton_solve,
-    solution_bound_check,
 )
 
 
@@ -274,16 +272,17 @@ def _cmd_solve(args) -> int:
     data = _pde_data(mesh, cfg, {"a": 1.0, "b": 0.0, "f": 0.0, "g": 0.0})
     _number(cfg.get("seed", 0), "seed", integer=True)  # accepted; solve draws nothing
     tol = _number(cfg.get("tol", 1e-12), "tol", nonnegative=True)
-    u = newton_solve(mesh, data, nl, tol=tol)
+    u, bound = newton_solve(mesh, data, nl, tol=tol, return_check=True)
 
-    rows = map("{:.12g},{:.12g}\n".format, mesh.nodes.tolist(), mesh.expand(u).tolist())
+    # _fmt's bytes, one row at a time: formatting the whole file at once raises peak memory
+    rows = map("%.12g,%.12g\n".__mod__, zip(mesh.nodes.tolist(), mesh.expand(u).tolist()))
     _emit("x,u\n" + "".join(rows), args.output)
 
     if args.report is not None:
-        bound = solution_bound_check(mesh, data, nl, u)
+        constants = estimate_constants(mesh, data, nl, u)
         report = {
-            "residual_norm": mesh.dual_norm(assemble_residual(mesh, data, nl, u)),
-            "constants": estimate_constants(mesh, data, nl, u).as_dict(),
+            "residual_norm": constants.residual_norm,
+            "constants": constants.as_dict(),
             "bound_checks": {
                 "solution_bound": {"lhs": bound.lhs, "rhs": bound.rhs, "ok": bound.ok},
                 "monotonicity": asdict(monotonicity_certificate(mesh, data, nl)),

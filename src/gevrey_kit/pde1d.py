@@ -343,18 +343,30 @@ def _ldl_solve(factors: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.nd
     return dpttrs(pivots, multipliers, rhs)[0]
 
 
+#: Relative width at which `_smallest_generalized_eigenvalue` stops.  Below
+#: it the bisection only resolves the round-off of its own LDL^T test: on
+#: the linearization pencils of random data at mesh 4096, its result and
+#: scipy's shift-invert `eigsh` differ by 3e-12 to 1.04e-9 (relative), far
+#: more than stopping here moves it (less than the width, since running on
+#: to adjacent doubles stays inside the bracket); on meshes of 2 to 256
+#: elements it stays within 1.5e-11 below dense `eigh`.
+_BISECTION_RTOL = 2.0**-36
+
+
 def _smallest_generalized_eigenvalue(a_bands: tuple, b_bands: tuple) -> float:
     """Smallest eigenvalue of a positive definite pencil of bands (A, B) by
     inertia bisection (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)): A - tB
     is positive definite exactly when t is below it.  From lo = 0 and the
     Rayleigh quotient hi = min A_ii/B_ii, lo moves only where the LDL^T succeeds,
-    until no midpoint lies strictly between (55-60 steps).  Returns lo, a lower
-    bound up to round-off, in O(n) time and memory and the same on every run.
-    Each step forms A - tB in the same two buffers and factors it there."""
+    until hi - lo <= `_BISECTION_RTOL` * hi (about 37 steps; or until no
+    midpoint lies strictly between).  Returns lo, a point where the test
+    passed, so a lower bound up to the test's round-off, in O(n) time and
+    memory and the same on every run.  Each step forms A - tB in the same
+    two buffers and factors it there."""
     (a_diag, a_off), (b_diag, b_off) = a_bands, b_bands
     lo, hi = 0.0, float(np.min(a_diag / b_diag))
     diag, off = np.empty_like(a_diag), np.empty_like(a_off)
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
+    while hi - lo > _BISECTION_RTOL * hi and lo < (mid := 0.5 * (lo + hi)) < hi:
         np.subtract(a_diag, np.multiply(b_diag, mid, out=diag), out=diag)
         np.subtract(a_off, np.multiply(b_off, mid, out=off), out=off)
         if len(diag) == 1:
@@ -1041,13 +1053,15 @@ def monotonicity_certificate(mesh: Mesh1D, data: PdeData,
     return MonotonicityCertificate(min_a, min_b, nl.monotone, c_pf, threshold, ok)
 
 
-def newton_solve(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
-                 tol: float = 1e-12) -> np.ndarray:
+def newton_solve(mesh: Mesh1D, data: PdeData, nl: Nonlinearity, tol: float = 1e-12,
+                 return_check: bool = False) -> np.ndarray | tuple[np.ndarray, BoundCheck]:
     """Damped Newton iteration for the residual equation, from u = 0.
 
     Divergence raises NonConvergenceError, which admissible data should
     never trigger.  After convergence the a-priori solution bound is
     asserted; a violation indicates a bug and raises SolutionBoundError.
+    With return_check, returns (u, the passed BoundCheck), so a report
+    reads the check this solve ran.
     """
     validate_admissible(mesh, data, nl)
     oracle = PdeOracle(mesh, nl)
@@ -1057,7 +1071,7 @@ def newton_solve(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
         raise SolutionBoundError(
             f"solution bound violated: ||u|| = {chk.lhs:.6g} > {chk.rhs:.6g}"
         )
-    return u
+    return (u, chk) if return_check else u
 
 
 @dataclass(frozen=True)
@@ -1096,26 +1110,36 @@ class PdeConstants:
     alpha is the guaranteed inverse-linearization bound c_pf^2 / c_a, with
     the closed-form c_pf of the continuous problem, so it holds on every
     mesh; alpha_measured is the sharp discrete value at this mesh and state,
-    by the inertia bisection.  embedding is the closed-form sup-norm
-    embedding constant.  sigma and digamma certify
+    by the inertia bisection, which stops at the relative width
+    `_BISECTION_RTOL` = 2**-36, below the round-off of its LDL^T test, or
+    None when it was not measured.  embedding is the
+    closed-form sup-norm embedding constant.  sigma and digamma certify
     r! * sigma * digamma**r >= ||D^r R|| for every order r via
-    term-by-term norm estimates of the derivative formulas.
+    term-by-term norm estimates of the derivative formulas; residual_norm
+    is the order-0 term ||R(d, u)||, the dual norm of the residual.
     """
 
     alpha: float
-    alpha_measured: float
+    alpha_measured: float | None
     c_pf: float
     c_a: float
     sigma: float
     digamma: float
     embedding: float
+    residual_norm: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The constants by name: without residual_norm, a property of the
+        state, and without an alpha_measured that was not measured."""
+        constants = asdict(self)
+        del constants["residual_norm"]
+        if self.alpha_measured is None:
+            del constants["alpha_measured"]
+        return constants
 
 
 def estimate_constants(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
-                       u: np.ndarray) -> PdeConstants:
+                       u: np.ndarray, measure_alpha: bool = True) -> PdeConstants:
     """Constants for the derivative-bound machinery at a solved state.
 
     The residual-derivative bounds use the joint max norm on (data, state)
@@ -1123,7 +1147,9 @@ def estimate_constants(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
     embedding constant of the continuous problem (an upper bound of the
     discrete one), and interval sups of the nonlinearity derivatives over
     the range of u.  Of the constants, only alpha_measured runs an
-    eigenvalue bisection.
+    eigenvalue bisection, and only with measure_alpha: about 37 LDL^T
+    factorizations, since it stops at the relative width `_BISECTION_RTOL`,
+    below which it would resolve only its own test's round-off.
     """
     c_pf = mesh.poincare_constant
     c_a = min(1.0, float(np.min(data.a)))
@@ -1132,8 +1158,10 @@ def estimate_constants(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
     alpha = c_pf**2 / c_a
     full = mesh.expand(u)
     uq = mesh._gauss_values(full)
-    lin = _linearization(mesh, data.b, nl, uq, mesh._stiffness_term(data.a))
-    alpha_measured = 1.0 / _smallest_generalized_eigenvalue(lin, mesh.h1_gram)
+    alpha_measured = None
+    if measure_alpha:
+        lin = _linearization(mesh, data.b, nl, uq, mesh._stiffness_term(data.a))
+        alpha_measured = 1.0 / _smallest_generalized_eigenvalue(lin, mesh.h1_gram)
 
     ce = mesh.embedding_constant
     lo, hi = float(np.min(full)), float(np.max(full))
@@ -1143,8 +1171,9 @@ def estimate_constants(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
     b_sup = float(np.max(np.abs(data.b)))
     nl_l2 = mesh.l2_norm_quad(nl.deriv(0, uq))
 
+    residual_norm = mesh.dual_norm(_residual(mesh, data, nl, full, uq))
     bounds = {
-        0: mesh.dual_norm(_residual(mesh, data, nl, full, uq)),
+        0: residual_norm,
         1: mesh.h1_norm(u) + a_sup + nl_l2 + b_sup * sup[1] + 2.0,
         2: 2.0 + b_sup * sup[2] * ce + 2.0 * sup[1],
     }
@@ -1159,4 +1188,4 @@ def estimate_constants(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
         tail = [math.tan(1.0) * (b_sup + 1.0) / digamma]
     sigma = max([1.0] + tail
                 + [m / (math.factorial(r) * digamma**r) for r, m in bounds.items()])
-    return PdeConstants(alpha, alpha_measured, c_pf, c_a, sigma, digamma, ce)
+    return PdeConstants(alpha, alpha_measured, c_pf, c_a, sigma, digamma, ce, residual_norm)

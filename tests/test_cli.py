@@ -319,9 +319,54 @@ class TestSolve:
         assert_violated_solution_bound_exits_2(monkeypatch, capsys, tmp_path,
                                                ["solve", "--config", str(cfg)])
 
+    def test_report_does_each_piece_of_work_once(self, tmp_path, monkeypatch):
+        # at the benchmark's mesh, alpha_measured's bisection stops after at
+        # most 40 factorizations, and the report reads the bound check of the
+        # solve and the residual norm of the constants
+        calls = dict.fromkeys(["search_dpttrf", "solution_bound_check", "data_norm",
+                               "dual_norm"], 0)
+        searching = []
+
+        def counting(name, kernel):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return kernel(*args, **kwargs)
+            return counted
+
+        def search(*args):
+            searching.append(True)
+            try:
+                return eigenvalue(*args)
+            finally:
+                searching.pop()
+
+        def factor(*args, **kwargs):
+            calls["search_dpttrf"] += bool(searching)
+            return dpttrf(*args, **kwargs)
+
+        eigenvalue, dpttrf = pde1d._smallest_generalized_eigenvalue, pde1d.dpttrf
+        monkeypatch.setattr(pde1d, "_smallest_generalized_eigenvalue", search)
+        monkeypatch.setattr(pde1d, "dpttrf", factor)
+        for name in ("solution_bound_check", "data_norm"):
+            monkeypatch.setattr(pde1d, name, counting(name, getattr(pde1d, name)))
+        monkeypatch.setattr(pde1d.Mesh1D, "dual_norm",
+                            counting("dual_norm", pde1d.Mesh1D.dual_norm))
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps({"mesh_n": 4096, "a": 1.0, "b": 1.0, "f": 1.0,
+                                   "nonlinearity": {"kind": "cubic"}}))
+        rep = tmp_path / "report.json"
+        assert run_cli(["solve", "--config", str(cfg), "--output", str(tmp_path / "u.csv"),
+                        "--report", str(rep)]) == 0
+        assert 0 < calls["search_dpttrf"] <= 40
+        assert calls["solution_bound_check"] == calls["data_norm"] == 1
+        assert calls["dual_norm"] == 3  # the two of data_norm and the residual's
+        report = json.loads(rep.read_text())
+        assert report["bound_checks"]["solution_bound"]["ok"]
+        assert report["constants"]["alpha_measured"] <= report["constants"]["alpha"]
+
     def test_csv_is_the_per_value_format(self, tmp_path, monkeypatch):
         u = np.array([-0.0, 1e-300, 1e300, -1e300, -1e-300, -2.5, 1.0 / 3.0, 5e-324, -0.1])
-        monkeypatch.setattr(cli, "newton_solve", lambda *args, **kwargs: u)
+        monkeypatch.setattr(cli, "newton_solve", lambda *args, **kwargs: (u, None))
         cfg = tmp_path / "solve.json"
         cfg.write_text(json.dumps({"mesh_n": 10, "nonlinearity": {"kind": "cubic"}}))
         out = tmp_path / "u.csv"
@@ -540,6 +585,16 @@ class TestVerifyBounds:
         report = json.loads(rep.read_text())
         assert report["passed"] is True
         assert report["envelope"]["rate"] > 1.0
+
+    def test_no_eigenvalue_bisection(self, tmp_path, monkeypatch):
+        # the report drops the per-point constants, so no point measures
+        # alpha_measured
+        def refuse(*args):
+            raise AssertionError("verify-bounds ran the eigenvalue bisection")
+        monkeypatch.setattr(pde1d, "_smallest_generalized_eigenvalue", refuse)
+        assert run_cli(["verify-bounds", "--config", str(self.config(tmp_path)),
+                        "--output", str(tmp_path / "bounds.csv"),
+                        "--report", str(tmp_path / "bounds.json")]) == 0
 
     @pytest.mark.parametrize("spec,max_order,n_alphas", [
         ({"kind": "tanh_shifted"}, 2, 6),

@@ -685,6 +685,7 @@ class TestVerifyDubounds:
         ys = [np.array([0.3, -0.45]), np.array([-0.2, 0.1])]
         report = verify_derivative_bounds(dmap, hat, mesh, nl, (y for y in ys), max_order=3)
         assert len(report.constants["per_point"]) == 2
+        assert all("alpha_measured" not in c for c in report.constants["per_point"])
         for y_index, y in enumerate(ys):
             alone = verify_derivative_bounds(dmap, hat, mesh, nl, [y], max_order=3)
             mine = [r for r in report.rows if r.y_index == y_index]

@@ -970,17 +970,26 @@ class TestConstants:
         lam = discrete_poincare(Mesh1D.uniform(n)) ** -2
         assert math.isclose(lam, stiff / (stiff + mass), rel_tol=1e-11)
 
-    @pytest.mark.parametrize("nl", [Nonlinearity.cubic(), Nonlinearity.tanh_shifted()],
-                             ids=["cubic", "tanh"])
-    def test_alpha_measured_matches_dense_eigh(self, nl):
-        mesh = Mesh1D.uniform(64)
-        data = PdeData.from_spec(mesh, a=1.0, b=1.0, f=1.0)
+    @NONLINEARITIES
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("n", [2, 3, 64, 256])
+    @pytest.mark.parametrize("nodes", ["uniform", "random"])
+    def test_alpha_measured_matches_dense_eigh(self, nl, bc, n, nodes):
+        # the bisection stops at the relative width 2**-36, at a point
+        # where the LDL^T test passed
+        mesh = Mesh1D.uniform(n, bc) if nodes == "uniform" else _random_mesh(n, n - 1, bc)
+        data = PdeData.from_spec(mesh, a=lambda x: 1.0 + x, b=2.0, f=3.0,
+                                 g=0.5 if bc == "neumann" else 0.0)
         u = newton_solve(mesh, data, nl)
-        lam = scipy.linalg.eigh(dense(linearization_matrix(mesh, data, nl, u)),
-                                dense(mesh.h1_gram), eigvals_only=True,
-                                subset_by_index=[0, 0])[0]
+        lin, gram = linearization_matrix(mesh, data, nl, u), mesh.h1_gram
+        (a_diag, a_off), (b_diag, b_off) = lin, gram
+        want = scipy.linalg.eigh(dense(lin), dense(gram), eigvals_only=True,
+                                 subset_by_index=[0, 0])[0]
+        lam = pde1d._smallest_generalized_eigenvalue(lin, gram)
+        assert math.isclose(lam, want, rel_tol=1e-10)
+        assert pde1d._ldl(a_diag - lam * b_diag, a_off - lam * b_off) is not None
         consts = estimate_constants(mesh, data, nl, u)
-        assert math.isclose(consts.alpha_measured, 1.0 / lam, rel_tol=1e-10)
+        assert math.isclose(consts.alpha_measured, 1.0 / want, rel_tol=1e-10)
 
     @pytest.mark.parametrize("nl, orders", [(Nonlinearity.cubic(), [1, 2, 3, 4]),
                                             (Nonlinearity.tanh_shifted(), [1, 2, 3, 4, 5, 6]),
@@ -1098,7 +1107,8 @@ class TestClosedFormConstants:
         def allocating(a_bands, b_bands):  # forms A - tB anew at every step
             (a_diag, a_off), (b_diag, b_off) = a_bands, b_bands
             lo, hi = 0.0, float(np.min(a_diag / b_diag))
-            while lo < (mid := 0.5 * (lo + hi)) < hi:
+            while (hi - lo > pde1d._BISECTION_RTOL * hi
+                   and lo < (mid := 0.5 * (lo + hi)) < hi):
                 if pde1d._ldl(a_diag - mid * b_diag, a_off - mid * b_off) is None:
                     hi = mid
                 else:
