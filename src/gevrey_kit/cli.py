@@ -13,9 +13,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 bound violation (verify-bounds).  Output files are written atomically
 (temp file plus rename), and runs are deterministic: identical config and
 seed give byte-identical output.  Random draws use numpy's default
-generator (PCG64).  The environment variable GEVREY_KIT_THREADS caps
-internal parallelism; the current implementation is serial, so any cap
-of at least one is honored trivially.
+generator (PCG64).
 """
 
 from __future__ import annotations
@@ -205,19 +203,6 @@ def _nonlinearity_from_spec(spec) -> Nonlinearity:
     return Nonlinearity.exponential(_number(spec.get("q", 6.0), "q"))
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("GEVREY_KIT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError("GEVREY_KIT_THREADS must be a positive integer") from exc
-    if cap < 1:
-        raise ConfigError("GEVREY_KIT_THREADS must be a positive integer")
-    return cap
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -279,7 +264,7 @@ def _cmd_solve(args) -> int:
     _emit("x,u\n" + "".join(rows), args.output)
 
     if args.report is not None:
-        constants = estimate_constants(mesh, data, nl, u)
+        constants = estimate_constants(mesh, data, nl, u, u_norm=bound.lhs)
         report = {
             "residual_norm": constants.residual_norm,
             "constants": constants.as_dict(),
@@ -474,7 +459,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_cap()
         _check_output_directories(args)
         return args.handler(args)
     except (ConfigError, ValueError) as exc:

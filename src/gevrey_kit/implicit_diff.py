@@ -44,10 +44,10 @@ black-box solution map.  The nested central difference of a key
 alpha = sum_k n_k e_k is a product of one-dimensional binomial central
 differences, so its stencil points are d + sum_k (c_k t) h_k with
 c_k = n_k - 2 j_k, 0 <= j_k <= n_k.  Keys of a table share most of these
-points, and halving steps repeat them (c t = 2c (t/2)), so the distinct
-offsets c_k t of all keys and steps are listed first and the map solves
-them in one call, as one stack for a stacked solve; the point c = 0 is
-shared by all steps.  `finite_difference_check` is the
+points, and halving steps repeat them (c t = 2c (t/2)), so the points of
+all keys and steps are built first, told apart by their bytes, and the
+map solves the distinct ones in one call, as one stack for a stacked solve;
+the point c = 0 is shared by all steps.  `finite_difference_check` is the
 one-key case for a list of directions.
 """
 
@@ -289,7 +289,8 @@ def solve_residual_stack(oracle: ResidualOracle, ds: Iterable, u0, tol: float,
                 if not keep:
                     break
                 points, stack = [points[row] for row in keep], stack.take(keep)
-            trial = [p.u - p.lam * p.step for p in points]  # 1.0 * step is exact
+            # a full step skips the product: 1.0 * step is step, bit for bit
+            trial = [p.u - (p.step if p.lam == 1.0 else p.lam * p.step) for p in points]
             for p, u, res, rnorm in zip(points, trial, *stack.eval(trial)):
                 if rnorm < p.rnorm:
                     p.u, p.res, p.rnorm, p.step = u, res, rnorm, None
@@ -431,14 +432,17 @@ def finite_difference_table(solution_map: Callable, d, directions: Sequence,
 
     with c_k = n_k - 2 j_k.  A stencil point depends on its offsets c_k t
     only, and is built from them the same way for every key and step
-    (nonzero c_k only, in ascending k).  Points whose offsets are equal
-    doubles are bitwise equal, so the distinct points of all keys and steps
-    are listed first, in the order the stencils reach them, and the map is
-    called once on all of them: a point that recurs across steps (c t =
-    2c (t/2) when the steps halve) is solved once, and the point c = 0, which
-    is d itself, is shared by all steps.  Offsets that differ by rounding
-    (3 * 0.1 != 0.3) stay separate points.  Each key keeps its own
-    Richardson table and indicator.
+    (nonzero c_k only, in ascending k).  The points of all keys and steps
+    are built in the order the stencils reach them, each set of offsets
+    once, and told apart by their bytes (`tobytes()`, of a numpy array or a
+    `PdeData`): by a sample of them, and where samples agree by all of them,
+    against the earlier point built again, so no point is kept.  The map is
+    called once on the distinct points.  A point that recurs across steps
+    (c t = 2c (t/2) when the steps halve) is solved once, and so is one that
+    other offsets reach only once added to d (collinear directions of a
+    one-dimensional data space); the point c = 0, which is d itself, is
+    shared by all steps.  Each key keeps its own Richardson table and
+    indicator.
 
     Orders 1 <= |alpha| <= 4 are accepted; beyond that, cancellation
     destroys double precision.  Returns {alpha: (estimate, indicator)},
@@ -485,16 +489,31 @@ def finite_difference_table(solution_map: Callable, d, directions: Sequence,
         return point
 
     stencils = {alpha: [stencil(alpha, t) for t in steps] for alpha in keys}
-    listed = list(dict.fromkeys(key for rows in stencils.values()
-                                for terms in rows for _, key in terms))
-    values = dict(zip(listed, solution_map(data_point(key) for key in listed), strict=True))
+    # the offsets of each point -> those of the first point with its bytes
+    first = dict.fromkeys(key for rows in stencils.values() for terms in rows for _, key in terms)
+    # about 256 evenly spaced bytes of a point (an odd stride reaches every
+    # byte of a double) -> the offsets of the distinct points with them
+    samples = {}
+
+    def distinct_points():
+        for key in first:
+            point = data_point(key)
+            raw = point.tobytes()
+            same = samples.setdefault(raw[::len(raw) // 256 | 1], [])
+            first[key] = next((k for k in same if data_point(k).tobytes() == raw), key)
+            if first[key] == key:
+                same.append(key)
+                yield point
+
+    solved = solution_map(distinct_points())
+    states = dict(zip([key for key in first if first[key] == key], solved, strict=True))
 
     def extrapolate(alpha: MultiIndex):
         rows = []
         for t, terms in zip(steps, stencils[alpha]):
             acc = None
             for coeff, key in terms:
-                term = coeff * values[key]
+                term = coeff * states[first[key]]
                 acc = term if acc is None else acc + term
             rows.append((1.0 / (2.0 * t) ** alpha.order()) * acc)
         table = [[rows[0]]]
@@ -524,8 +543,8 @@ def finite_difference_check(solution_map: Callable, d, directions: Sequence,
     direction as its own coordinate (key e_1 + ... + e_n), and the same
     solution map, from an iterable of points to the list of their states:
     the stencil is the sum over the 2^n sign vectors s of
-    prod(s) S(d + sum_k s_k t h_k) over (2t)^n, and no two of its points
-    are merged.
+    prod(s) S(d + sum_k s_k t h_k) over (2t)^n, and two of its points are
+    merged only where they are bitwise equal.
     Returns (estimate, indicator) as described there.
     """
     key = MultiIndex(tuple((k, 1) for k in range(1, len(directions) + 1)))

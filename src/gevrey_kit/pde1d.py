@@ -11,8 +11,11 @@ g the identity or tanh; its monotonicity and growth bound are decided
 exactly from the coefficients of P_1 and P_0.  Nodal fields are
 numpy vectors over the free nodes (Dirichlet nodes eliminated); coefficient
 and forcing fields live at the 3-point Gauss nodes of each element, shape
-(n_elements, 3).  Discrete norms use the full H1 inner product
-(mass + stiffness); dual norms go through the corresponding Riesz map.
+(n_elements, 3).  Every P1 integral takes one form: a stiffness term from
+ke = sum_j w_j a_j / h^2 per element, and a mass term from a Gauss-point
+field summed against the weight products of the mesh (`Mesh1D`).
+Discrete norms use the full H1 inner product (mass + stiffness); dual
+norms go through the corresponding Riesz map.
 
 Every P1 matrix is held as its bands (diag, off) over the free nodes, in
 O(n) memory, and one LDL^T (dpttrf/dpttrs of scipy's compiled `_flapack`,
@@ -77,8 +80,11 @@ def _gauss_sum(x: np.ndarray) -> np.ndarray:
 def _at_gauss_points(x: np.ndarray) -> np.ndarray:
     """x per element repeated at its 3 Gauss points, shape x.shape + (3,):
     a contiguous field, since a product that broadcasts x over the length-3
-    axis runs numpy's inner loop three elements at a time."""
-    return np.repeat(x, 3, axis=-1).reshape(x.shape + (3,))
+    axis runs numpy's inner loop three elements at a time.  Three strided
+    copies take two thirds of the time of `np.repeat`'s per-element ones."""
+    values = np.empty(x.shape + (3,), x.dtype)
+    values[..., 0] = values[..., 1] = values[..., 2] = x
+    return values
 
 
 class Mesh1D:
@@ -104,6 +110,10 @@ class Mesh1D:
     one of this mesh from above and holds on every mesh, uniform or not, for
     any number of elements.  Each is rounded up by `_CONSTANT_ULPS` ulps,
     which covers its evaluation error.
+
+    The mesh forms five weight products once, shape (n_elements, 3): the
+    loads' wl = w phi_left and wr = w phi_right, and the bands' wll = wl
+    phi_left, wlr = wl phi_right and wrr = wr phi_right.
     """
 
     def __init__(self, nodes, right_bc: str = "dirichlet"):
@@ -126,6 +136,10 @@ class Mesh1D:
         self.quad_w = 0.5 * self.h[:, None] * _GAUSS_W[None, :]
         self.phi_left = (nodes[1:, None] - self.quad_x) / self.h[:, None]
         self.phi_right = (self.quad_x - nodes[:-1, None]) / self.h[:, None]
+        self.wl = self.quad_w * self.phi_left
+        self.wr = self.quad_w * self.phi_right
+        self.wll, self.wlr, self.wrr = (self.wl * self.phi_left, self.wl * self.phi_right,
+                                        self.wr * self.phi_right)
         if right_bc == "neumann":
             self.free = np.arange(1, self.n_nodes)
         else:
@@ -194,23 +208,27 @@ class Mesh1D:
 
     # -- assembly ----------------------------------------------------------
 
-    def assemble_load(self, grad_part=None, mass_part=None, boundary=0.0) -> np.ndarray:
+    def assemble_load(self, grad_part=None, mass_part=None, boundary=0.0, *,
+                      ge=None) -> np.ndarray:
         """Free-node vector of v -> <grad_part, v'> + <mass_part, v> + boundary*v(1),
         one for each point of a leading axis that the parts (and an array
-        `boundary`) share."""
-        part = grad_part if grad_part is not None else mass_part
-        lead = np.shape(boundary) if part is None else np.shape(part)[:-2]
-        full = np.zeros(lead + (self.n_nodes,))
+        `boundary`) share.  The gradient part enters through its element
+        loads ge = sum_j w_j grad_part_j / h, which may be passed instead, and
+        the mass part through its sums against wl and wr."""
         if grad_part is not None:
             ge = _gauss_sum(self.quad_w * grad_part)
             ge /= self.h
+        if ge is not None:
+            lead = np.shape(ge)[:-1]
+        else:
+            lead = np.shape(boundary) if mass_part is None else np.shape(mass_part)[:-2]
+        full = np.zeros(lead + (self.n_nodes,))
+        if ge is not None:
             full[..., :-1] -= ge
             full[..., 1:] += ge
         if mass_part is not None:
-            wm = self.quad_w * mass_part
-            full[..., :-1] += _gauss_sum(wm * self.phi_left)
-            wm *= self.phi_right
-            full[..., 1:] += _gauss_sum(wm)
+            full[..., :-1] += _gauss_sum(mass_part * self.wl)
+            full[..., 1:] += _gauss_sum(mass_part * self.wr)
         full[..., -1] += boundary  # never -0.0 before this add, so a zero adds nothing
         return full[..., 1:self.n_free + 1]
 
@@ -226,19 +244,15 @@ class Mesh1D:
 
     def _bands(self, ke: np.ndarray | None, mass) -> tuple[np.ndarray, np.ndarray]:
         """`bilinear_form` from the stiffness term ke (None leaves it out),
-        one for each point of their leading axes."""
+        one for each point of their leading axes.  The mass weight enters
+        each element's entries as sum_j mass_j wll_j, wlr_j and wrr_j."""
         if ke is None:
             ke = np.zeros(self.n_elements)
         ell, lr = 0.0 + ke, 0.0 - ke  # not ke and -ke: a zero entry must come out +0.0
         rr = ell
-        if mass is not None:  # the weights w * phi_i * phi_j of each band
-            wl = self.quad_w * mass
-            wr = wl * self.phi_right
-            wl *= self.phi_left
-            lr = lr + _gauss_sum(wl * self.phi_right)
-            wl *= self.phi_left
-            wr *= self.phi_right
-            ell, rr = ell + _gauss_sum(wl), rr + _gauss_sum(wr)
+        if mass is not None:
+            lr = lr + _gauss_sum(mass * self.wlr)
+            ell, rr = ell + _gauss_sum(mass * self.wll), rr + _gauss_sum(mass * self.wrr)
         diag = np.zeros(np.shape(ell)[:-1] + (self.n_nodes,))
         diag[..., :-1] += ell
         diag[..., 1:] += rr
@@ -411,6 +425,11 @@ class PdeData:
     def __neg__(self) -> "PdeData":
         return self * (-1.0)
 
+    def tobytes(self) -> bytes:
+        """The bytes of a, b, f and g in turn: equal for bitwise equal data."""
+        return b"".join(np.asarray(x, dtype=float).tobytes()
+                        for x in (self.a, self.b, self.f, self.g))
+
     @staticmethod
     def zeros(mesh: Mesh1D) -> "PdeData":
         z = np.zeros_like(mesh.quad_x)
@@ -582,19 +601,22 @@ def assemble_residual(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
                       u: np.ndarray) -> np.ndarray:
     """Galerkin residual of <a u', v'> + <b N(u), v> - <f, v> - g v(1)."""
     full = mesh.expand(u)
-    return _residual(mesh, data, nl, full, mesh._gauss_values(full))
+    return _residual(mesh, data, nl, full, mesh._gauss_values(full),
+                     mesh._stiffness_term(data.a))
 
 
 def _residual(mesh: Mesh1D, data: PdeData, nl: Nonlinearity, full: np.ndarray,
-              uq: np.ndarray) -> np.ndarray:
-    """`assemble_residual` from the state's full nodal and Gauss values, for
-    each point of a leading axis of the data fields and the state."""
-    grad_part = _at_gauss_points((full[..., 1:] - full[..., :-1]) / mesh.h)
-    grad_part *= data.a
+              uq: np.ndarray, ke: np.ndarray) -> np.ndarray:
+    """`assemble_residual` from the state's full nodal and Gauss values and
+    the stiffness term ke of a, for each point of a leading axis of the
+    data fields and the state: element loads (u_{e+1} - u_e) ke_e, and the
+    mass part b N(u) - f."""
+    ge = full[..., 1:] - full[..., :-1]
+    ge *= ke
     mass_part = nl.deriv(0, uq)
     mass_part *= data.b
     mass_part -= data.f
-    return mesh.assemble_load(grad_part, mass_part, boundary=-data.g)
+    return mesh.assemble_load(None, mass_part, -data.g, ge=ge)
 
 
 def apply_residual_derivative(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
@@ -667,8 +689,9 @@ def _linearization_factors(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarra
 
 #: Bytes of one Gauss-point field of the points that `PdeOracle` solves
 #: together: a block of 13 points at mesh 256, of one point at mesh 4096.
-#: derivatives-fd ran within 5% of one speed from 64 to 160 KiB, and 1.2x
-#: slower at 40 and at 640 KiB; this is the smallest budget of that range.
+#: A derivatives-fd operation (in process, 2-vCPU VM) took 17.2 ms here,
+#: 17.7 at 64 KiB, 16.9 at 120 (within 3% from 104 to 136), 17.9 at 160,
+#: 18.5 at 320, and 19.7 and 21.0 ms at 40 and 640 KiB: none is 5% faster.
 _STACK_BYTES = 80 << 10
 
 
@@ -750,7 +773,7 @@ class _PdeStack:
         mesh = self.oracle.mesh
         full = mesh.expand(np.asarray(us))
         uq = self._uq = mesh._gauss_values(full)
-        res = _residual(mesh, self.data, self.oracle.nl, full, uq)
+        res = _residual(mesh, self.data, self.oracle.nl, full, uq, self.ke)
         squares = np.vecdot(res, mesh.riesz(res.T).T)
         return res, [math.sqrt(max(float(s), 0.0)) for s in squares]
 
@@ -840,7 +863,6 @@ class _TaylorExpansion:
     def __init__(self, mesh: Mesh1D, nl: Nonlinearity, d: PdeData, u: np.ndarray, plan,
                  data_block: Callable[[int], PdeData]):
         self.mesh, self._plan = mesh, plan
-        self._weights = (mesh.quad_w * mesh.phi_left, mesh.quad_w * mesh.phi_right)
         p0 = self._p0 = nl._poly(0)
         self._b0 = d.b.ravel() if np.any(d.b) else None
         self._data: dict[str, dict[int, np.ndarray]] = {"a": {}, "b": {}, "f": {}, "g": {}}
@@ -851,7 +873,7 @@ class _TaylorExpansion:
                 if not np.any(field):
                     continue
                 if name == "a":  # a_gamma against the quadrature weights, per element
-                    field = np.einsum("rej,ej->re", field, mesh.quad_w)
+                    field = _gauss_sum(mesh.quad_w * field)
                 elif name != "g":
                     field = field.reshape(len(field), -1)
                 self._data[name][m] = field
@@ -941,17 +963,10 @@ class _TaylorExpansion:
         if m in self._data["f"]:
             mass -= self._data["f"][m]
 
-        full = np.zeros((n_m, mesh.n_nodes))
         grad /= mesh.h
-        full[:, :-1] -= grad
-        full[:, 1:] += grad
-        mass = mass.reshape(n_m, mesh.n_elements, 3)
-        full[:, :-1] += np.einsum("mej,ej->me", mass, self._weights[0])
-        full[:, 1:] += np.einsum("mej,ej->me", mass, self._weights[1])
-        if m in self._data["g"]:
-            full[:, -1] -= self._data["g"][m]
-        rhs = full[:, mesh.free].T
-        del mass, grad, full  # the order's temporaries go before the solve
+        rhs = mesh.assemble_load(None, mass.reshape(n_m, mesh.n_elements, 3),
+                                 -self._data["g"].get(m, 0.0), ge=grad).T
+        del mass, grad  # the order's temporaries go before the solve
         solved = -_ldl_solve(self._factors, rhs).T
         del rhs
         if last:
@@ -1138,8 +1153,8 @@ class PdeConstants:
         return constants
 
 
-def estimate_constants(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
-                       u: np.ndarray, measure_alpha: bool = True) -> PdeConstants:
+def estimate_constants(mesh: Mesh1D, data: PdeData, nl: Nonlinearity, u: np.ndarray,
+                       measure_alpha: bool = True, u_norm: float | None = None) -> PdeConstants:
     """Constants for the derivative-bound machinery at a solved state.
 
     The residual-derivative bounds use the joint max norm on (data, state)
@@ -1149,7 +1164,8 @@ def estimate_constants(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
     the range of u.  Of the constants, only alpha_measured runs an
     eigenvalue bisection, and only with measure_alpha: about 37 LDL^T
     factorizations, since it stops at the relative width `_BISECTION_RTOL`,
-    below which it would resolve only its own test's round-off.
+    below which it would resolve only its own test's round-off.  u_norm is
+    ||u||_H1, from the solve's `BoundCheck.lhs` where the caller has it.
     """
     c_pf = mesh.poincare_constant
     c_a = min(1.0, float(np.min(data.a)))
@@ -1158,9 +1174,10 @@ def estimate_constants(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
     alpha = c_pf**2 / c_a
     full = mesh.expand(u)
     uq = mesh._gauss_values(full)
+    ke = mesh._stiffness_term(data.a)
     alpha_measured = None
     if measure_alpha:
-        lin = _linearization(mesh, data.b, nl, uq, mesh._stiffness_term(data.a))
+        lin = _linearization(mesh, data.b, nl, uq, ke)
         alpha_measured = 1.0 / _smallest_generalized_eigenvalue(lin, mesh.h1_gram)
 
     ce = mesh.embedding_constant
@@ -1171,10 +1188,12 @@ def estimate_constants(mesh: Mesh1D, data: PdeData, nl: Nonlinearity,
     b_sup = float(np.max(np.abs(data.b)))
     nl_l2 = mesh.l2_norm_quad(nl.deriv(0, uq))
 
-    residual_norm = mesh.dual_norm(_residual(mesh, data, nl, full, uq))
+    residual_norm = mesh.dual_norm(_residual(mesh, data, nl, full, uq, ke))
+    if u_norm is None:
+        u_norm = mesh.h1_norm(u)
     bounds = {
         0: residual_norm,
-        1: mesh.h1_norm(u) + a_sup + nl_l2 + b_sup * sup[1] + 2.0,
+        1: u_norm + a_sup + nl_l2 + b_sup * sup[1] + 2.0,
         2: 2.0 + b_sup * sup[2] * ce + 2.0 * sup[1],
     }
     for r in range(3, top):

@@ -322,9 +322,10 @@ class TestSolve:
     def test_report_does_each_piece_of_work_once(self, tmp_path, monkeypatch):
         # at the benchmark's mesh, alpha_measured's bisection stops after at
         # most 40 factorizations, and the report reads the bound check of the
-        # solve and the residual norm of the constants
+        # solve and the residual norm of the constants, which take ||u|| from
+        # that check
         calls = dict.fromkeys(["search_dpttrf", "solution_bound_check", "data_norm",
-                               "dual_norm"], 0)
+                               "dual_norm", "h1_norm"], 0)
         searching = []
 
         def counting(name, kernel):
@@ -349,8 +350,8 @@ class TestSolve:
         monkeypatch.setattr(pde1d, "dpttrf", factor)
         for name in ("solution_bound_check", "data_norm"):
             monkeypatch.setattr(pde1d, name, counting(name, getattr(pde1d, name)))
-        monkeypatch.setattr(pde1d.Mesh1D, "dual_norm",
-                            counting("dual_norm", pde1d.Mesh1D.dual_norm))
+        for name in ("dual_norm", "h1_norm"):
+            monkeypatch.setattr(pde1d.Mesh1D, name, counting(name, getattr(pde1d.Mesh1D, name)))
         cfg = tmp_path / "solve.json"
         cfg.write_text(json.dumps({"mesh_n": 4096, "a": 1.0, "b": 1.0, "f": 1.0,
                                    "nonlinearity": {"kind": "cubic"}}))
@@ -358,7 +359,7 @@ class TestSolve:
         assert run_cli(["solve", "--config", str(cfg), "--output", str(tmp_path / "u.csv"),
                         "--report", str(rep)]) == 0
         assert 0 < calls["search_dpttrf"] <= 40
-        assert calls["solution_bound_check"] == calls["data_norm"] == 1
+        assert calls["solution_bound_check"] == calls["data_norm"] == calls["h1_norm"] == 1
         assert calls["dual_norm"] == 3  # the two of data_norm and the residual's
         report = json.loads(rep.read_text())
         assert report["bound_checks"]["solution_bound"]["ok"]
@@ -545,6 +546,29 @@ class TestDerivatives:
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         assert sum(1 for r in rows if r[2]) == 14
 
+    @pytest.mark.parametrize("problem, distinct", [("scalar-cubic", 119),
+                                                   ("scalar-quadratic", 129)])
+    def test_fd_check_solves_each_distinct_scalar_point_once(self, tmp_path, monkeypatch,
+                                                             problem, distinct):
+        # the scalar data is one-dimensional, so the three directions are
+        # collinear: of the 441 points the stencils build (one per set of
+        # offsets), `distinct` are bitwise distinct, and each is solved once
+        solved = []
+        solve = cli.solve_residual_stack
+
+        def recording_solve(oracle, ds, *args, **kwargs):
+            ds = list(ds)
+            solved.extend(d.tobytes() for d in ds)
+            return solve(oracle, ds, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_residual_stack", recording_solve)
+        dirs = tmp_path / "dirs.json"
+        dirs.write_text(json.dumps([1.0, 0.5, -0.25]))
+        assert run_cli(["derivatives", "--problem", problem, "--order", "8",
+                        "--directions", str(dirs), "--fd-check",
+                        "--output", str(tmp_path / "deriv.csv")]) == 0
+        assert len(solved) == len(set(solved)) == distinct
+
     def test_invalid_order(self):
         assert run_cli(["derivatives", "--problem", "scalar-cubic", "--order", "0"]) == 1
 
@@ -714,15 +738,6 @@ class TestGlobalBehavior:
             cli.main(["kappa", "--max-n", "three"])
         assert exc.value.code == 1
         assert cli._build_parser() is cli._build_parser()
-
-    def test_thread_cap_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("GEVREY_KIT_THREADS", "not-a-number")
-        assert run_cli(["kappa", "--max-n", "3"]) == 1
-        monkeypatch.setenv("GEVREY_KIT_THREADS", "0")
-        assert run_cli(["kappa", "--max-n", "3"]) == 1
-        monkeypatch.setenv("GEVREY_KIT_THREADS", "2")
-        out = tmp_path / "k.csv"
-        assert run_cli(["kappa", "--max-n", "3", "--output", str(out)]) == 0
 
     def test_output_in_missing_directory_rejected(self, tmp_path, capsys):
         path = tmp_path / "missing" / "k.csv"

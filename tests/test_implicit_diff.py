@@ -534,6 +534,19 @@ class TestFiniteDifferenceTable:
         assert_bitwise_equal(got, per_term_reference(CountingMap(smap.one), d, h, keys, steps,
                                                      oracle.state_norm))
 
+    @pytest.mark.parametrize("entry", range(1, 9))
+    def test_points_that_differ_in_one_entry_stay_apart(self, entry):
+        # points of 1024 entries that differ in one entry only, so in a few
+        # of their 8192 bytes, which a sample of the bytes may skip: the
+        # offsets +-0.05, +-0.1, +-0.2 and 0 are 7 distinct points
+        d, h = np.zeros(1024), np.zeros(1024)
+        d[entry], h[entry] = 0.3, 1.0
+        smap = CountingMap(lambda p: np.sin(p[entry]))
+        got = finite_difference_table(smap, d, [h], keys_up_to(1, 2), [0.1, 0.05])
+        assert smap.calls == 7
+        assert abs(got[MultiIndex.unit(1)][0] - math.cos(0.3)) < 1e-6
+        assert abs(got[MultiIndex.make({1: 2})][0] + math.sin(0.3)) < 1e-6
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_check_is_bitwise_the_sign_sum(self, n):
         smap = lambda p: np.array([np.exp(p[0] - p[1] ** 2), np.tanh(p[0] * p[1] + p[2])])
@@ -546,11 +559,20 @@ class TestFiniteDifferenceTable:
         assert est.tobytes() == ref_est.tobytes()
         assert ind == ref_ind
 
-    def test_check_merges_no_points(self):
-        smap = CountingMap(lambda d: float(np.cos(d[0])))
-        h = np.array([1.0])
-        finite_difference_check(smap, np.array([0.0]), [h, h, h], [0.1, 0.05])
-        assert smap.calls == 2 * 2 ** 3
+    def test_check_merges_only_bitwise_equal_points(self):
+        # along three copies of one direction, the sign vectors s whose points
+        # ((d + s_1 t h) + s_2 t h) + s_3 t h round to one double share a solve,
+        # and the result is bitwise the sign sum of one solve per term
+        oracle = scalar_cubic_oracle()
+        smap = RecordingMap(oracle)
+        d, h, steps = np.array([0.3]), np.array([1.0]), [0.1, 0.05]
+        est, ind = finite_difference_check(smap, d, [h, h, h], steps)
+        built = {point_bytes(((d + s1 * t * h) + s2 * t * h) + s3 * t * h)
+                 for t in steps for s1, s2, s3 in itertools.product((1.0, -1.0), repeat=3)}
+        assert len(set(smap.points)) == len(smap.points) == len(built) < 2 * 2 ** 3
+        ref_est, ref_ind = sign_sum_reference(smap.one, d, [h, h, h], steps)
+        assert np.asarray(est).tobytes() == np.asarray(ref_est).tobytes()
+        assert ind == ref_ind
 
     def test_failing_point_propagates(self):
         def smap(ds):
