@@ -101,10 +101,12 @@ def _write_text(path: str, text: str) -> None:
 
 def _check_output_directories(args) -> None:
     """An empty output path, one in a missing directory, one that is a
-    directory, or one whose file name is longer than its directory allows
-    (NAME_MAX bytes), is a configuration error before any work, so the run
-    leaves no output of its own behind."""
-    for path in (getattr(args, "output", None), getattr(args, "report", None)):
+    directory, one whose file name is longer than its directory allows
+    (NAME_MAX bytes), or an output and a report that name one file (after
+    `./`, `..` and symbolic links are resolved), is a configuration error
+    before any work, so the run leaves no output of its own behind."""
+    paths = [getattr(args, "output", None), getattr(args, "report", None)]
+    for path in paths:
         if path == "":
             raise ConfigError("cannot write an empty path")
         if path is None:
@@ -117,6 +119,8 @@ def _check_output_directories(args) -> None:
         name_max = os.pathconf(directory, "PC_NAME_MAX")  # -1: no limit
         if 0 <= name_max < len(os.fsencode(os.path.basename(path))):
             raise ConfigError(f"cannot write {path}: file name too long")
+    if None not in paths and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+        raise ConfigError(f"--output {paths[0]} and --report {paths[1]} name one file")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -334,7 +338,7 @@ def _cmd_derivatives(args) -> int:
         fd = finite_difference_table(
             solution_map, base, directions,
             [alpha for alpha, _ in table.items() if 1 <= alpha.order() <= 4],
-            steps, norm=oracle.state_norm)
+            steps, norm=oracle.state_norm, block_points=oracle.stack_points)
     lines = ["key,norm,fd_norm,fd_error_indicator"]
     for alpha, value in table.items():
         label = "+".join(str(k) for k, e in alpha.entries for _ in range(e)) or "base"

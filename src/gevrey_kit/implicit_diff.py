@@ -33,11 +33,11 @@ independent oracle the tests compare the Taylor tables with, and the
 literal permutation-and-composition form that cross-checks it at small
 orders is an independent oracle in `selftest`.
 
-`solve_residual_stack` is the one damped Newton loop: it runs over a stack
-of data points in lockstep, in blocks of the oracle's `stack_points`,
-through the oracle's `stack` forms (point by point by default, see
-`PointStack`), and each point gets the bytes of a solve of its own;
-`solve_residual` is a stack of one.
+`solve_residual_stack` is the one damped Newton loop: it runs over a block
+of data points stacked along a leading axis (`stack_data`) in lockstep, in
+stacks of the oracle's `stack_points`, through the oracle's `stack` forms
+(point by point by default, see `PointStack`), and each point gets the
+bytes of a solve of its own; `solve_residual` is a block of one.
 
 `finite_difference_table` checks a table against difference quotients of a
 black-box solution map.  The nested central difference of a key
@@ -45,10 +45,11 @@ alpha = sum_k n_k e_k is a product of one-dimensional binomial central
 differences, so its stencil points are d + sum_k (c_k t) h_k with
 c_k = n_k - 2 j_k, 0 <= j_k <= n_k.  Keys of a table share most of these
 points, and halving steps repeat them (c t = 2c (t/2)), so the points of
-all keys and steps are built first, told apart by their bytes, and the
-map solves the distinct ones in one call, as one stack for a stacked solve;
-the point c = 0 is shared by all steps.  `finite_difference_check` is the
-one-key case for a list of directions.
+all keys and steps are written, each into a row of a block, told apart by
+their bytes, and the map solves the distinct ones block by block, each
+block one stack for a stacked solve; the point c = 0 is shared by all
+steps.  `finite_difference_check` is the one-key case for a list of
+directions.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ __all__ = [
     "NonConvergenceError",
     "LinearizationError",
     "PointStack",
+    "stack_data",
     "solve_residual",
     "solve_residual_stack",
     "first_derivative",
@@ -155,9 +157,38 @@ class ResidualOracle:
     #: the per-point default forms.
     stack_points = sys.maxsize
 
-    def stack(self, ds: list) -> "PointStack":
-        """The Newton forms at the data points ds, evaluated together."""
-        return PointStack(self, ds)
+    def stack(self, ds) -> "PointStack":
+        """The Newton forms at the data points of the block ds (see
+        `stack_data`), evaluated together."""
+        return PointStack(self, [_block_rows(ds, i) for i in range(_block_size(ds))])
+
+
+def _fields(x) -> list:
+    """The fields of a data value in order: a dataclass's, else x itself."""
+    if dataclasses.is_dataclass(x):
+        return [getattr(x, f.name) for f in dataclasses.fields(x)]
+    return [x]
+
+
+def _like(x, fields: list):
+    """A data value of x's kind with the given fields."""
+    return type(x)(*fields) if dataclasses.is_dataclass(x) else fields[0]
+
+
+def stack_data(points: Sequence):
+    """A block of data points: the points stacked along a leading axis, field
+    by field for a dataclass (a `PdeData` of stacked fields, say)."""
+    return _like(points[0], [np.array(column) for column in zip(*map(_fields, points))])
+
+
+def _block_rows(block, rows):
+    """The points `rows` of a block: a block for a slice or an index list, a
+    data point for an index."""
+    return _like(block, [field[rows] for field in _fields(block)])
+
+
+def _block_size(block) -> int:
+    return len(_fields(block)[0])
 
 
 class PointStack:
@@ -226,7 +257,7 @@ class DerivativeTable:
 
 def solve_residual(oracle: ResidualOracle, d, u0, tol: float, max_iter: int = 100):
     """`solve_residual_stack` at the one data point d."""
-    return solve_residual_stack(oracle, [d], u0, tol, max_iter)[0]
+    return solve_residual_stack(oracle, stack_data([d]), u0, tol, max_iter)[0]
 
 
 class _NewtonPoint:
@@ -241,10 +272,11 @@ class _NewtonPoint:
         self.iterations, self.step = 0, None
 
 
-def solve_residual_stack(oracle: ResidualOracle, ds: Iterable, u0, tol: float,
+def solve_residual_stack(oracle: ResidualOracle, ds, u0, tol: float,
                          max_iter: int = 100) -> list:
-    """Damped Newton iteration from u0 at every data point of the iterable
-    ds; returns the states in order.
+    """Damped Newton iteration from u0 at every data point of the block ds,
+    points stacked along a leading axis (see `stack_data`); returns the
+    states in order.
 
     At each point, the step is halved while the residual norm does not
     decrease (at most 30 times per step).  When no halving decreases it and
@@ -253,21 +285,23 @@ def solve_residual_stack(oracle: ResidualOracle, ds: Iterable, u0, tol: float,
     and is returned although its residual norm sits above tol; otherwise,
     and after `max_iter` (>= 0) iterations, NonConvergenceError is raised.
 
-    Blocks of `oracle.stack_points` points are solved in lockstep through
-    the oracle's `stack` forms: each round linearizes the points at a new
-    iterate and evaluates a trial state at every point, and a point that is
-    done leaves the stack.  Each point takes the steps and tests it would
-    take alone, so its state is a one-point solve's bytes; an error at any
-    point propagates.
+    Stacks of `oracle.stack_points` points are solved in lockstep through
+    the oracle's `stack` forms, on the rows of ds themselves (a block of at
+    most that many points is its own stack): each round linearizes the
+    points at a new iterate and evaluates a trial state at every point, and
+    a point that is done leaves the stack.  Each point takes the steps and
+    tests it would take alone, so its state is a one-point solve's bytes; an
+    error at any point propagates.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     out = []
-    ds = iter(ds)
-    while block := list(itertools.islice(ds, oracle.stack_points)):
-        stack, done, us = oracle.stack(block), [None] * len(block), [u0] * len(block)
-        points = list(map(_NewtonPoint, range(len(us)), us, *stack.eval(us)))
-        del block  # the stack holds what it reads of the points
+    size, per_stack = _block_size(ds), oracle.stack_points
+    for start in range(0, size, per_stack):
+        n = min(per_stack, size - start)
+        stack = oracle.stack(ds if n == size else _block_rows(ds, slice(start, start + n)))
+        done, us = [None] * n, [u0] * n
+        points = list(map(_NewtonPoint, range(n), us, *stack.eval(us)))
         while points:
             linearize = []  # points at a new iterate that are not done
             for row, p in enumerate(points):
@@ -367,11 +401,7 @@ def fill_table(oracle: ResidualOracle, d, u, plan: SplitPlan,
     """
     if data_block is None:
         def data_block(m: int):
-            coefficients = [data_coefficient(alpha) for alpha in plan.keys(m)]
-            if dataclasses.is_dataclass(coefficients[0]):
-                return type(coefficients[0])(*(np.array([getattr(c, f.name) for c in coefficients])
-                                               for f in dataclasses.fields(coefficients[0])))
-            return np.array(coefficients)
+            return stack_data([data_coefficient(alpha) for alpha in plan.keys(m)])
 
     taylor = oracle.taylor_expansion(d, u, plan, data_block)
     orders = [np.asarray(u)[None]]
@@ -418,12 +448,13 @@ def derivative_table(oracle: ResidualOracle, d, directions: Sequence,
 
 def finite_difference_table(solution_map: Callable, d, directions: Sequence,
                             keys: Iterable[MultiIndex], steps: Sequence[float], *,
-                            norm: Callable | None = None, eval_noise: float = 0.0) -> dict:
+                            norm: Callable | None = None, eval_noise: float = 0.0,
+                            block_points: int = sys.maxsize) -> dict:
     """Mixed partials d^alpha of t -> S(d + sum_k t_k h_k), h_k =
     directions[k-1], by central differences with Richardson extrapolation in
-    the squared step, for every alpha of `keys`.  The solution map takes an
-    iterable of data points, built as it is consumed, and returns the list
-    of their states S in order.
+    the squared step, for every alpha of `keys`.  The solution map takes a
+    block of at most `block_points` data points stacked along a leading axis
+    (see `stack_data`) and returns the list of their states S in order.
 
     The nested central difference of alpha = sum_k n_k e_k at step t is a
     product of one-dimensional binomial central differences:
@@ -432,17 +463,23 @@ def finite_difference_table(solution_map: Callable, d, directions: Sequence,
 
     with c_k = n_k - 2 j_k.  A stencil point depends on its offsets c_k t
     only, and is built from them the same way for every key and step
-    (nonzero c_k only, in ascending k).  The points of all keys and steps
-    are built in the order the stencils reach them, each set of offsets
-    once, and told apart by their bytes (`tobytes()`, of a numpy array or a
-    `PdeData`): by a sample of them, and where samples agree by all of them,
-    against the earlier point built again, so no point is kept.  The map is
-    called once on the distinct points.  A point that recurs across steps
-    (c t = 2c (t/2) when the steps halve) is solved once, and so is one that
-    other offsets reach only once added to d (collinear directions of a
-    one-dimensional data space); the point c = 0, which is d itself, is
-    shared by all steps.  Each key keeps its own Richardson table and
-    indicator.
+    (nonzero c_k only, in ascending k), bit for bit the sum
+    d + (c_1 t) h_1 + ... of numpy arrays or `PdeData` values.  The points
+    of all keys and steps are written in the order the stencils reach them,
+    each set of offsets once, into the next row of a block: one row holds
+    a point's fields end to end, and the block's fields are views of its
+    rows, so the map reads the rows where they were written.  Points are
+    told apart by a row's bytes (a `PdeData`'s are a, b, f and g in turn):
+    by a sample of them, and where samples agree by all of them, against
+    the earlier point written again into a spare row, so a point that
+    repeats an earlier one is overwritten by the next.  A full block goes to
+    the map, and the next one is written only after the map has returned,
+    so at most one block of points is alive: `block_points` rows, each the
+    size of d.  A point that recurs across steps (c t = 2c (t/2) when the
+    steps halve) is solved once, and so is one that other offsets reach
+    only once added to d (collinear directions of a one-dimensional data
+    space); the point c = 0, which is d itself, is shared by all steps.
+    Each key keeps its own Richardson table and indicator.
 
     Orders 1 <= |alpha| <= 4 are accepted; beyond that, cancellation
     destroys double precision.  Returns {alpha: (estimate, indicator)},
@@ -466,6 +503,8 @@ def finite_difference_table(solution_map: Callable, d, directions: Sequence,
         raise ValueError("need at least two distinct finite positive steps")
     if not eval_noise >= 0.0:
         raise ValueError("eval_noise must be a nonnegative bound")
+    if block_points < 1:
+        raise ValueError("block_points must be >= 1")
     norm = norm or default_norm
 
     def stencil(alpha: MultiIndex, t: float) -> list:
@@ -482,11 +521,30 @@ def finite_difference_table(solution_map: Callable, d, directions: Sequence,
             terms.append((coeff, tuple(offsets)))
         return terms
 
-    def data_point(offsets: tuple):
-        point = d
-        for k, offset in offsets:
-            point = point + offset * directions[k - 1]
-        return point
+    # a point's fields end to end, as one row: d's and each direction's
+    fields = _fields(d)
+    shapes = [np.shape(field) for field in fields]
+    bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+    flat = lambda x: np.concatenate([np.ravel(field) for field in _fields(x)])
+    base, rays = flat(d), [flat(h) for h in directions]
+    spare, term = np.empty_like(base), np.empty_like(base)
+
+    def write(row: np.ndarray, offsets: tuple) -> bytes:
+        """The point of the offsets, d + (c_1 t) h_1 + ... left to right, into
+        the row; returns its bytes."""
+        if not offsets:
+            row[...] = base
+            return row.tobytes()
+        (k, offset), *rest = offsets
+        np.add(base, np.multiply(rays[k - 1], offset, out=row), out=row)
+        for k, offset in rest:
+            np.add(row, np.multiply(rays[k - 1], offset, out=term), out=row)
+        return row.tobytes()
+
+    def block(rows: np.ndarray):
+        """The points of the rows as a data block whose fields are views."""
+        return _like(d, [rows[:, lo:hi].reshape((len(rows),) + shape)
+                         for lo, hi, shape in zip(bounds[:-1], bounds[1:], shapes)])
 
     stencils = {alpha: [stencil(alpha, t) for t in steps] for alpha in keys}
     # the offsets of each point -> those of the first point with its bytes
@@ -495,17 +553,29 @@ def finite_difference_table(solution_map: Callable, d, directions: Sequence,
     # byte of a double) -> the offsets of the distinct points with them
     samples = {}
 
-    def distinct_points():
-        for key in first:
-            point = data_point(key)
-            raw = point.tobytes()
-            same = samples.setdefault(raw[::len(raw) // 256 | 1], [])
-            first[key] = next((k for k in same if data_point(k).tobytes() == raw), key)
-            if first[key] == key:
-                same.append(key)
-                yield point
+    def blocks():
+        """Blocks of the distinct points, each written when it is asked for."""
+        left, pending = len(first), iter(first)
+        while left:
+            rows, filled = np.empty((min(block_points, left), len(base))), 0
+            for key in pending:
+                left -= 1
+                raw = write(rows[filled], key)
+                same = samples.setdefault(raw[::len(raw) // 256 | 1], [])
+                first[key] = next((k for k in same if write(spare, k) == raw), key)
+                if first[key] == key:
+                    same.append(key)
+                    filled += 1
+                    if filled == len(rows):
+                        break
+            if filled:
+                yield block(rows[:filled])
+            del rows
 
-    solved = solution_map(distinct_points())
+    solved = []
+    for points in blocks():
+        solved += solution_map(points)
+        del points  # the map is done with the block: the next one takes its place
     states = dict(zip([key for key in first if first[key] == key], solved, strict=True))
 
     def extrapolate(alpha: MultiIndex):
@@ -541,7 +611,7 @@ def finite_difference_check(solution_map: Callable, d, directions: Sequence,
 
     This is the one-key case of `finite_difference_table`, with each listed
     direction as its own coordinate (key e_1 + ... + e_n), and the same
-    solution map, from an iterable of points to the list of their states:
+    solution map, from a block of points to the list of their states:
     the stencil is the sum over the 2^n sign vectors s of
     prod(s) S(d + sum_k s_k t h_k) over (2t)^n, and two of its points are
     merged only where they are bitwise equal.

@@ -689,9 +689,10 @@ def _linearization_factors(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarra
 
 #: Bytes of one Gauss-point field of the points that `PdeOracle` solves
 #: together: a block of 13 points at mesh 256, of one point at mesh 4096.
-#: A derivatives-fd operation (in process, 2-vCPU VM) took 17.2 ms here,
-#: 17.7 at 64 KiB, 16.9 at 120 (within 3% from 104 to 136), 17.9 at 160,
-#: 18.5 at 320, and 19.7 and 21.0 ms at 40 and 640 KiB: none is 5% faster.
+#: Against this size, 6 alternating 10 s derivatives-fd pairs of
+#: `tools/bench_pairs.py` (2-vCPU VM) read op_s medians of +3.6% at 64 KiB
+#: (0/6 wins), -3.5% at 120 KiB (6/6) and -4.6% at 160 KiB (6/6): too few
+#: pairs to move it, since a size must win 9 of 10.
 _STACK_BYTES = 80 << 10
 
 
@@ -729,9 +730,8 @@ class PdeOracle(ResidualOracle):
     def stack_points(self) -> int:
         return max(1, _STACK_BYTES // self.mesh.quad_x.nbytes)
 
-    def stack(self, ds: list) -> "_PdeStack":
-        data = PdeData(*(np.array([getattr(d, name) for d in ds]) for name in "abfg"))
-        return _PdeStack(self, data, self.mesh._stiffness_term(data.a))
+    def stack(self, ds: PdeData) -> "_PdeStack":
+        return _PdeStack(self, ds, self.mesh._stiffness_term(ds.a))
 
     def taylor_expansion(self, d, u, plan, data_block) -> "_TaylorExpansion":
         return _TaylorExpansion(self.mesh, self.nl, d, u, plan, data_block)
@@ -751,10 +751,12 @@ class PdeOracle(ResidualOracle):
 
 class _PdeStack:
     """`PdeOracle`'s stack forms (see `implicit_diff.PointStack`): the one-point
-    kernels on data fields stacked along a leading axis of points (of length
-    one for a single point), so each point gets the bytes of the one-point
-    forms.  The stiffness terms ke are formed once, and the Gauss values of
-    the states last evaluated are kept for the linearizations; the stack
+    kernels on the data fields of a block, stacked along a leading axis of
+    points (of length one for a single point) and read where the block holds
+    them, so each point gets the bytes of the one-point forms (every kernel
+    is elementwise in the data, whatever their strides).  The stiffness
+    terms ke are formed once, and the Gauss values of the states last
+    evaluated are kept for the linearizations; the stack
     reads its oracle's mesh and nonlinearity and writes nothing into it.  A
     dual norm is one Riesz solve (`Mesh1D.riesz`) over all columns and a dot
     product per point (`np.vecdot`); the linearizations of the points are

@@ -526,8 +526,7 @@ class TestDerivatives:
         solve = cli.solve_residual_stack
 
         def counting_solve(oracle, ds, *args, **kwargs):
-            ds = list(ds)
-            calls.append(len(ds))
+            calls.append(len(ds.g))
             return solve(oracle, ds, *args, **kwargs)
 
         monkeypatch.setattr(cli, "solve_residual_stack", counting_solve)
@@ -539,12 +538,35 @@ class TestDerivatives:
                         "--output", str(out)])
         assert code == 0
         # 40 nonzero stencil points c per step, three halving steps, and the
-        # base point, in one stacked solve; the 12 even points c of the steps
-        # 0.05 and 0.025 are the points c / 2 of the step before (2 * 0.05 is
-        # 0.1 in floating point), so 40 + 28 + 28 + 1 are distinct
+        # base point, in one block (a stack at mesh 24 holds 142 points); the
+        # 12 even points c of the steps 0.05 and 0.025 are the points c / 2 of
+        # the step before (2 * 0.05 is 0.1 in floating point), so
+        # 40 + 28 + 28 + 1 are distinct
         assert calls == [97]
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         assert sum(1 for r in rows if r[2]) == 14
+
+    def test_fd_check_blocks_fit_the_stack(self, tmp_path, monkeypatch):
+        # with room for 10 points in a stack, the 97 distinct points reach
+        # the solver in blocks of at most 10 rows, and the table's bytes do
+        # not depend on the blocks
+        dirs = tmp_path / "dirs.json"
+        dirs.write_text(json.dumps([{"f": 1.0}, {"a": 0.2, "b": 0.1}]))
+        argv = ["derivatives", "--problem", "pde1d", "--order", "4", "--mesh-n", "24",
+                "--directions", str(dirs), "--fd-check", "--output"]
+        assert run_cli(argv + [str(tmp_path / "one-block.csv")]) == 0
+        blocks = []
+        solve = cli.solve_residual_stack
+
+        def recording_solve(oracle, ds, *args, **kwargs):
+            blocks.append((len(ds.g), oracle.stack_points))
+            return solve(oracle, ds, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_residual_stack", recording_solve)
+        monkeypatch.setattr(pde1d, "_STACK_BYTES", 10 * 24 * 3 * 8)  # 10 Gauss-point fields
+        assert run_cli(argv + [str(tmp_path / "blocks.csv")]) == 0
+        assert blocks == [(10, 10)] * 9 + [(7, 10)]
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one-block.csv").read_bytes()
 
     @pytest.mark.parametrize("problem, distinct", [("scalar-cubic", 119),
                                                    ("scalar-quadratic", 129)])
@@ -794,6 +816,28 @@ class TestGlobalBehavior:
         assert not (tmp_path / "out.csv").exists()
         assert [path.name for path in tmp_path.iterdir()
                 if path.name != "taken"] == ["verify.json"]
+
+    @pytest.mark.parametrize("form", ["same", "dot-slash", "symlink"])
+    @pytest.mark.parametrize("command", ["verify-bounds", "solve"])
+    def test_output_and_report_naming_one_file_rejected(self, tmp_path, capsys, monkeypatch,
+                                                        command, form):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "verify_derivative_bounds", None)  # never reached
+        monkeypatch.setattr(cli, "newton_solve", None)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"mesh_n": 16, "p": 2, "max_order": 2, "y_samples": 1}
+                                  if command == "verify-bounds" else
+                                  {"mesh_n": 16, "b": 1.0, "f": 1.0,
+                                   "nonlinearity": {"kind": "cubic"}}))
+        report = {"same": "out.csv", "dot-slash": "./out.csv", "symlink": "link.csv"}[form]
+        if form == "symlink":
+            os.symlink("out.csv", tmp_path / "link.csv")  # dangling until out.csv is written
+        before = sorted(tmp_path.iterdir())
+        assert run_cli([command, "--config", str(cfg), "--output", "out.csv",
+                        "--report", report]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: --output out.csv and --report {report} name one file"]
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_output_that_is_a_directory_rejected(self, tmp_path, capsys):
         taken = tmp_path / "taken"

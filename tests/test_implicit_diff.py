@@ -8,6 +8,8 @@ and Richardson finite differences.
 import gc
 import itertools
 import math
+import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -31,6 +33,7 @@ from gevrey_kit.implicit_diff import (
     scalar_quadratic_oracle,
     solve_residual,
     solve_residual_stack,
+    stack_data,
 )
 from gevrey_kit.pde1d import Mesh1D, Nonlinearity, PdeData, PdeOracle
 from gevrey_kit.selftest import CompositionTable, higher_derivative_reference, invert_cubic_series
@@ -55,7 +58,7 @@ class TestSolveResidual:
         oracle = scalar_cubic_oracle()
         ds = [np.array([v]) for v in (2.0, 0.0, 100.0, 0.5, -30.0, 1e-3)]
         want = [reference_newton(oracle, d, 0.0, tol) for d in ds]
-        got = solve_residual_stack(oracle, iter(ds), 0.0, tol)
+        got = solve_residual_stack(oracle, stack_data(ds), 0.0, tol)
         assert [(type(u), u) for u in got] == [(type(u), u) for u, _, _ in want]
         assert len({iterations for _, iterations, _ in want}) > 2
         assert want[1][1] == 0 and want[2][2] > 0
@@ -64,10 +67,11 @@ class TestSolveResidual:
         # u**2 - d has no real root for d < 0 and a singular linearization at u = 0
         oracle = PolynomialOracle(1, {(0, 2): 1.0, (1, 0): -1.0})
         with pytest.raises(NonConvergenceError):
-            solve_residual_stack(oracle, [np.array([4.0]), np.array([-1.0]), np.array([9.0])],
+            solve_residual_stack(oracle, stack_data([np.array([4.0]), np.array([-1.0]),
+                                                     np.array([9.0])]),
                                  3.0, 1e-12, max_iter=40)
         with pytest.raises(LinearizationError):
-            solve_residual_stack(oracle, [np.array([0.0]), np.array([1.0])], 0.0, 1e-12)
+            solve_residual_stack(oracle, stack_data([np.array([0.0]), np.array([1.0])]), 0.0, 1e-12)
 
     def test_negative_max_iter_rejected(self):
         # d = 100 needs steps, so no limit >= 0 below them converges
@@ -366,8 +370,8 @@ def sign_sum_reference(solution_map, d, directions, steps):
 
 
 class CountingMap:
-    """A solution map over an iterable of points from a one-point map, counting
-    the points it solves."""
+    """A solution map over a block of array points, row by row, from a
+    one-point map, counting the points it solves."""
 
     def __init__(self, fn):
         self.fn, self.calls = fn, 0
@@ -429,6 +433,14 @@ def point_bytes(point) -> bytes:
     return np.asarray(point, dtype=float).tobytes()
 
 
+def block_rows(block) -> list:
+    """The data points of a block, a row of each field apiece."""
+    if isinstance(block, PdeData):
+        return [PdeData(block.a[i], block.b[i], block.f[i], block.g[i])
+                for i in range(len(block.g))]
+    return list(block)
+
+
 def assert_bitwise_equal(got: dict, want: dict):
     assert list(got) == list(want)
     for alpha, (est, ind) in got.items():
@@ -443,12 +455,11 @@ class RecordingMap:
         self.oracle, self.points = oracle, []
 
     def __call__(self, ds):
-        ds = list(ds)
-        self.points += map(point_bytes, ds)
+        self.points += map(point_bytes, block_rows(ds))
         return solve_residual_stack(self.oracle, ds, self.oracle.zero_state(), 1e-13)
 
     def one(self, d):
-        return solve_residual_stack(self.oracle, [d], self.oracle.zero_state(), 1e-13)[0]
+        return solve_residual(self.oracle, d, self.oracle.zero_state(), 1e-13)
 
 
 def fd_problem(kind, n_dirs):
@@ -520,6 +531,73 @@ class TestFiniteDifferenceTable:
         want = per_term_reference(per_term, d, dirs, keys, steps, oracle.state_norm)
         assert len(smap.points) < per_term.calls
         assert_bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("block_points", [1, 7, sys.maxsize])
+    @pytest.mark.parametrize("kind", ["pde", "array"])
+    def test_block_rows_are_the_per_point_sums(self, kind, block_points):
+        # every row the map reads is bitwise the point d + (c_1 t) h_1 + ...
+        # of the data arithmetic, the distinct points in the order the
+        # stencils reach them, and blocks are full but the last
+        rng = np.random.default_rng(34)
+        if kind == "pde":
+            mesh = Mesh1D.uniform(16)
+            field = lambda: rng.uniform(-1.0, 1.0, mesh.quad_x.shape)
+            d = PdeData(field(), field(), field(), 0.25)
+            dirs = [PdeData(field(), field(), field(), 0.5),
+                    PdeData(np.zeros(mesh.quad_x.shape), field(), field(), 0.0),  # a = 0
+                    PdeData(field(), field(), field(), -1.0)]
+        else:  # the third direction is the first doubled, so points coincide
+            d, h1, h2 = (rng.uniform(-1.0, 1.0, 5) for _ in range(3))
+            dirs = [h1, h2, 2.0 * h1]
+        keys = keys_up_to(3, 4)
+        steps = [0.1, 0.05, 0.025]
+        want = {}  # bytes of the distinct points in the order the stencils reach them
+        offsets = set()
+        for alpha in keys:
+            for t in steps:
+                for js in itertools.product(*(range(n + 1) for _, n in alpha.entries)):
+                    point, c = d, []
+                    for (k, n), j in zip(alpha.entries, js):
+                        if n != 2 * j:
+                            point = point + ((n - 2 * j) * t) * dirs[k - 1]
+                            c.append((k, (n - 2 * j) * t))
+                    want.setdefault(point_bytes(point))
+                    offsets.add(tuple(c))
+        got, sizes = [], []
+
+        def smap(ds):
+            rows = block_rows(ds)
+            got.extend(map(point_bytes, rows))
+            sizes.append(len(rows))
+            return [0.0] * len(rows)
+
+        finite_difference_table(smap, d, dirs, keys, steps, block_points=block_points)
+        assert got == list(want)
+        # collinear directions make some points coincide
+        assert (len(want) < len(offsets)) == (kind == "array")
+        full, last = divmod(len(want), min(block_points, len(want)))
+        assert sizes == [min(block_points, len(want))] * full + ([last] if last else [])
+
+    def test_one_block_of_points_is_alive_at_a_time(self):
+        # the points of a block of 8 rows, each 2**15 doubles, go to the map
+        # before the next block is allocated: the peak holds d and the two
+        # directions, end to end, a spare row and a term row, a row's bytes
+        # twice and one block, and two blocks would add 8 rows to it
+        n, rows = 2**15, 8
+        d, h1, h2 = np.full(n, 0.5), np.full(n, 0.25), np.linspace(0.0, 1.0, n)
+        blocks = []
+        tracemalloc.start()
+        try:
+            finite_difference_table(lambda ds: blocks.append(len(ds)) or [0.0] * len(ds),
+                                    d, [h1, h2], keys_up_to(2, 2), [0.1, 0.05],
+                                    block_points=rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 12 points c != 0 at the step 0.1, and 8 at 0.05 (c = +-2 e_k are the
+        # points +-e_k of 0.1), and c = 0
+        assert blocks == [8, 8, 5]
+        assert peak < (7 + rows + rows // 2) * d.nbytes
 
     def test_offsets_that_differ_by_rounding_stay_apart(self):
         # 3 * 0.1 is not 0.3 in floating point, so c = 3 at the step 0.1 and

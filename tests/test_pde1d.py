@@ -23,6 +23,7 @@ from gevrey_kit.implicit_diff import (
     finite_difference_table,
     solve_residual,
     solve_residual_stack,
+    stack_data,
 )
 from gevrey_kit.parametric import DomainMap1D, TildeData, parametric_derivative_table
 from gevrey_kit.pde1d import (
@@ -571,7 +572,7 @@ class TestNewtonReuse:
         oracle = PdeOracle(mesh, nl)
         assert oracle.stack_points == (block or pde1d._STACK_BYTES // mesh.quad_x.nbytes)
         assert oracle.stack_points >= 3
-        got = solve_residual_stack(oracle, iter(points), np.zeros(mesh.n_free), tol)
+        got = solve_residual_stack(oracle, stack_data(points), np.zeros(mesh.n_free), tol)
         assert len(got) == len(points)
         for state, (u, _, _) in zip(got, want):
             assert_same_bytes(state, u)
@@ -598,7 +599,8 @@ class TestNewtonReuse:
             lambda oracle: [solve_residual(oracle, base, oracle.zero_state(), 1e-12)],
             lambda oracle: [oracle.solve_linearized(d, u, rhs) for d in (base, base + dirs[0])],
             lambda oracle: [v for _, v in derivative_table(oracle, base, dirs, 3).items()],
-            lambda oracle: solve_residual_stack(oracle, [base + d for d in dirs] + [base - dirs[0]],
+            lambda oracle: solve_residual_stack(oracle,
+                                                stack_data([base + d for d in dirs] + [base - dirs[0]]),
                                                 oracle.zero_state(), 1e-12),
             lambda oracle: [v for _, v in parametric_derivative_table(oracle, tilde, 3).items()],
         ]
@@ -711,7 +713,7 @@ class TestStackSolve:
         if broken is not None:
             ds[points // 2] = broken(ds[points // 2])
         us = [rng.standard_normal(mesh.n_free) for _ in ds]
-        stack = PdeOracle(mesh, nl).stack(ds)
+        stack = PdeOracle(mesh, nl).stack(stack_data(ds))
         res, _ = stack.eval(us)
         return ds, us, stack, res
 
@@ -891,10 +893,12 @@ class TestNewton:
         linear = PdeData.from_spec(mesh, a=1.0, b=0.0, f=1.0)  # solved in one step
         indefinite = PdeData.from_spec(mesh, a=-1.0, b=0.0, f=1.0)
         with pytest.raises(LinearizationError, match="not positive definite"):
-            solve_residual_stack(oracle, [good, indefinite, good], oracle.zero_state(), 1e-12)
+            solve_residual_stack(oracle, stack_data([good, indefinite, good]), oracle.zero_state(),
+                                 1e-12)
         with pytest.raises(NonConvergenceError, match="after 1 iterations"):
-            solve_residual_stack(oracle, [linear, good], oracle.zero_state(), 1e-12, max_iter=1)
-        assert_same_bytes(solve_residual_stack(oracle, [linear], oracle.zero_state(), 1e-12,
+            solve_residual_stack(oracle, stack_data([linear, good]), oracle.zero_state(), 1e-12,
+                                 max_iter=1)
+        assert_same_bytes(solve_residual_stack(oracle, stack_data([linear]), oracle.zero_state(), 1e-12,
                                                max_iter=1)[0],
                           solve_residual(oracle, linear, oracle.zero_state(), 1e-12))
 
