@@ -521,11 +521,12 @@ def finite_difference_table(solution_map: Callable, d, directions: Sequence,
             terms.append((coeff, tuple(offsets)))
         return terms
 
-    # a point's fields end to end, as one row: d's and each direction's
+    # a point's fields end to end, as one row of doubles: d's and each
+    # direction's (integer data is promoted as d + offset * h promotes it)
     fields = _fields(d)
     shapes = [np.shape(field) for field in fields]
     bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes])
-    flat = lambda x: np.concatenate([np.ravel(field) for field in _fields(x)])
+    flat = lambda x: np.concatenate([np.ravel(field) for field in _fields(x)], dtype=float)
     base, rays = flat(d), [flat(h) for h in directions]
     spare, term = np.empty_like(base), np.empty_like(base)
 

@@ -425,11 +425,6 @@ class PdeData:
     def __neg__(self) -> "PdeData":
         return self * (-1.0)
 
-    def tobytes(self) -> bytes:
-        """The bytes of a, b, f and g in turn: equal for bitwise equal data."""
-        return b"".join(np.asarray(x, dtype=float).tobytes()
-                        for x in (self.a, self.b, self.f, self.g))
-
     @staticmethod
     def zeros(mesh: Mesh1D) -> "PdeData":
         z = np.zeros_like(mesh.quad_x)
@@ -688,12 +683,12 @@ def _linearization_factors(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarra
 
 
 #: Bytes of one Gauss-point field of the points that `PdeOracle` solves
-#: together: a block of 13 points at mesh 256, of one point at mesh 4096.
-#: Against this size, 6 alternating 10 s derivatives-fd pairs of
-#: `tools/bench_pairs.py` (2-vCPU VM) read op_s medians of +3.6% at 64 KiB
-#: (0/6 wins), -3.5% at 120 KiB (6/6) and -4.6% at 160 KiB (6/6): too few
-#: pairs to move it, since a size must win 9 of 10.
-_STACK_BYTES = 80 << 10
+#: together: a block of 26 points at mesh 256, of one point at mesh 4096.
+#: Against 80 KiB, 10 alternating 25 s derivatives-fd pairs of
+#: `tools/bench_pairs.py` (2-vCPU VM) read op_s medians of +3.4% at 64 KiB
+#: (1/10 wins), -7.0% at 120 KiB (9/10) and -4.3% at 160 KiB (10/10), and
+#: 160 KiB beat 120 KiB in 8 of 10 pairs (-7.0%).
+_STACK_BYTES = 160 << 10
 
 
 class PdeOracle(ResidualOracle):

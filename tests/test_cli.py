@@ -538,7 +538,7 @@ class TestDerivatives:
                         "--output", str(out)])
         assert code == 0
         # 40 nonzero stencil points c per step, three halving steps, and the
-        # base point, in one block (a stack at mesh 24 holds 142 points); the
+        # base point, in one block (a stack at mesh 24 holds 284 points); the
         # 12 even points c of the steps 0.05 and 0.025 are the points c / 2 of
         # the step before (2 * 0.05 is 0.1 in floating point), so
         # 40 + 28 + 28 + 1 are distinct
@@ -579,8 +579,7 @@ class TestDerivatives:
         solve = cli.solve_residual_stack
 
         def recording_solve(oracle, ds, *args, **kwargs):
-            ds = list(ds)
-            solved.extend(d.tobytes() for d in ds)
+            solved.extend(row.tobytes() for row in ds)
             return solve(oracle, ds, *args, **kwargs)
 
         monkeypatch.setattr(cli, "solve_residual_stack", recording_solve)

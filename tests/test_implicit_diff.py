@@ -333,6 +333,17 @@ class TestFiniteDifferenceCheck:
                                            [0.1, 0.05], eval_noise=1e-10)
         assert noisy >= clean + 2.0 * 1e-10 / 0.05
 
+    def test_integer_data_is_promoted(self):
+        # integer data and directions give the points d + offset * h gives:
+        # doubles, so the estimate is that of the same data as floats
+        smap = lambda ds: [float(d[0] ** 3) for d in ds]
+        steps = [0.1, 0.05, 0.025]
+        for n_dirs in (1, 2):
+            got = finite_difference_check(smap, np.array([3]), [np.array([1])] * n_dirs, steps)
+            want = finite_difference_check(smap, np.array([3.0]), [np.array([1.0])] * n_dirs,
+                                           steps)
+            assert got == want
+
     def test_validation(self):
         smap = lambda ds: [0.0 for _ in ds]
         with pytest.raises(ValueError):

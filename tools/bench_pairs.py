@@ -2,7 +2,7 @@
 gain verdict and the no-regression check.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
-        [--pairs 10] [--seconds 25] [--seed-base S] [--metric op_s]
+        [--pairs 10] [--seconds 25] [--seed-base S]
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Pair i runs
 `benchmarks/run.py --workload W --seed S+i --seconds T --trace 0` once in
@@ -13,11 +13,11 @@ sources as a fresh checkout does (a stale cache reads `setup_s` about 20%
 high); the runs themselves write only `.bench_out/`.
 
 It prints every run's end-to-end metrics and failed operations, each side's
-median and quartiles per metric, the wins of the change, the gain verdict
-for `--metric` (at least 9/10 of the pairs won and a median gap above the
-parent's interquartile range), and one no-regression line per metric
-against the bounds of CHANGE_DIR's BENCHMARK.json.  Exits 1 when a run
-fails to produce a result.
+median and quartiles per end-to-end metric, and for each metric the wins
+of the change, the gain verdict (at least 9/10 of the pairs won and a
+median gap above the parent's interquartile range) and the no-regression
+verdict against the bound of CHANGE_DIR's BENCHMARK.json.  Exits 1 when a
+run fails to produce a result.
 """
 
 from __future__ import annotations
@@ -101,12 +101,9 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--seed-base", type=int, default=1)
-    parser.add_argument("--metric", default="op_s")
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
-    if args.metric not in metrics:
-        parser.error(f"--metric must be one of {', '.join(metrics)}")
 
     samples = {"parent": {name: [] for name in metrics}, "change": {name: [] for name in metrics}}
     failed = {"parent": [0, 0], "change": [0, 0]}  # failed and attempted operations
@@ -135,12 +132,10 @@ def main(argv=None) -> int:
         for side, values in (("parent", parent), ("change", change)):
             q1, med, q3 = quartiles(values)
             print(f"{name} {side}: median {med:.6g} quartiles {q1:.6g} {q3:.6g} {metric['unit']}")
-        print(f"{name} change wins {wins(parent, change, metric['better'])}/{len(parent)}")
+        held, detail = gain_verdict(parent, change, metric["better"])
+        print(f"{name} gain: {'HELD' if held else 'NOT MET'} ({detail})")
         print(f"{name} no-regression (bound {metric['bound']:.0%}): "
               f"{regression_verdict(parent, change, metric['better'], metric['bound'])}")
-    held, detail = gain_verdict(samples["parent"][args.metric], samples["change"][args.metric],
-                                metrics[args.metric]["better"])
-    print(f"gain on {args.metric}: {'HELD' if held else 'NOT MET'} ({detail})")
     return 0
 
 
