@@ -37,7 +37,8 @@ orders is an independent oracle in `selftest`.
 of data points stacked along a leading axis (`stack_data`) in lockstep, in
 stacks of the oracle's `stack_points`, through the oracle's `stack` forms
 (point by point by default, see `PointStack`), and each point gets the
-bytes of a solve of its own; `solve_residual` is a block of one.
+bytes of a solve of its own; `solve_residual` is a block of one, and can
+return the residual norm its last evaluation computed.
 
 `finite_difference_table` checks a table against difference quotients of a
 black-box solution map.  The nested central difference of a key
@@ -59,7 +60,6 @@ import itertools
 import math
 import sys
 from collections import Counter
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -255,13 +255,17 @@ class DerivativeTable:
         return {k: self.oracle.state_norm(v) for k, v in self.items()}
 
 
-def solve_residual(oracle: ResidualOracle, d, u0, tol: float, max_iter: int = 100):
-    """`solve_residual_stack` at the one data point d."""
-    return solve_residual_stack(oracle, stack_data([d]), u0, tol, max_iter)[0]
+def solve_residual(oracle: ResidualOracle, d, u0, tol: float, max_iter: int = 100,
+                   return_norm: bool = False):
+    """`solve_residual_stack` at the one data point d.  With return_norm,
+    returns (u, the residual norm at u), the norm that the Newton loop's
+    last evaluation computed."""
+    u, rnorm = _newton(oracle, stack_data([d]), u0, tol, max_iter)[0]
+    return (u, rnorm) if return_norm else u
 
 
 class _NewtonPoint:
-    """A point of a `solve_residual_stack` block: its position, the iterate
+    """A point of a `_newton` block: its position, the iterate
     with its residual, residual norm and steps taken, and the step of the
     line search (None at a new iterate) with its scale."""
 
@@ -293,6 +297,11 @@ def solve_residual_stack(oracle: ResidualOracle, ds, u0, tol: float,
     tests it would take alone, so its state is a one-point solve's bytes; an
     error at any point propagates.
     """
+    return [u for u, _ in _newton(oracle, ds, u0, tol, max_iter)]
+
+
+def _newton(oracle: ResidualOracle, ds, u0, tol: float, max_iter: int) -> list:
+    """`solve_residual_stack`'s iteration: (state, residual norm) per point."""
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     out = []
@@ -308,7 +317,7 @@ def solve_residual_stack(oracle: ResidualOracle, ds, u0, tol: float,
                 if p.step is not None:
                     continue
                 if p.rnorm <= tol:
-                    done[p.index] = p.u
+                    done[p.index] = p.u, p.rnorm
                 elif p.iterations == max_iter:
                     raise NonConvergenceError(f"no convergence after {max_iter} iterations; "
                                               f"residual norm {p.rnorm:.3e}", p.rnorm)
@@ -336,7 +345,7 @@ def solve_residual_stack(oracle: ResidualOracle, ds, u0, tol: float,
                     if oracle.state_norm(p.step) > floor:
                         raise NonConvergenceError(
                             f"line search stalled at residual norm {p.rnorm:.3e}", p.rnorm)
-                    done[p.index] = p.u
+                    done[p.index] = p.u, p.rnorm
         out += done
     return out
 
@@ -365,6 +374,8 @@ def higher_derivative(oracle: ResidualOracle, table: DerivativeTable,
     must already be in the table.  Terms of an order r above the degree of
     R in (d, u) are exact zeros.
     """
+    from fractions import Fraction  # here: of the commands, only selftest runs this oracle
+
     n = alpha.order()
     if n < 2:
         raise ValueError("higher_derivative needs |alpha| >= 2")

@@ -341,10 +341,10 @@ def verify_derivative_bounds(dmap: DomainMap1D, hat: PdeData, mesh: Mesh1D,
     per_point, u_norm_max, measured = [], 0.0, []
     for y in ys:
         tilde = TildeData(dmap, hat, mesh, y)
-        u, bound = newton_solve(mesh, tilde.data, nl, tol=tol, return_check=True)
+        u, bound, residual_norm = newton_solve(mesh, tilde.data, nl, tol=tol, return_check=True)
         if envelope is None:
             per_point.append(estimate_constants(mesh, tilde.data, nl, u, measure_alpha=False,
-                                                u_norm=bound.lhs))
+                                                u_norm=bound.lhs, residual_norm=residual_norm))
         table = parametric_derivative_table(oracle, tilde, max_order, u=u, tol=tol, plan=plan)
         measured.append([x for block in table.orders for x in mesh.h1_norms(block)])
         u_norm_max = max(u_norm_max, measured[-1][0])

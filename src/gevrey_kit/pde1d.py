@@ -38,7 +38,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from ._scipy_kernels import dptsv, dpttrf, dpttrs
 from .implicit_diff import LinearizationError, ResidualOracle, solve_residual
@@ -467,8 +466,7 @@ class Nonlinearity:
             p0 = np.asarray(coeffs, dtype=float)
             if not np.all(np.isfinite(p0)):
                 raise ValueError("polynomial nonlinearity coefficients must be finite")
-            while len(p0) > 1 and p0[-1] == 0.0:
-                p0 = p0[:-1]
+            p0 = _trimmed(p0)
             if p0[0] != 0.0:
                 raise ValueError("polynomial nonlinearity must vanish at zero")
             self.degree = int(len(p0) - 1)
@@ -530,16 +528,16 @@ class Nonlinearity:
         lo, hi = self._g_range
         limits = [p1[-1] * x ** (len(p1) - 1) for x in (lo, hi) if math.isinf(x)]
         pts = _critical_points(p1, lo, hi)
-        floor = -1e-12 * npoly.polyval(np.abs(pts), np.abs(p1))
+        floor = -1e-12 * _polyval(np.abs(pts), np.abs(p1))
         return bool(min(limits, default=0.0) >= 0.0
-                    and not np.any(npoly.polyval(pts, p1) < floor))
+                    and not np.any(_polyval(pts, p1) < floor))
 
     # -- evaluation ----------------------------------------------------------
 
     def _poly(self, n: int) -> np.ndarray:
         """Coefficients of P_n, with N^(n)(z) = P_n(g(z))."""
         while len(self._polys) <= n:
-            self._polys.append(npoly.polymul(npoly.polyder(self._polys[-1]), self._dg))
+            self._polys.append(_polymul(_polyder(self._polys[-1]), self._dg))
         return self._polys[n]
 
     def deriv(self, n: int, z):
@@ -547,7 +545,7 @@ class Nonlinearity:
         if n < 0:
             raise ValueError("derivative order must be >= 0")
         x, c = self._g(np.asarray(z, dtype=float)), self._poly(n)
-        # Horner in npoly.polyval's order, without its overhead and in place.
+        # Horner in `_polyval`'s order, in place.
         # x * 0 carries a NaN or inf of x into every order.  Adding a zero
         # coefficient changes at most the sign of a zero, which the products
         # keep a zero and the last addition makes +0.0, as polyval's would.
@@ -573,7 +571,7 @@ class Nonlinearity:
             raise ValueError("empty interval")
         coeffs = self._poly(n)
         pts = _critical_points(coeffs, self._g_scalar(lo), self._g_scalar(hi))
-        return float(np.max(np.abs(npoly.polyval(pts, coeffs))))
+        return float(np.max(np.abs(_polyval(pts, coeffs))))
 
 
 def _identity(z):
@@ -584,9 +582,60 @@ def _critical_points(coeffs: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """The finite ends of [lo, hi] and the real part of every critical point
     of the polynomial strictly inside.  Imaginary parts are dropped rather
     than filtered, since a multiple root may come back as a complex pair."""
-    crit = npoly.polyroots(npoly.polyder(coeffs)).real
+    crit = _polyroots(_polyder(coeffs)).real
     ends = [x for x in (lo, hi) if math.isfinite(x)]
     return np.concatenate([ends, crit[(lo < crit) & (crit < hi)]])
+
+
+# Polynomial arithmetic on float coefficient vectors, lowest degree first:
+# numpy.polynomial.polynomial's polyval, polyder, polymul and polyroots,
+# operation for operation (so bit for bit), without its argument handling,
+# and without importing numpy.polynomial at start-up.
+
+
+def _trimmed(c: np.ndarray) -> np.ndarray:
+    """c without trailing zeros, keeping c[0] (polyutils.trimseq)."""
+    n = len(c)
+    while n > 1 and c[n - 1] == 0.0:
+        n -= 1
+    return c[:n]
+
+
+def _polyval(x, c: np.ndarray):
+    """Values at x (a scalar or an array) by Horner from c[-1] + x * 0."""
+    acc = c[-1] + x * 0
+    for j in range(len(c) - 2, -1, -1):
+        acc = c[j] + acc * x
+    return acc
+
+
+def _polyder(c: np.ndarray) -> np.ndarray:
+    """Coefficients j * c[j] of the derivative; c[:1] * 0 for a constant."""
+    if len(c) < 2:
+        return c[:1] * 0
+    return np.arange(1, len(c)) * c[1:]
+
+
+def _polymul(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """The convolution of the trimmed factors, trimmed."""
+    return _trimmed(np.convolve(_trimmed(c1), _trimmed(c2)))
+
+
+def _polyroots(c: np.ndarray) -> np.ndarray:
+    """Roots of the trimmed c, sorted: none for a constant, -c0 / c1 for a
+    line, else the eigenvalues of the companion matrix (real when all are)."""
+    c = _trimmed(c)
+    if len(c) < 2:
+        return np.array([])
+    if len(c) == 2:
+        return np.array([-c[0] / c[1]])
+    n = len(c) - 1
+    companion = np.zeros((n, n))
+    companion.reshape(-1)[n::n + 1] = 1
+    companion[:, -1] -= c[:-1] / c[-1]
+    roots = np.linalg.eigvals(companion)
+    roots.sort()
+    return roots
 
 
 # -- residual and derivatives -------------------------------------------------
@@ -891,7 +940,7 @@ class _TaylorExpansion:
         if nl.degree is not None:
             self._euler, self._dq0, self._dg = None, None, None
         else:
-            self._euler, self._dq0, self._dg = {}, npoly.polyval(q0, nl._dg), nl._dg
+            self._euler, self._dq0, self._dg = {}, _polyval(q0, nl._dg), nl._dg
             self._kept |= set(np.flatnonzero(nl._dg[1:]) + 1)
 
     def _composed(self, series: list) -> np.ndarray | None:
@@ -1066,24 +1115,26 @@ def monotonicity_certificate(mesh: Mesh1D, data: PdeData,
 
 
 def newton_solve(mesh: Mesh1D, data: PdeData, nl: Nonlinearity, tol: float = 1e-12,
-                 return_check: bool = False) -> np.ndarray | tuple[np.ndarray, BoundCheck]:
+                 return_check: bool = False
+                 ) -> np.ndarray | tuple[np.ndarray, BoundCheck, float]:
     """Damped Newton iteration for the residual equation, from u = 0.
 
     Divergence raises NonConvergenceError, which admissible data should
     never trigger.  After convergence the a-priori solution bound is
     asserted; a violation indicates a bug and raises SolutionBoundError.
-    With return_check, returns (u, the passed BoundCheck), so a report
-    reads the check this solve ran.
+    With return_check, returns (u, the passed BoundCheck, the dual norm of
+    the residual at u), so a report reads the check this solve ran and the
+    residual norm of its last Newton evaluation.
     """
     validate_admissible(mesh, data, nl)
     oracle = PdeOracle(mesh, nl)
-    u = solve_residual(oracle, data, oracle.zero_state(), tol)
+    u, residual_norm = solve_residual(oracle, data, oracle.zero_state(), tol, return_norm=True)
     chk = solution_bound_check(mesh, data, nl, u)
     if not chk.ok:
         raise SolutionBoundError(
             f"solution bound violated: ||u|| = {chk.lhs:.6g} > {chk.rhs:.6g}"
         )
-    return (u, chk) if return_check else u
+    return (u, chk, residual_norm) if return_check else u
 
 
 @dataclass(frozen=True)
@@ -1151,7 +1202,8 @@ class PdeConstants:
 
 
 def estimate_constants(mesh: Mesh1D, data: PdeData, nl: Nonlinearity, u: np.ndarray,
-                       measure_alpha: bool = True, u_norm: float | None = None) -> PdeConstants:
+                       measure_alpha: bool = True, u_norm: float | None = None,
+                       residual_norm: float | None = None) -> PdeConstants:
     """Constants for the derivative-bound machinery at a solved state.
 
     The residual-derivative bounds use the joint max norm on (data, state)
@@ -1162,7 +1214,9 @@ def estimate_constants(mesh: Mesh1D, data: PdeData, nl: Nonlinearity, u: np.ndar
     eigenvalue bisection, and only with measure_alpha: about 37 LDL^T
     factorizations, since it stops at the relative width `_BISECTION_RTOL`,
     below which it would resolve only its own test's round-off.  u_norm is
-    ||u||_H1, from the solve's `BoundCheck.lhs` where the caller has it.
+    ||u||_H1, from the solve's `BoundCheck.lhs`, and residual_norm the dual
+    norm of the residual at u, from `newton_solve`'s last Newton evaluation,
+    where the caller has them; either is computed here when None.
     """
     c_pf = mesh.poincare_constant
     c_a = min(1.0, float(np.min(data.a)))
@@ -1185,7 +1239,8 @@ def estimate_constants(mesh: Mesh1D, data: PdeData, nl: Nonlinearity, u: np.ndar
     b_sup = float(np.max(np.abs(data.b)))
     nl_l2 = mesh.l2_norm_quad(nl.deriv(0, uq))
 
-    residual_norm = mesh.dual_norm(_residual(mesh, data, nl, full, uq, ke))
+    if residual_norm is None:
+        residual_norm = mesh.dual_norm(_residual(mesh, data, nl, full, uq, ke))
     if u_norm is None:
         u_norm = mesh.h1_norm(u)
     bounds = {

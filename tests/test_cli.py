@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,10 +326,11 @@ class TestSolve:
         # at the benchmark's mesh, alpha_measured's bisection stops after at
         # most 40 factorizations, and the report reads the bound check of the
         # solve and the residual norm of the constants, which take ||u|| from
-        # that check
+        # that check and the residual norm from the Newton solve's last
+        # evaluation, so the residual is assembled only in Newton rounds
         calls = dict.fromkeys(["search_dpttrf", "solution_bound_check", "data_norm",
-                               "dual_norm", "h1_norm"], 0)
-        searching = []
+                               "dual_norm", "h1_norm", "newton_residual", "other_residual"], 0)
+        searching, solving = [], []
 
         def counting(name, kernel):
             def counted(*args, **kwargs):
@@ -345,9 +349,23 @@ class TestSolve:
             calls["search_dpttrf"] += bool(searching)
             return dpttrf(*args, **kwargs)
 
+        def solve(*args, **kwargs):
+            solving.append(True)
+            try:
+                return solve_residual(*args, **kwargs)
+            finally:
+                solving.pop()
+
+        def residual(*args):
+            calls["newton_residual" if solving else "other_residual"] += 1
+            return assemble(*args)
+
         eigenvalue, dpttrf = pde1d._smallest_generalized_eigenvalue, pde1d.dpttrf
+        solve_residual, assemble = pde1d.solve_residual, pde1d._residual
         monkeypatch.setattr(pde1d, "_smallest_generalized_eigenvalue", search)
         monkeypatch.setattr(pde1d, "dpttrf", factor)
+        monkeypatch.setattr(pde1d, "solve_residual", solve)
+        monkeypatch.setattr(pde1d, "_residual", residual)
         for name in ("solution_bound_check", "data_norm"):
             monkeypatch.setattr(pde1d, name, counting(name, getattr(pde1d, name)))
         for name in ("dual_norm", "h1_norm"):
@@ -360,14 +378,15 @@ class TestSolve:
                         "--report", str(rep)]) == 0
         assert 0 < calls["search_dpttrf"] <= 40
         assert calls["solution_bound_check"] == calls["data_norm"] == calls["h1_norm"] == 1
-        assert calls["dual_norm"] == 3  # the two of data_norm and the residual's
+        assert calls["dual_norm"] == 2  # the two of data_norm
+        assert calls["newton_residual"] > 0 and calls["other_residual"] == 0
         report = json.loads(rep.read_text())
         assert report["bound_checks"]["solution_bound"]["ok"]
         assert report["constants"]["alpha_measured"] <= report["constants"]["alpha"]
 
     def test_csv_is_the_per_value_format(self, tmp_path, monkeypatch):
         u = np.array([-0.0, 1e-300, 1e300, -1e300, -1e-300, -2.5, 1.0 / 3.0, 5e-324, -0.1])
-        monkeypatch.setattr(cli, "newton_solve", lambda *args, **kwargs: (u, None))
+        monkeypatch.setattr(cli, "newton_solve", lambda *args, **kwargs: (u, None, None))
         cfg = tmp_path / "solve.json"
         cfg.write_text(json.dumps({"mesh_n": 10, "nonlinearity": {"kind": "cubic"}}))
         out = tmp_path / "u.csv"
@@ -590,6 +609,32 @@ class TestDerivatives:
                         "--output", str(tmp_path / "deriv.csv")]) == 0
         assert len(solved) == len(set(solved)) == distinct
 
+    def test_csv_is_the_per_value_format(self, tmp_path, monkeypatch):
+        # a key's norm, and its FD columns where the check has the key
+        values = [-0.0, 5e-324, 1e-310, 1e300, -1e300, math.nan, 1.0 / 3.0]
+        fd_values = [(math.inf, -0.0), (5e-324, math.nan), (-1e300, 1e300)]
+        keys = [MultiIndex.make([])] + [MultiIndex.make({1: n}) for n in range(1, 6)]
+        keys.append(MultiIndex.make({1: 2, 2: 1}))
+        fd = dict(zip(keys[1::2], fd_values))
+        table = type("Table", (), {"items": lambda self: zip(keys, values)})()
+        oracle = type("Oracle", (), {"state_norm": staticmethod(lambda v: v),
+                                     "stack_points": 1})()
+        monkeypatch.setattr(cli, "_derivative_problem",
+                            lambda args, values: (oracle, None, [None, None], [0.1]))
+        monkeypatch.setattr(cli, "derivative_table", lambda *args: table)
+        monkeypatch.setattr(cli, "finite_difference_table", lambda *args, **kwargs: fd)
+        out = tmp_path / "deriv.csv"
+        assert run_cli(["derivatives", "--problem", "scalar-cubic", "--order", "3",
+                        "--fd-check", "--output", str(out)]) == 0
+        want = ["key,norm,fd_norm,fd_error_indicator\n"]
+        for alpha, value in zip(keys, values):
+            label = "+".join(str(k) for k, e in alpha.entries for _ in range(e)) or "base"
+            est, ind = (cli._fmt(x) for x in fd[alpha]) if alpha in fd else ("", "")
+            want.append(f"{label},{cli._fmt(value)},{est},{ind}\n")
+        assert out.read_text() == "".join(want)
+        assert "base,-0,,\n" in want and "1,4.94065645841e-324,inf,-0\n" in want
+        assert "1+1+1+1+1,nan,-1e+300,1e+300\n" in want and "1+1,1e-310,,\n" in want
+
     def test_invalid_order(self):
         assert run_cli(["derivatives", "--problem", "scalar-cubic", "--order", "0"]) == 1
 
@@ -676,6 +721,26 @@ class TestVerifyBounds:
         cfg = self.config(tmp_path)
         assert_violated_solution_bound_exits_2(monkeypatch, capsys, tmp_path,
                                                ["verify-bounds", "--config", str(cfg)])
+
+    def test_csv_is_the_per_value_format(self, tmp_path, monkeypatch):
+        # (measured, log bound, ratio); the bound is exp_or_inf(log bound)
+        cases = [(-0.0, 0.0, -0.0), (5e-324, -math.inf, math.nan), (1e300, 1000.0, 1e-310),
+                 (math.nan, 705.0, math.inf), (1.0 / 3.0, -700.0, -1e300), (2.5, math.nan, 5e-324)]
+        rows = tuple(DerivativeBoundRow(MultiIndex.make({1: i % 3, 2: i // 3}), i % 2,
+                                        m, lb, r, True)
+                     for i, (m, lb, r) in enumerate(cases))
+        report = DerivativeBoundReport(
+            rows=rows, envelope=ParametricEnvelope(GevreyEnvelope(1.0, 1.0, 1.0), (1.0,)),
+            constants={})
+        monkeypatch.setattr(cli, "verify_derivative_bounds", lambda *a, **k: report)
+        cfg, out = self.config(tmp_path), tmp_path / "bounds.csv"
+        assert run_cli(["verify-bounds", "--config", str(cfg), "--output", str(out)]) == 0
+        want = "alpha,y_id,measured_norm,bound,ratio\n" + "".join(
+            f"{row.alpha.label()},{row.y_index},{cli._fmt(row.measured)},"
+            f"{cli._fmt(cli.exp_or_inf(row.log_bound))},{cli._fmt(row.ratio)}\n" for row in rows)
+        assert out.read_text() == want
+        assert "0,0,-0,1,-0\n" in want and "e1,1,4.94065645841e-324,0,nan\n" in want
+        assert "2e1,0,1e+300,inf,1e-310\n" in want and ",2.5,nan,4.94065645841e-324\n" in want
 
     def test_bound_above_e700_prints_finite(self, tmp_path, monkeypatch):
         # exp(705) is finite; only an envelope value past the float range is inf
@@ -872,3 +937,14 @@ class TestGlobalBehavior:
 
     def test_selftest_passes(self):
         assert run_cli(["selftest"]) == 0
+
+    def test_import_loads_no_numpy_polynomial_or_fractions(self):
+        # a fresh interpreter: this one has loaded both for the tests
+        code = ("import sys, gevrey_kit.cli; "
+                "print(sorted({'numpy.polynomial', 'fractions'} & set(sys.modules)))")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

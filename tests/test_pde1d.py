@@ -310,6 +310,72 @@ class TestNonlinearity:
             assert 0.9 <= nl.growth_constant <= 1.1
 
 
+def outcome(fn, *args):
+    """fn(*args) as (type, dtype, shape, bytes), or the type of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            value = fn(*args)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return type(exc)
+    return type(value), np.asarray(value).dtype, np.shape(value), np.asarray(value).tobytes()
+
+
+#: Float coefficient vectors of length 1 to 10, some ending in zeros.
+COEFFS = st.tuples(
+    st.lists(st.floats(-1e6, 1e6, allow_subnormal=True), min_size=1, max_size=10),
+    st.integers(0, 3),
+).map(lambda parts: np.array(parts[0] + [0.0] * min(parts[1], 10 - len(parts[0]))))
+#: Scalar and array arguments, a 2-D array among them.
+POINTS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.lists(st.floats(-1e3, 1e3), min_size=0, max_size=6).map(np.array),
+    st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6).map(
+        lambda xs: np.array(xs).reshape(2, 3)),
+)
+
+
+class TestPolynomialArithmetic:
+    """pde1d's polynomial helpers against numpy.polynomial, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=COEFFS, x=POINTS)
+    def test_polyval(self, c, x):
+        assert outcome(pde1d._polyval, x, c) == outcome(npoly.polyval, x, c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=COEFFS, c2=COEFFS)
+    def test_polyder_polymul_polyroots(self, c, c2):
+        assert outcome(pde1d._polyder, c) == outcome(npoly.polyder, c)
+        assert outcome(pde1d._polymul, c, c2) == outcome(npoly.polymul, c, c2)
+        assert outcome(pde1d._polyroots, c) == outcome(npoly.polyroots, c)
+        assert (outcome(lambda: pde1d._polyroots(pde1d._polyder(c)))
+                == outcome(lambda: npoly.polyroots(npoly.polyder(c))))
+
+    def test_tanh_family(self):
+        nl, want = Nonlinearity.tanh_shifted(), np.array([2.0, 1.0])
+        for n in range(9):
+            got = nl._poly(n)
+            assert outcome(lambda: got) == outcome(lambda: want)
+            assert (outcome(pde1d._critical_points, got, -1.0, 1.0)
+                    == outcome(lambda: reference_critical_points(want, -1.0, 1.0)))
+            want = npoly.polymul(npoly.polyder(want), [1.0, 0.0, -1.0])
+
+    @pytest.mark.parametrize("c", [[0.0], [-0.0], [2.5], [-3.0], [0.0, 0.0, 0.0], [4.0, 0.0]])
+    def test_constant_and_zero_polynomials(self, c):
+        c = np.array(c)
+        assert outcome(pde1d._polyder, c) == outcome(npoly.polyder, c)
+        roots = pde1d._polyroots(pde1d._polyder(c))
+        assert roots.shape == (0,) and roots.dtype == float
+        assert outcome(pde1d._critical_points, c, -2.0, 1.0) == outcome(
+            reference_critical_points, c, -2.0, 1.0)
+
+
+def reference_critical_points(coeffs, lo, hi):
+    crit = npoly.polyroots(npoly.polyder(coeffs)).real
+    ends = [x for x in (lo, hi) if math.isfinite(x)]
+    return np.concatenate([ends, crit[(lo < crit) & (crit < hi)]])
+
+
 class TestNemyckii:
     def test_constant_field_value(self):
         mesh = Mesh1D.uniform(32)
@@ -662,6 +728,21 @@ class TestNewtonReuse:
         monkeypatch.setattr(pde1d, "_STACK_BYTES", 10 * mesh.quad_x.nbytes)
         check(lambda: finite_difference_table(solve, base, dirs, keys, [0.1, 0.05],
                                               norm=oracle.state_norm), 21)
+
+    @MESHES
+    @NONLINEARITIES
+    @pytest.mark.parametrize("tol", [1e-12, 0.0])  # 0.0 ends at the round-off floor
+    def test_newton_residual_norm_is_the_dual_norm(self, mesh, nl, tol):
+        # the norm of the Newton loop's last evaluation has the bytes of the
+        # residual's dual norm at the returned state, so the constants that
+        # take it are those that compute it
+        data = self.data(mesh, 41, scale=5.0)
+        u, check, residual_norm = newton_solve(mesh, data, nl, tol=tol, return_check=True)
+        assert_same_bytes(u, newton_solve(mesh, data, nl, tol=tol))
+        assert_same_bytes(residual_norm, mesh.dual_norm(assemble_residual(mesh, data, nl, u)))
+        assert (estimate_constants(mesh, data, nl, u, u_norm=check.lhs,
+                                   residual_norm=residual_norm)
+                == estimate_constants(mesh, data, nl, u))
 
     @NONLINEARITIES
     def test_constants_form_the_state_fields_once(self, nl, monkeypatch):
